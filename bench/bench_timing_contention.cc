@@ -24,7 +24,6 @@
 #include "coherence/limited_engine.hh"
 #include "gen/workloads.hh"
 #include "stats/table.hh"
-#include "timing/event_queue.hh"
 #include "timing/sweep.hh"
 #include "timing/timed_bus.hh"
 
@@ -157,24 +156,6 @@ BM_TimedBusRun(benchmark::State &state)
     }
 }
 BENCHMARK(BM_TimedBusRun)->Unit(benchmark::kMillisecond);
-
-void
-BM_EventQueueChurn(benchmark::State &state)
-{
-    for (auto _ : state) {
-        timing::EventQueue eq;
-        std::uint64_t acc = 0;
-        for (unsigned round = 0; round < 64; ++round) {
-            for (unsigned c = 0; c < 16; ++c)
-                eq.push((round * 37 + c * 11) % 101,
-                        timing::EventKind::CpuReady, c);
-            while (!eq.empty())
-                acc += eq.pop().time;
-        }
-        benchmark::DoNotOptimize(acc);
-    }
-}
-BENCHMARK(BM_EventQueueChurn);
 
 } // namespace
 

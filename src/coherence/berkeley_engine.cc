@@ -42,34 +42,43 @@ BerkeleyEngine::owner(mem::BlockId block) const
     return st ? st->owner : -1;
 }
 
-void
+Outcome
 BerkeleyEngine::access(unsigned unit, trace::RefType type,
                        mem::BlockId block)
+{
+    return step<Outcome>(unit, type, block);
+}
+
+template <typename Out>
+Out
+BerkeleyEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 {
     assert(unit < _nUnits);
     if (type == trace::RefType::Instr) {
         _results.events.record(Event::Instr);
-        return;
+        return Out{};
     }
     BlockState &st = _blocks[block];
     if (type == trace::RefType::Read)
-        handleRead(unit, st);
-    else
-        handleWrite(unit, st);
+        return handleRead<Out>(unit, st);
+    return handleWrite<Out>(unit, st);
 }
 
 void
 BerkeleyEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    // The class is final, so these calls devirtualise and inline.
     for (std::size_t i = 0; i < n; ++i)
-        access(accs[i].unit, accs[i].type, accs[i].block);
+        step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
 }
 
 void
 BerkeleyEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(
+        _blocks, slice,
+        [this](unsigned unit, trace::RefType type, mem::BlockId block) {
+            step<NoOutcome>(unit, type, block);
+        });
 }
 
 void
@@ -78,43 +87,50 @@ BerkeleyEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
-void
+template <typename Out>
+Out
 BerkeleyEngine::handleRead(unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
+    Out out;
     if (st.holders & unit_bit) {
-        _results.events.record(Event::RdHit);
-        return;
+        classify(_results, out, Event::RdHit);
+        return out;
     }
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::RmFirstRef);
+        classify(_results, out, Event::RmFirstRef);
     } else if (st.owner >= 0) {
         // The owner supplies the block cache-to-cache and *keeps*
         // ownership (SharedDirty); memory is not updated.
-        _results.events.record(Event::RmBlkDrty);
+        classify(_results, out, Event::RmBlkDrty);
     } else if (st.holders != 0) {
-        _results.events.record(Event::RmBlkCln);
+        classify(_results, out, Event::RmBlkCln);
     } else {
-        _results.events.record(Event::RmMemory);
+        classify(_results, out, Event::RmMemory);
     }
-    if (popcount(st.holders) == 1)
+    if (popcount(st.holders) == 1) {
         ++_results.holderGrowth12;
+        out.setHolderGrowth12(1);
+    }
     st.holders |= unit_bit;
+    return out;
 }
 
-void
+template <typename Out>
+Out
 BerkeleyEngine::handleWrite(unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
+    Out out;
     const bool has_copy = (st.holders & unit_bit) != 0;
     const std::uint64_t others = st.holders & ~unit_bit;
 
     if (has_copy && st.owner == static_cast<int>(unit) &&
         others == 0) {
         // Dirty (exclusive owned): silent upgrade.
-        _results.events.record(Event::WhBlkDrty);
-        return;
+        classify(_results, out, Event::WhBlkDrty);
+        return out;
     }
 
     if (has_copy) {
@@ -124,24 +140,27 @@ BerkeleyEngine::handleWrite(unsigned unit, BlockState &st)
         // reference, which keeps the event-frequency equivalence the
         // paper relies on testable.
         const unsigned fanout = popcount(others);
-        _results.events.record(fanout == 0 ? Event::WhBlkClnExcl
-                                           : Event::WhBlkClnShared);
-        _results.whClnFanout.sample(fanout);
+        classify(_results, out,
+                 fanout == 0 ? Event::WhBlkClnExcl
+                             : Event::WhBlkClnShared);
+        sampleFanout(_results.whClnFanout, out, fanout);
     } else if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::WmFirstRef);
+        classify(_results, out, Event::WmFirstRef);
     } else if (st.owner >= 0) {
         // Owner supplies, everyone else invalidates.
-        _results.events.record(Event::WmBlkDrty);
+        classify(_results, out, Event::WmBlkDrty);
     } else if (st.holders != 0) {
-        _results.events.record(Event::WmBlkCln);
-        _results.wmClnFanout.sample(popcount(st.holders));
+        classify(_results, out, Event::WmBlkCln);
+        sampleFanout(_results.wmClnFanout, out,
+                     popcount(st.holders));
     } else {
-        _results.events.record(Event::WmMemory);
+        classify(_results, out, Event::WmMemory);
     }
 
     st.holders = unit_bit;
     st.owner = static_cast<std::int16_t>(unit);
+    return out;
 }
 
 } // namespace dirsim::coherence

@@ -31,8 +31,8 @@ class BerkeleyEngine final : public CoherenceEngine
   public:
     explicit BerkeleyEngine(unsigned nUnits);
 
-    void access(unsigned unit, trace::RefType type,
-                mem::BlockId block) override;
+    Outcome access(unsigned unit, trace::RefType type,
+                   mem::BlockId block) override;
     void accessBatch(const BlockAccess *accs, std::size_t n) override;
     void accessPrepared(const PreparedSlice &slice) override;
     void recordInstrs(std::uint64_t n) override;
@@ -60,8 +60,12 @@ class BerkeleyEngine final : public CoherenceEngine
         bool referenced = false;
     };
 
-    void handleRead(unsigned unit, BlockState &st);
-    void handleWrite(unsigned unit, BlockState &st);
+    /** One reference, its outcome as @p Out: Outcome for access(),
+     *  NoOutcome for the static replay loops. */
+    template <typename Out>
+    Out step(unsigned unit, trace::RefType type, mem::BlockId block);
+    template <typename Out> Out handleRead(unsigned unit, BlockState &st);
+    template <typename Out> Out handleWrite(unsigned unit, BlockState &st);
 
     unsigned _nUnits;
     EngineResults _results;

@@ -24,34 +24,43 @@ DragonEngine::reset()
     _blocks.clear();
 }
 
-void
+Outcome
 DragonEngine::access(unsigned unit, trace::RefType type,
                      mem::BlockId block)
+{
+    return step<Outcome>(unit, type, block);
+}
+
+template <typename Out>
+Out
+DragonEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 {
     assert(unit < _nUnits);
     if (type == trace::RefType::Instr) {
         _results.events.record(Event::Instr);
-        return;
+        return Out{};
     }
     BlockState &st = _blocks[block];
     if (type == trace::RefType::Read)
-        handleRead(unit, st);
-    else
-        handleWrite(unit, st);
+        return handleRead<Out>(unit, st);
+    return handleWrite<Out>(unit, st);
 }
 
 void
 DragonEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    // The class is final, so these calls devirtualise and inline.
     for (std::size_t i = 0; i < n; ++i)
-        access(accs[i].unit, accs[i].type, accs[i].block);
+        step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
 }
 
 void
 DragonEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(
+        _blocks, slice,
+        [this](unsigned unit, trace::RefType type, mem::BlockId block) {
+            step<NoOutcome>(unit, type, block);
+        });
 }
 
 void
@@ -60,63 +69,72 @@ DragonEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
-void
+template <typename Out>
+Out
 DragonEngine::handleRead(unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
+    Out out;
     if (st.holders & unit_bit) {
-        _results.events.record(Event::RdHit);
-        return;
+        classify(_results, out, Event::RdHit);
+        return out;
     }
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::RmFirstRef);
+        classify(_results, out, Event::RmFirstRef);
     } else if (st.owner >= 0) {
         // Supplied cache-to-cache by the owner; memory stays stale.
-        _results.events.record(Event::RmBlkDrty);
+        classify(_results, out, Event::RmBlkDrty);
     } else if (st.holders != 0) {
-        _results.events.record(Event::RmBlkCln);
+        classify(_results, out, Event::RmBlkCln);
     } else {
-        _results.events.record(Event::RmMemory);
+        classify(_results, out, Event::RmMemory);
     }
     st.holders |= unit_bit;
+    return out;
 }
 
-void
+template <typename Out>
+Out
 DragonEngine::handleWrite(unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
+    Out out;
     if (st.holders & unit_bit) {
         if (st.holders == unit_bit) {
-            _results.events.record(Event::WhLocal);
+            classify(_results, out, Event::WhLocal);
         } else {
             // The shared line is pulled: distribute the update.  The
             // fanout histogram records how many remote copies the
             // update must reach (used by the network cost model; on a
             // bus one broadcast reaches them all).
-            _results.events.record(Event::WhDistrib);
-            _results.whClnFanout.sample(static_cast<std::size_t>(
-                __builtin_popcountll(st.holders & ~unit_bit)));
+            classify(_results, out, Event::WhDistrib);
+            sampleFanout(_results.whClnFanout, out,
+                         static_cast<unsigned>(__builtin_popcountll(
+                             st.holders & ~unit_bit)));
         }
         st.owner = static_cast<std::int16_t>(unit);
-        return;
+        return out;
     }
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::WmFirstRef);
+        classify(_results, out, Event::WmFirstRef);
     } else if (st.owner >= 0) {
-        _results.events.record(Event::WmBlkDrty);
-        _results.wmClnFanout.sample(static_cast<std::size_t>(
-            __builtin_popcountll(st.holders)));
+        classify(_results, out, Event::WmBlkDrty);
+        sampleFanout(_results.wmClnFanout, out,
+                     static_cast<unsigned>(
+                         __builtin_popcountll(st.holders)));
     } else if (st.holders != 0) {
-        _results.events.record(Event::WmBlkCln);
-        _results.wmClnFanout.sample(static_cast<std::size_t>(
-            __builtin_popcountll(st.holders)));
+        classify(_results, out, Event::WmBlkCln);
+        sampleFanout(_results.wmClnFanout, out,
+                     static_cast<unsigned>(
+                         __builtin_popcountll(st.holders)));
     } else {
-        _results.events.record(Event::WmMemory);
+        classify(_results, out, Event::WmMemory);
     }
     st.holders |= unit_bit;
     st.owner = static_cast<std::int16_t>(unit);
+    return out;
 }
 
 } // namespace dirsim::coherence

@@ -14,6 +14,7 @@
 #ifndef DIRSIM_COHERENCE_ENGINE_HH
 #define DIRSIM_COHERENCE_ENGINE_HH
 
+#include "coherence/outcome.hh"
 #include "coherence/results.hh"
 #include "mem/block.hh"
 #include "trace/record.hh"
@@ -61,9 +62,12 @@ class CoherenceEngine
      * @param type Reference type; instruction fetches are counted but
      *             cause no coherence action (Section 4 of the paper).
      * @param block Coherence block identifier.
+     * @return What this reference added to the costed counters of
+     *         results() (see coherence/outcome.hh); callers that only
+     *         want the aggregate ignore it.
      */
-    virtual void access(unsigned unit, trace::RefType type,
-                        mem::BlockId block) = 0;
+    virtual Outcome access(unsigned unit, trace::RefType type,
+                           mem::BlockId block) = 0;
 
     /**
      * Process @p n decoded references in order.  Semantically exactly

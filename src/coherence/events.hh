@@ -52,6 +52,13 @@ enum class Event : unsigned
 constexpr std::size_t numEvents =
     static_cast<std::size_t>(Event::NumEvents);
 
+/** A write hit of any kind (its fanout sample goes to whClnFanout). */
+constexpr bool
+isWriteHit(Event event)
+{
+    return event >= Event::WhBlkDrty && event <= Event::WhLocal;
+}
+
 /** Short name used in tables ("rm-blk-cln" etc.). */
 const std::string &eventName(Event event);
 

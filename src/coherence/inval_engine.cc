@@ -97,14 +97,14 @@ InvalEngine::dirtyOwner(mem::BlockId block) const
     return st ? st->owner : -1;
 }
 
-void
+bool
 InvalEngine::fillCache(unsigned unit, mem::BlockId block)
 {
     if (_caches.empty())
-        return;
+        return false;
     const mem::TouchResult touch = _caches[unit]->touch(block);
     if (!touch.evicted)
-        return;
+        return false;
     ++_results.replacementEvictions;
     // The victim came out of a tag store, so it was filled by an
     // earlier miss and is necessarily tracked already.  The
@@ -113,27 +113,31 @@ InvalEngine::fillCache(unsigned unit, mem::BlockId block)
     BlockState *victim = _blocks.find(touch.evictedBlock);
     assert(victim && "evicted block must be tracked");
     victim->holders &= ~(1ULL << unit);
-    if (victim->owner == static_cast<int>(unit)) {
+    const bool writeBack = victim->owner == static_cast<int>(unit);
+    if (writeBack) {
         victim->owner = -1;
         ++_results.replacementWriteBacks;
     }
     if (directory::DirEntry *dir = dirOf(*victim))
         dir->removeSharer(unit);
+    return writeBack;
 }
 
-void
+template <typename Out>
+Out
 InvalEngine::touchDirCache(mem::BlockId block)
 {
+    Out out;
     if (!_dirCache)
-        return;
+        return out;
     const directory::DirCacheTouch touch = _dirCache->touch(block);
     if (touch.hit) {
         ++_results.dirCacheHits;
-        return;
+        return out;
     }
     ++_results.dirCacheMisses;
     if (!touch.evicted)
-        return;
+        return out;
     ++_results.dirCacheEvictions;
     // Any block that ever got a directory entry is tracked.  The
     // non-inserting find keeps this call rehash-free: our callers
@@ -141,8 +145,11 @@ InvalEngine::touchDirCache(mem::BlockId block)
     // fillCache).
     BlockState *victim = _blocks.find(touch.victim);
     assert(victim && "dir-cache victim must be tracked");
-    _results.dirCacheEvictionInvals += popcount(victim->holders);
-    if (victim->owner >= 0) {
+    const unsigned invals = popcount(victim->holders);
+    const bool writeBack = victim->owner >= 0;
+    _results.dirCacheEvictionInvals += invals;
+    out.setDirCacheEviction(invals, writeBack);
+    if (writeBack) {
         // The sole dirty copy is flushed to memory before it dies.
         victim->owner = -1;
         ++_results.dirCacheEvictionWriteBacks;
@@ -157,6 +164,7 @@ InvalEngine::touchDirCache(mem::BlockId block)
         }
     }
     invalidateMask(touch.victim, *victim, victim->holders);
+    return out;
 }
 
 void
@@ -172,34 +180,43 @@ InvalEngine::invalidateMask(mem::BlockId block, BlockState &st,
     }
 }
 
-void
+Outcome
 InvalEngine::access(unsigned unit, trace::RefType type,
                     mem::BlockId block)
+{
+    return step<Outcome>(unit, type, block);
+}
+
+template <typename Out>
+Out
+InvalEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 {
     assert(unit < _cfg.nUnits);
     if (type == trace::RefType::Instr) {
         _results.events.record(Event::Instr);
-        return;
+        return Out{};
     }
     BlockState &st = lookup(block);
     if (type == trace::RefType::Read)
-        handleRead(unit, block, st);
-    else
-        handleWrite(unit, block, st);
+        return handleRead<Out>(unit, block, st);
+    return handleWrite<Out>(unit, block, st);
 }
 
 void
 InvalEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    // The class is final, so these calls devirtualise and inline.
     for (std::size_t i = 0; i < n; ++i)
-        access(accs[i].unit, accs[i].type, accs[i].block);
+        step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
 }
 
 void
 InvalEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(
+        _blocks, slice,
+        [this](unsigned unit, trace::RefType type, mem::BlockId block) {
+            step<NoOutcome>(unit, type, block);
+        });
 }
 
 void
@@ -208,45 +225,50 @@ InvalEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
-void
+template <typename Out>
+Out
 InvalEngine::handleRead(unsigned unit, mem::BlockId block,
                         BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
+    Out out;
 
     if (st.holders & unit_bit) {
-        _results.events.record(Event::RdHit);
+        classify(_results, out, Event::RdHit);
         if (!_caches.empty())
             _caches[unit]->touch(block); // Refresh LRU.
-        return;
+        return out;
     }
 
     // Every miss involves the block's home node (memory + directory).
     recordHomeUse(unit, st, block);
-    touchDirCache(block);
+    out = touchDirCache<Out>(block);
 
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::RmFirstRef);
+        classify(_results, out, Event::RmFirstRef);
     } else if (st.owner >= 0) {
         // Flush: the ex-owner writes back and keeps a clean copy; the
         // requester snarfs the data.
-        _results.events.record(Event::RmBlkDrty);
+        classify(_results, out, Event::RmBlkDrty);
         st.owner = -1;
         if (directory::DirEntry *dir = dirOf(st))
             dir->cleanse();
     } else if (st.holders != 0) {
-        _results.events.record(Event::RmBlkCln);
+        classify(_results, out, Event::RmBlkCln);
     } else {
-        _results.events.record(Event::RmMemory);
+        classify(_results, out, Event::RmMemory);
     }
 
-    if (popcount(st.holders) == 1)
+    if (popcount(st.holders) == 1) {
         ++_results.holderGrowth12;
+        out.setHolderGrowth12(1);
+    }
     st.holders |= unit_bit;
     if (directory::DirEntry *dir = dirOf(st))
         dir->addSharer(unit);
-    fillCache(unit, block);
+    out.setReplacementWriteBacks(fillCache(unit, block));
+    return out;
 }
 
 void
@@ -270,23 +292,25 @@ InvalEngine::recordDirActivity(unsigned unit, bool unitHasCopy,
     assert((others & ~targets.mask) == 0);
 }
 
-void
+template <typename Out>
+Out
 InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
                          BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
     const bool has_copy = (st.holders & unit_bit) != 0;
+    Out out;
 
     if (has_copy && st.owner == static_cast<int>(unit)) {
-        _results.events.record(Event::WhBlkDrty);
+        classify(_results, out, Event::WhBlkDrty);
         if (!_caches.empty())
             _caches[unit]->touch(block);
-        return;
+        return out;
     }
 
     // Reaching here means a directory transaction: a miss, or a hit
     // to a clean copy whose write permission the directory grants.
-    touchDirCache(block);
+    out = touchDirCache<Out>(block);
 
     if (has_copy) {
         // Write hit to a clean copy.  A dirty copy elsewhere is
@@ -295,9 +319,10 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
         recordHomeUse(unit, st, block);
         const std::uint64_t others = st.holders & ~unit_bit;
         const unsigned fanout = popcount(others);
-        _results.events.record(fanout == 0 ? Event::WhBlkClnExcl
-                                           : Event::WhBlkClnShared);
-        _results.whClnFanout.sample(fanout);
+        classify(_results, out,
+                 fanout == 0 ? Event::WhBlkClnExcl
+                             : Event::WhBlkClnShared);
+        sampleFanout(_results.whClnFanout, out, fanout);
         recordDirActivity(unit, true, st);
         invalidateMask(block, st, others);
         if (!_caches.empty())
@@ -305,33 +330,34 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
     } else if (!st.referenced) {
         st.referenced = true;
         recordHomeUse(unit, st, block);
-        _results.events.record(Event::WmFirstRef);
-        fillCache(unit, block);
+        classify(_results, out, Event::WmFirstRef);
+        out.setReplacementWriteBacks(fillCache(unit, block));
     } else if (st.owner >= 0) {
         // Flush the dirty copy and invalidate it; the requester
         // receives the data.
         recordHomeUse(unit, st, block);
-        _results.events.record(Event::WmBlkDrty);
+        classify(_results, out, Event::WmBlkDrty);
         recordDirActivity(unit, false, st);
         invalidateMask(block, st, st.holders);
-        fillCache(unit, block);
+        out.setReplacementWriteBacks(fillCache(unit, block));
     } else if (st.holders != 0) {
         recordHomeUse(unit, st, block);
-        _results.events.record(Event::WmBlkCln);
-        _results.wmClnFanout.sample(popcount(st.holders));
+        classify(_results, out, Event::WmBlkCln);
+        sampleFanout(_results.wmClnFanout, out, popcount(st.holders));
         recordDirActivity(unit, false, st);
         invalidateMask(block, st, st.holders);
-        fillCache(unit, block);
+        out.setReplacementWriteBacks(fillCache(unit, block));
     } else {
         recordHomeUse(unit, st, block);
-        _results.events.record(Event::WmMemory);
-        fillCache(unit, block);
+        classify(_results, out, Event::WmMemory);
+        out.setReplacementWriteBacks(fillCache(unit, block));
     }
 
     st.holders = unit_bit;
     st.owner = static_cast<std::int16_t>(unit);
     if (directory::DirEntry *dir = dirOf(st))
         dir->makeOwner(unit);
+    return out;
 }
 
 } // namespace dirsim::coherence

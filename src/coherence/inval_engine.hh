@@ -67,8 +67,8 @@ class InvalEngine final : public CoherenceEngine
   public:
     explicit InvalEngine(const InvalEngineConfig &cfg);
 
-    void access(unsigned unit, trace::RefType type,
-                mem::BlockId block) override;
+    Outcome access(unsigned unit, trace::RefType type,
+                   mem::BlockId block) override;
     void accessBatch(const BlockAccess *accs, std::size_t n) override;
     void accessPrepared(const PreparedSlice &slice) override;
     void recordInstrs(std::uint64_t n) override;
@@ -112,16 +112,23 @@ class InvalEngine final : public CoherenceEngine
                    ? nullptr
                    : &_dirArena.entry(st.dir);
     }
-    void handleRead(unsigned unit, mem::BlockId block, BlockState &st);
-    void handleWrite(unsigned unit, mem::BlockId block, BlockState &st);
+    /** One reference, its outcome as @p Out: Outcome for access(),
+     *  NoOutcome for the static replay loops. */
+    template <typename Out>
+    Out step(unsigned unit, trace::RefType type, mem::BlockId block);
+    template <typename Out>
+    Out handleRead(unsigned unit, mem::BlockId block, BlockState &st);
+    template <typename Out>
+    Out handleWrite(unsigned unit, mem::BlockId block, BlockState &st);
     /** Classify a directory/memory transaction by home locality. */
     void recordHomeUse(unsigned unit, BlockState &st,
                        mem::BlockId block);
     /** Record what the shadowed directory would send for this write. */
     void recordDirActivity(unsigned unit, bool unitHasCopy,
                            const BlockState &st);
-    /** Install @p block in @p unit's finite cache, evicting as needed. */
-    void fillCache(unsigned unit, mem::BlockId block);
+    /** Install @p block in @p unit's finite cache, evicting as needed;
+     *  true when the victim was dirty and written back. */
+    bool fillCache(unsigned unit, mem::BlockId block);
     /** Remove copies in @p mask (tag stores + holder bits). */
     void invalidateMask(mem::BlockId block, BlockState &st,
                         std::uint64_t mask);
@@ -130,8 +137,9 @@ class InvalEngine final : public CoherenceEngine
      * disabled), force-invalidating every copy of the entry the fill
      * displaced.  Called on every directory transaction — all misses
      * and write hits to clean blocks — never on pure cache hits.
+     * Returns the eviction traffic as an outcome with no event yet.
      */
-    void touchDirCache(mem::BlockId block);
+    template <typename Out> Out touchDirCache(mem::BlockId block);
 
     InvalEngineConfig _cfg;
     EngineResults _results;

@@ -44,34 +44,44 @@ LimitedEngine::reset()
         _dirCache->clear();
 }
 
-void
+Outcome
 LimitedEngine::access(unsigned unit, trace::RefType type,
                       mem::BlockId block)
+{
+    return step<Outcome>(unit, type, block);
+}
+
+template <typename Out>
+Out
+LimitedEngine::step(unsigned unit, trace::RefType type,
+                    mem::BlockId block)
 {
     assert(unit < _nUnits);
     if (type == trace::RefType::Instr) {
         _results.events.record(Event::Instr);
-        return;
+        return Out{};
     }
     BlockState &st = _blocks[block];
     if (type == trace::RefType::Read)
-        handleRead(unit, block, st);
-    else
-        handleWrite(unit, block, st);
+        return handleRead<Out>(unit, block, st);
+    return handleWrite<Out>(unit, block, st);
 }
 
 void
 LimitedEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    // The class is final, so these calls devirtualise and inline.
     for (std::size_t i = 0; i < n; ++i)
-        access(accs[i].unit, accs[i].type, accs[i].block);
+        step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
 }
 
 void
 LimitedEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(
+        _blocks, slice,
+        [this](unsigned unit, trace::RefType type, mem::BlockId block) {
+            step<NoOutcome>(unit, type, block);
+        });
 }
 
 void
@@ -80,56 +90,68 @@ LimitedEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
-void
+template <typename Out>
+Out
 LimitedEngine::touchDirCache(mem::BlockId block)
 {
+    Out out;
     if (!_dirCache)
-        return;
+        return out;
     const directory::DirCacheTouch touch = _dirCache->touch(block);
     if (touch.hit) {
         ++_results.dirCacheHits;
-        return;
+        return out;
     }
     ++_results.dirCacheMisses;
     if (!touch.evicted)
-        return;
+        return out;
     ++_results.dirCacheEvictions;
     // Non-inserting find: access() holds a BlockState reference for
     // the current block across this call.
     BlockState *victim = _blocks.find(touch.victim);
     assert(victim && "dir-cache victim must be tracked");
-    _results.dirCacheEvictionInvals += std::popcount(victim->mask);
-    if (victim->owner >= 0) {
+    const unsigned invals = std::popcount(victim->mask);
+    const bool writeBack = victim->owner >= 0;
+    _results.dirCacheEvictionInvals += invals;
+    if (writeBack) {
         // The sole dirty copy is flushed to memory before it dies.
         victim->owner = -1;
         ++_results.dirCacheEvictionWriteBacks;
     }
     victim->mask = 0;
     victim->fillq = 0;
+    out.setDirCacheEviction(invals, writeBack);
+    return out;
 }
 
-void
+template <typename Out>
+Out
 LimitedEngine::handleRead(unsigned unit, mem::BlockId block,
                           BlockState &st)
 {
     // The transition core lives in limited_policy.hh, shared with
     // MultiLimitedEngine; only the directory-cache touch between the
     // hit test and the miss service is this engine's own.
-    if (laneReadHit(st, unit, _results))
-        return;
-    touchDirCache(block);
-    laneReadMiss(st, unit, _nPointers, _results);
+    Out out;
+    if (laneReadHit(st, unit, _results, out))
+        return out;
+    out = touchDirCache<Out>(block);
+    laneReadMiss(st, unit, _nPointers, _results, out);
+    return out;
 }
 
-void
+template <typename Out>
+Out
 LimitedEngine::handleWrite(unsigned unit, mem::BlockId block,
                            BlockState &st)
 {
-    if (laneWriteDirtyHit(st, unit, _results))
-        return;
+    Out out;
+    if (laneWriteDirtyHit(st, unit, _results, out))
+        return out;
     // A miss, or a hit to a clean copy: the directory is consulted.
-    touchDirCache(block);
-    laneWrite(st, unit, _results);
+    out = touchDirCache<Out>(block);
+    laneWrite(st, unit, _results, out);
+    return out;
 }
 
 } // namespace dirsim::coherence

@@ -46,8 +46,8 @@ class LimitedEngine final : public CoherenceEngine
     LimitedEngine(unsigned nUnits, unsigned nPointers,
                   const directory::DirCacheConfig &dirCache = {});
 
-    void access(unsigned unit, trace::RefType type,
-                mem::BlockId block) override;
+    Outcome access(unsigned unit, trace::RefType type,
+                   mem::BlockId block) override;
     void accessBatch(const BlockAccess *accs, std::size_t n) override;
     void accessPrepared(const PreparedSlice &slice) override;
     void recordInstrs(std::uint64_t n) override;
@@ -81,12 +81,18 @@ class LimitedEngine final : public CoherenceEngine
      */
     using BlockState = LimitedLane;
 
-    void handleRead(unsigned unit, mem::BlockId block, BlockState &st);
-    void handleWrite(unsigned unit, mem::BlockId block,
-                     BlockState &st);
+    /** One reference, its outcome as @p Out: Outcome for access(),
+     *  NoOutcome for the static replay loops. */
+    template <typename Out>
+    Out step(unsigned unit, trace::RefType type, mem::BlockId block);
+    template <typename Out>
+    Out handleRead(unsigned unit, mem::BlockId block, BlockState &st);
+    template <typename Out>
+    Out handleWrite(unsigned unit, mem::BlockId block, BlockState &st);
     /** Directory-cache lookup on a directory transaction; evicting a
-     *  resident entry force-invalidates the victim's copies. */
-    void touchDirCache(mem::BlockId block);
+     *  resident entry force-invalidates the victim's copies.  Returns
+     *  the eviction traffic as an outcome with no event yet. */
+    template <typename Out> Out touchDirCache(mem::BlockId block);
 
     unsigned _nUnits;
     unsigned _nPointers;

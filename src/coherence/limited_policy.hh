@@ -17,12 +17,16 @@
  * directory-cache touch between the hit test and the miss service,
  * and hits must not touch the directory):
  *
- *   read:   if (laneReadHit(lane, unit, r)) return;      // no state
+ *   read:   if (laneReadHit(lane, unit, r, out)) return;       // no state
  *           <directory transaction bookkeeping>
- *           laneReadMiss(lane, unit, nPointers, r);
- *   write:  if (laneWriteDirtyHit(lane, unit, r)) return; // no state
+ *           laneReadMiss(lane, unit, nPointers, r, out);
+ *   write:  if (laneWriteDirtyHit(lane, unit, r, out)) return; // no state
  *           <directory transaction bookkeeping>
- *           laneWrite(lane, unit, r);
+ *           laneWrite(lane, unit, r, out);
+ *
+ * Each function notes what it adds to @p r in the reference's
+ * outcome @p out as well: an Outcome, or a NoOutcome where the caller
+ * discards it (coherence/outcome.hh).
  *
  * Semantics (paper Sections 3-4): at most nPointers caches hold a
  * block; an (nPointers+1)-th read miss displaces the oldest holder
@@ -38,6 +42,7 @@
 #include <cassert>
 #include <cstdint>
 
+#include "coherence/outcome.hh"
 #include "coherence/results.hh"
 
 namespace dirsim::coherence
@@ -75,12 +80,14 @@ laneHolds(std::uint64_t mask, unsigned unit)
  * Read-hit test: records RdHit and returns true when @p unit already
  * holds a copy (no state change, no directory transaction).
  */
+template <typename Out>
 inline bool
-laneReadHit(const LimitedLane &st, unsigned unit, EngineResults &r)
+laneReadHit(const LimitedLane &st, unsigned unit, EngineResults &r,
+            Out &out)
 {
     if (!laneHolds(st.mask, unit))
         return false;
-    r.events.record(Event::RdHit);
+    classify(r, out, Event::RdHit);
     return true;
 }
 
@@ -90,14 +97,15 @@ laneReadHit(const LimitedLane &st, unsigned unit, EngineResults &r)
  * transaction).  A hit to a *clean* copy is not silent — it needs
  * the directory, so it falls through to laneWrite().
  */
+template <typename Out>
 inline bool
 laneWriteDirtyHit(const LimitedLane &st, unsigned unit,
-                  EngineResults &r)
+                  EngineResults &r, Out &out)
 {
     if (!(laneHolds(st.mask, unit) &&
           st.owner == static_cast<int>(unit)))
         return false;
-    r.events.record(Event::WhBlkDrty);
+    classify(r, out, Event::WhBlkDrty);
     return true;
 }
 
@@ -107,17 +115,18 @@ laneWriteDirtyHit(const LimitedLane &st, unsigned unit,
  * holder if all @p nPointers pointers are in use, and install the new
  * copy at the back of the fill queue.
  */
+template <typename Out>
 inline void
 laneReadMiss(LimitedLane &st, unsigned unit, unsigned nPointers,
-             EngineResults &r)
+             EngineResults &r, Out &out)
 {
     if (!st.referenced) {
         st.referenced = true;
-        r.events.record(Event::RmFirstRef);
+        classify(r, out, Event::RmFirstRef);
     } else if (st.owner >= 0) {
         // Write back; with a single pointer the ex-owner is also
         // invalidated, otherwise it keeps a clean copy.
-        r.events.record(Event::RmBlkDrty);
+        classify(r, out, Event::RmBlkDrty);
         st.owner = -1;
         if (nPointers == 1) {
             st.mask = 0;
@@ -126,14 +135,16 @@ laneReadMiss(LimitedLane &st, unsigned unit, unsigned nPointers,
             // the miss service, not an extra displacement.
         }
     } else if (st.mask != 0) {
-        r.events.record(Event::RmBlkCln);
+        classify(r, out, Event::RmBlkCln);
     } else {
-        r.events.record(Event::RmMemory);
+        classify(r, out, Event::RmMemory);
     }
 
     unsigned nHolders = std::popcount(st.mask);
-    if (nHolders == 1)
+    if (nHolders == 1) {
         ++r.holderGrowth12;
+        out.setHolderGrowth12(1);
+    }
     if (nHolders == nPointers) {
         // Displace the oldest holder (the queue's low byte) to free
         // a pointer for the new copy.
@@ -141,6 +152,7 @@ laneReadMiss(LimitedLane &st, unsigned unit, unsigned nPointers,
         st.fillq >>= 8;
         --nHolders;
         ++r.displacementInvals;
+        out.setDisplacementInvals(1);
     }
     st.mask |= std::uint64_t(1) << unit;
     st.fillq |= std::uint64_t(unit) << (8 * nHolders);
@@ -151,28 +163,30 @@ laneReadMiss(LimitedLane &st, unsigned unit, unsigned nPointers,
  * clean copy): classify it, invalidate every other copy and make
  * @p unit the sole dirty owner.
  */
+template <typename Out>
 inline void
-laneWrite(LimitedLane &st, unsigned unit, EngineResults &r)
+laneWrite(LimitedLane &st, unsigned unit, EngineResults &r, Out &out)
 {
     if (laneHolds(st.mask, unit)) {
         // Hit to a clean copy (a dirty hit never reaches here).
         assert(st.owner < 0);
         const unsigned fanout =
             static_cast<unsigned>(std::popcount(st.mask)) - 1u;
-        r.events.record(fanout == 0 ? Event::WhBlkClnExcl
-                                    : Event::WhBlkClnShared);
-        r.whClnFanout.sample(fanout);
+        classify(r, out,
+                 fanout == 0 ? Event::WhBlkClnExcl
+                             : Event::WhBlkClnShared);
+        sampleFanout(r.whClnFanout, out, fanout);
     } else if (!st.referenced) {
         st.referenced = true;
-        r.events.record(Event::WmFirstRef);
+        classify(r, out, Event::WmFirstRef);
     } else if (st.owner >= 0) {
-        r.events.record(Event::WmBlkDrty);
+        classify(r, out, Event::WmBlkDrty);
     } else if (st.mask != 0) {
-        r.events.record(Event::WmBlkCln);
-        r.wmClnFanout.sample(
-            static_cast<unsigned>(std::popcount(st.mask)));
+        classify(r, out, Event::WmBlkCln);
+        sampleFanout(r.wmClnFanout, out,
+                     static_cast<unsigned>(std::popcount(st.mask)));
     } else {
-        r.events.record(Event::WmMemory);
+        classify(r, out, Event::WmMemory);
     }
 
     st.mask = std::uint64_t(1) << unit;

@@ -84,7 +84,8 @@ MultiLimitedEngine::entryFor(mem::BlockId block)
     return slot.value;
 }
 
-void
+template <typename Out>
+Out
 MultiLimitedEngine::handleRead(unsigned unit, std::uint32_t entry)
 {
     std::uint64_t *masks = _words.data() + std::size_t(entry) * _stride;
@@ -92,25 +93,31 @@ MultiLimitedEngine::handleRead(unsigned unit, std::uint32_t entry)
     std::int16_t *owners = _owners.data() + std::size_t(entry) * _k;
     std::uint8_t *referenced =
         _referenced.data() + std::size_t(entry) * _k;
+    Out first;
     for (unsigned l = 0; l < _k; ++l) {
+        Out out;
         // Gather the lane, run the shared transition, scatter back —
         // hits store nothing, so read-mostly lanes keep their cache
         // lines clean.
         if (laneHolds(masks[l], unit)) {
-            _results[l].events.record(Event::RdHit);
-            continue;
+            classify(_results[l], out, Event::RdHit);
+        } else {
+            LimitedLane lane{masks[l], fillqs[l], owners[l],
+                             referenced[l] != 0};
+            laneReadMiss(lane, unit, _pointers[l], _results[l], out);
+            masks[l] = lane.mask;
+            fillqs[l] = lane.fillq;
+            owners[l] = lane.owner;
+            referenced[l] = lane.referenced;
         }
-        LimitedLane lane{masks[l], fillqs[l], owners[l],
-                         referenced[l] != 0};
-        laneReadMiss(lane, unit, _pointers[l], _results[l]);
-        masks[l] = lane.mask;
-        fillqs[l] = lane.fillq;
-        owners[l] = lane.owner;
-        referenced[l] = lane.referenced;
+        if (l == 0)
+            first = out;
     }
+    return first;
 }
 
-void
+template <typename Out>
+Out
 MultiLimitedEngine::handleWrite(unsigned unit, std::uint32_t entry)
 {
     std::uint64_t *masks = _words.data() + std::size_t(entry) * _stride;
@@ -118,52 +125,67 @@ MultiLimitedEngine::handleWrite(unsigned unit, std::uint32_t entry)
     std::int16_t *owners = _owners.data() + std::size_t(entry) * _k;
     std::uint8_t *referenced =
         _referenced.data() + std::size_t(entry) * _k;
+    Out first;
     for (unsigned l = 0; l < _k; ++l) {
+        Out out;
         if (laneHolds(masks[l], unit) &&
             owners[l] == static_cast<int>(unit)) {
-            _results[l].events.record(Event::WhBlkDrty);
-            continue;
+            classify(_results[l], out, Event::WhBlkDrty);
+        } else {
+            LimitedLane lane{masks[l], fillqs[l], owners[l],
+                             referenced[l] != 0};
+            laneWrite(lane, unit, _results[l], out);
+            masks[l] = lane.mask;
+            fillqs[l] = lane.fillq;
+            owners[l] = lane.owner;
+            referenced[l] = lane.referenced;
         }
-        LimitedLane lane{masks[l], fillqs[l], owners[l],
-                         referenced[l] != 0};
-        laneWrite(lane, unit, _results[l]);
-        masks[l] = lane.mask;
-        fillqs[l] = lane.fillq;
-        owners[l] = lane.owner;
-        referenced[l] = lane.referenced;
+        if (l == 0)
+            first = out;
     }
+    return first;
 }
 
-void
+Outcome
 MultiLimitedEngine::access(unsigned unit, trace::RefType type,
                            mem::BlockId block)
+{
+    return step<Outcome>(unit, type, block);
+}
+
+template <typename Out>
+Out
+MultiLimitedEngine::step(unsigned unit, trace::RefType type,
+                         mem::BlockId block)
 {
     assert(unit < _nUnits);
     if (type == trace::RefType::Instr) {
         for (EngineResults &r : _results)
             r.events.record(Event::Instr);
-        return;
+        return Out{};
     }
     // The one probe that replaces k per-engine probes.
     const std::uint32_t entry = entryFor(block);
     if (type == trace::RefType::Read)
-        handleRead(unit, entry);
-    else
-        handleWrite(unit, entry);
+        return handleRead<Out>(unit, entry);
+    return handleWrite<Out>(unit, entry);
 }
 
 void
 MultiLimitedEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    // The class is final, so these calls devirtualise and inline.
     for (std::size_t i = 0; i < n; ++i)
-        access(accs[i].unit, accs[i].type, accs[i].block);
+        step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
 }
 
 void
 MultiLimitedEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(
+        _blocks, slice,
+        [this](unsigned unit, trace::RefType type, mem::BlockId block) {
+            step<NoOutcome>(unit, type, block);
+        });
 }
 
 void

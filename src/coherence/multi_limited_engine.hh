@@ -58,8 +58,9 @@ class MultiLimitedEngine final : public CoherenceEngine
     MultiLimitedEngine(unsigned nUnits,
                        const std::vector<unsigned> &pointerCounts);
 
-    void access(unsigned unit, trace::RefType type,
-                mem::BlockId block) override;
+    /** Returns lane 0's outcome, as results() reports lane 0. */
+    Outcome access(unsigned unit, trace::RefType type,
+                   mem::BlockId block) override;
     void accessBatch(const BlockAccess *accs, std::size_t n) override;
     void accessPrepared(const PreparedSlice &slice) override;
     void recordInstrs(std::uint64_t n) override;
@@ -96,8 +97,14 @@ class MultiLimitedEngine final : public CoherenceEngine
     /** The arena entry for @p block, appending a fresh one (all
      *  lanes empty) on first touch. */
     std::uint32_t entryFor(mem::BlockId block);
-    void handleRead(unsigned unit, std::uint32_t entry);
-    void handleWrite(unsigned unit, std::uint32_t entry);
+    /** One reference, its lane-0 outcome as @p Out: Outcome for
+     *  access(), NoOutcome for the static replay loops. */
+    template <typename Out>
+    Out step(unsigned unit, trace::RefType type, mem::BlockId block);
+    template <typename Out>
+    Out handleRead(unsigned unit, std::uint32_t entry);
+    template <typename Out>
+    Out handleWrite(unsigned unit, std::uint32_t entry);
 
     unsigned _nUnits;
     unsigned _k; //!< Lane count.

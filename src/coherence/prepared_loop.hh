@@ -23,11 +23,12 @@
  *       slice,
  *       [this](mem::BlockId b) { _blocks.prefetch(b); },
  *       [this](unsigned u, trace::RefType t, mem::BlockId b) {
- *           access(u, t, b);
+ *           step<NoOutcome>(u, t, b);
  *       });
  *
- * The engine classes are final, so the access() call devirtualises
- * and inlines into the strip loop.
+ * The dispatch calls the engine's own non-virtual handlers, which
+ * inline into the strip loop; NoOutcome (coherence/outcome.hh) keeps
+ * the per-reference outcome out of it.
  */
 
 #ifndef DIRSIM_COHERENCE_PREPARED_LOOP_HH
@@ -107,30 +108,27 @@ forEachPreparedRef(const PreparedSlice &slice, AccessFn &&access)
 
 /**
  * The whole accessPrepared body every block-table engine shares:
- * strip-mined dispatch into @p engine .access(), with the probe
- * prefetch enabled iff @p blocks (the engine's per-block FlatMap) has
- * outgrown the cache (util::FlatMap::prefetchProfitable()).  The
- * prefetch-or-not branch is hoisted out of the loop here, once, so
- * every engine's override is a single call:
+ * strip-mined dispatch into @p dispatch (unit, type, block), with the
+ * probe prefetch enabled iff @p blocks (the engine's per-block
+ * FlatMap) has outgrown the cache (util::FlatMap::prefetchProfitable()).
+ * The prefetch-or-not branch is hoisted out of the loop here, once, so
+ * every engine's override is a single call that dispatches into its
+ * outcome-discarding handlers:
  *
  *   void Engine::accessPrepared(const PreparedSlice &slice)
  *   {
- *       stripMinedAccessPrepared(*this, _blocks, slice);
+ *       stripMinedAccessPrepared(
+ *           _blocks, slice,
+ *           [this](unsigned u, trace::RefType t, mem::BlockId b) {
+ *               step<NoOutcome>(u, t, b);
+ *           });
  *   }
- *
- * The engine classes are final, so the access() call devirtualises
- * and inlines into the strip loop.
  */
-template <typename Engine, typename BlockTable>
+template <typename BlockTable, typename DispatchFn>
 inline void
-stripMinedAccessPrepared(Engine &engine, BlockTable &blocks,
-                         const PreparedSlice &slice)
+stripMinedAccessPrepared(BlockTable &blocks, const PreparedSlice &slice,
+                         DispatchFn &&dispatch)
 {
-    const auto dispatch =
-        [&engine](unsigned unit, trace::RefType type,
-                  mem::BlockId block) {
-            engine.access(unit, type, block);
-        };
     if (blocks.prefetchProfitable()) {
         forEachPreparedRef(
             slice,

@@ -36,34 +36,43 @@ WtiEngine::reset()
     _blocks.clear();
 }
 
-void
+Outcome
 WtiEngine::access(unsigned unit, trace::RefType type,
                   mem::BlockId block)
+{
+    return step<Outcome>(unit, type, block);
+}
+
+template <typename Out>
+Out
+WtiEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 {
     assert(unit < _nUnits);
     if (type == trace::RefType::Instr) {
         _results.events.record(Event::Instr);
-        return;
+        return Out{};
     }
     BlockState &st = _blocks[block];
     if (type == trace::RefType::Read)
-        handleRead(unit, st);
-    else
-        handleWrite(unit, st);
+        return handleRead<Out>(unit, st);
+    return handleWrite<Out>(unit, st);
 }
 
 void
 WtiEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    // The class is final, so these calls devirtualise and inline.
     for (std::size_t i = 0; i < n; ++i)
-        access(accs[i].unit, accs[i].type, accs[i].block);
+        step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
 }
 
 void
 WtiEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(*this, _blocks, slice);
+    stripMinedAccessPrepared(
+        _blocks, slice,
+        [this](unsigned unit, trace::RefType type, mem::BlockId block) {
+            step<NoOutcome>(unit, type, block);
+        });
 }
 
 void
@@ -72,58 +81,68 @@ WtiEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
-void
+template <typename Out>
+Out
 WtiEngine::handleRead(unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
+    Out out;
     if (st.holders & unit_bit) {
-        _results.events.record(Event::RdHit);
-        return;
+        classify(_results, out, Event::RdHit);
+        return out;
     }
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::RmFirstRef);
+        classify(_results, out, Event::RmFirstRef);
     } else if (st.holders != 0) {
         // Copies are never dirty under write-through, so any cached
         // copy is clean and memory is current.
-        _results.events.record(Event::RmBlkCln);
+        classify(_results, out, Event::RmBlkCln);
     } else {
-        _results.events.record(Event::RmMemory);
+        classify(_results, out, Event::RmMemory);
     }
-    if (popcount(st.holders) == 1)
+    if (popcount(st.holders) == 1) {
         ++_results.holderGrowth12;
+        out.setHolderGrowth12(1);
+    }
     st.holders |= unit_bit;
+    return out;
 }
 
-void
+template <typename Out>
+Out
 WtiEngine::handleWrite(unsigned unit, BlockState &st)
 {
     const std::uint64_t unit_bit = 1ULL << unit;
+    Out out;
     const bool has_copy = (st.holders & unit_bit) != 0;
     const std::uint64_t others = st.holders & ~unit_bit;
 
     if (has_copy) {
         // The write-through is snooped; other copies invalidate.
         const unsigned fanout = popcount(others);
-        _results.events.record(fanout == 0 ? Event::WhBlkClnExcl
-                                           : Event::WhBlkClnShared);
-        _results.whClnFanout.sample(fanout);
+        classify(_results, out,
+                 fanout == 0 ? Event::WhBlkClnExcl
+                             : Event::WhBlkClnShared);
+        sampleFanout(_results.whClnFanout, out, fanout);
         st.holders = unit_bit;
-        return;
+        return out;
     }
 
     if (!st.referenced) {
         st.referenced = true;
-        _results.events.record(Event::WmFirstRef);
+        classify(_results, out, Event::WmFirstRef);
     } else if (st.holders != 0) {
-        _results.events.record(Event::WmBlkCln);
-        _results.wmClnFanout.sample(popcount(st.holders));
+        classify(_results, out, Event::WmBlkCln);
+        sampleFanout(_results.wmClnFanout, out,
+                     popcount(st.holders));
     } else {
-        _results.events.record(Event::WmMemory);
+        classify(_results, out, Event::WmMemory);
     }
     // Other copies are invalidated by the snooped write-through
     // whether or not the writer allocates the block.
     st.holders = _allocate ? unit_bit : 0;
+    return out;
 }
 
 } // namespace dirsim::coherence

@@ -2,11 +2,11 @@
  * @file
  * Per-CPU request port for the timed bus.
  *
- * A RequestPort owns one CPU's slice of the reference stream (the
- * demuxed per-CPU trace), its cursor, the in-flight RefCharge while
- * the CPU is stalled, and the stall/finish accounting that becomes
- * the TimedRun's per-CPU statistics.  The port is a passive state
- * machine — TimedBusSim drives it from the event loop:
+ * A RequestPort reads one CPU's slice of the reference stream, holds
+ * the in-flight RefCharge while the CPU is stalled, and keeps the
+ * stall/finish accounting that becomes the TimedRun's per-CPU
+ * statistics.  The port is a passive state machine — TimedBusSim
+ * drives it from the event loop:
  *
  *   Running --(ref needs the bus)--> Stalled(issue txn 1)
  *   Stalled --(txn complete, more txns)--> Stalled(issue next)
@@ -20,8 +20,8 @@
 #ifndef DIRSIM_TIMING_PORT_HH
 #define DIRSIM_TIMING_PORT_HH
 
+#include <cassert>
 #include <cstdint>
-#include <vector>
 
 #include "mem/block.hh"
 #include "timing/transactions.hh"
@@ -65,49 +65,76 @@ struct PortRef
 /**
  * One CPU's interface to the timed bus (see file header).
  *
- * The port *reads* its stream through a trace::CpuRefCursor rather
- * than owning an array-of-structs copy: the timed replay either walks
- * a PreparedCpuStream borrowed from a shared PreparedTrace (or
- * demuxed locally from a raw source), or streams a chunk window at a
- * time out of a trace::StoredTrace — one virtual call per reference,
- * noise next to the event loop around it.  The cursor must outlive
+ * The port reads its stream one window at a time from a
+ * trace::CpuRefCursor — the whole stream for an in-memory
+ * PreparedCpuStream, one chunk for a trace::StoredTrace — and walks
+ * each window with plain pointer reads, so the cursor's virtual call
+ * is paid per window, not per reference.  The cursor must outlive
  * the port.
  */
 class RequestPort
 {
   public:
-    RequestPort(unsigned cpu, trace::CpuRefCursor *cursor)
-        : _cpu(cpu), _cursor(cursor)
+    RequestPort(unsigned cpu, trace::CpuRefCursor &cursor)
+        : _cpu(cpu), _cursor(&cursor)
     {
     }
 
     unsigned cpu() const { return _cpu; }
 
-    /** References remain to execute (may refill a file window). */
-    bool hasMoreRefs() { return !_cursor->atEnd(); }
+    /** References remain to execute (may pull the next window). */
+    bool
+    hasMoreRefs()
+    {
+        return _next < _window.n || nextWindow();
+    }
 
     /** Consume the next reference (hasMoreRefs() must hold). */
-    PortRef takeRef();
+    PortRef
+    takeRef()
+    {
+        assert(_next < _window.n);
+        ++_stats.refs;
+        const std::size_t i = _next++;
+        return PortRef{_window.unit[i],
+                       trace::packedRefType(_window.typeFlags[i]),
+                       _window.block[i]};
+    }
 
     /**
      * Begin a stall: the reference consumed at cycle @p now produced
      * @p charge (must be non-empty).  Transactions are then drained
      * with nextTxn() / hasPendingTxn().
      */
-    void beginStall(const RefCharge &charge, std::uint64_t now);
-
-    /** A transaction is still waiting to be issued. */
-    bool
-    hasPendingTxn() const
+    void
+    beginStall(const RefCharge &charge, std::uint64_t now)
     {
-        return _txnNext < _charge.count;
+        assert(!charge.empty());
+        assert(!hasPendingTxn() && "previous charge not drained");
+        _charge = charge;
+        _txnNext = 0;
+        _stallStart = now;
     }
 
+    /** A transaction is still waiting to be issued. */
+    bool hasPendingTxn() const { return _txnNext < _charge.count; }
+
     /** Issue the next transaction of the in-flight charge. */
-    const TxnCharge &nextTxn();
+    const TxnCharge &
+    nextTxn()
+    {
+        assert(hasPendingTxn());
+        ++_stats.transactions;
+        return _charge.txns[_txnNext++];
+    }
 
     /** End the stall at cycle @p now (all transactions completed). */
-    void endStall(std::uint64_t now);
+    void
+    endStall(std::uint64_t now)
+    {
+        assert(!hasPendingTxn());
+        _stats.stallCycles += now - _stallStart;
+    }
 
     /** Record that this CPU retired its whole stream at @p now. */
     void finish(std::uint64_t now) { _stats.finishCycle = now; }
@@ -115,8 +142,22 @@ class RequestPort
     const CpuTimedStats &stats() const { return _stats; }
 
   private:
+    /** Pull the next non-empty window; false at the stream's end. */
+    bool
+    nextWindow()
+    {
+        while (_cursor->nextWindow(_window)) {
+            _next = 0;
+            if (_window.n != 0)
+                return true;
+        }
+        return false;
+    }
+
     unsigned _cpu;
     trace::CpuRefCursor *_cursor;
+    trace::PreparedSpan _window;
+    std::size_t _next = 0;
 
     RefCharge _charge;
     unsigned _txnNext = 0;

@@ -1,16 +1,92 @@
 #include "timing/timed_bus.hh"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
 
 #include "sim/unit_map.hh"
-#include "timing/event_queue.hh"
 #include "timing/transactions.hh"
 #include "trace/store.hh"
 
 namespace dirsim::timing
 {
+
+namespace
+{
+
+/**
+ * The CPU wake-ups of the next few cycles: a ring of per-cycle CPU
+ * bitsets, one bit per CPU (several words: a trace may carry up to
+ * 256 CPUs).  Each CPU has at most one pending wake-up, at most
+ * @p horizon cycles ahead, so a ring of more than @p horizon slots
+ * never holds two live cycles in one slot.
+ */
+class WakeRing
+{
+  public:
+    WakeRing(unsigned nCpus, unsigned horizon)
+        : _words((nCpus + 63) / 64),
+          _slotMask(std::bit_ceil(std::uint64_t(horizon) + 1) - 1),
+          _bits(std::size_t(_slotMask + 1) * _words, 0),
+          _counts(_slotMask + 1, 0)
+    {
+    }
+
+    /** Wake @p cpu at @p cycle (within the horizon of now). */
+    void
+    schedule(unsigned cpu, std::uint64_t cycle)
+    {
+        const std::size_t slot = cycle & _slotMask;
+        std::uint64_t &word = _bits[slot * _words + cpu / 64];
+        assert(!((word >> (cpu % 64)) & 1) && "one wake-up per CPU");
+        word |= std::uint64_t(1) << (cpu % 64);
+        ++_counts[slot];
+        ++_pending;
+    }
+
+    /** Call @p wake for every CPU due at @p cycle, lowest first.  A
+     *  wake may schedule later cycles, never @p cycle itself. */
+    template <typename Wake>
+    void
+    drain(std::uint64_t cycle, Wake &&wake)
+    {
+        const std::size_t slot = cycle & _slotMask;
+        if (_counts[slot] == 0)
+            return;
+        _pending -= _counts[slot];
+        _counts[slot] = 0;
+        std::uint64_t *words = &_bits[slot * _words];
+        for (unsigned w = 0; w < _words; ++w) {
+            for (std::uint64_t bits = std::exchange(words[w], 0);
+                 bits != 0; bits &= bits - 1)
+                wake(w * 64 + unsigned(std::countr_zero(bits)));
+        }
+    }
+
+    bool empty() const { return _pending == 0; }
+
+    /** The first cycle after @p now with a wake-up (not empty()). */
+    std::uint64_t
+    next(std::uint64_t now) const
+    {
+        assert(!empty());
+        std::uint64_t cycle = now + 1;
+        while (_counts[cycle & _slotMask] == 0)
+            ++cycle;
+        return cycle;
+    }
+
+  private:
+    unsigned _words;
+    std::size_t _slotMask;
+    std::vector<std::uint64_t> _bits;
+    std::vector<unsigned> _counts;
+    std::size_t _pending = 0;
+};
+
+} // namespace
 
 TimedBusModel
 timedPipelinedBus(const bus::BusPrimitives &prim)
@@ -125,16 +201,7 @@ TimedBusSim::run(trace::RefSource &source)
                 trace::packTypeFlags(rec.type, rec.flags));
         }
     }
-
-    std::vector<trace::PreparedCpuStreamCursor> cursors;
-    cursors.reserve(streams.size());
-    for (const trace::PreparedCpuStream &stream : streams)
-        cursors.emplace_back(stream);
-    std::vector<RequestPort> ports;
-    ports.reserve(cursors.size());
-    for (unsigned cpu = 0; cpu < cursors.size(); ++cpu)
-        ports.emplace_back(cpu, &cursors[cpu]);
-    return runPorts(ports);
+    return runStreams(streams);
 }
 
 TimedRun
@@ -155,18 +222,7 @@ TimedBusSim::run(const trace::PreparedTrace &prepared)
         throw std::runtime_error(
             "TimedBusSim: trace uses more sharing units than "
             "engine '" + _engine->results().name + "' supports");
-
-    const std::vector<trace::PreparedCpuStream> &streams =
-        prepared.cpuStreams();
-    std::vector<trace::PreparedCpuStreamCursor> cursors;
-    cursors.reserve(streams.size());
-    for (const trace::PreparedCpuStream &stream : streams)
-        cursors.emplace_back(stream);
-    std::vector<RequestPort> ports;
-    ports.reserve(cursors.size());
-    for (unsigned cpu = 0; cpu < cursors.size(); ++cpu)
-        ports.emplace_back(cpu, &cursors[cpu]);
-    return runPorts(ports);
+    return runStreams(prepared.cpuStreams());
 }
 
 TimedRun
@@ -192,18 +248,25 @@ TimedBusSim::run(const trace::StoredTrace &stored)
     // of its stream resident, so a timed replay of an arbitrarily
     // long store runs in O(nCpus × chunk) memory.
     std::vector<std::unique_ptr<trace::CpuRefCursor>> cursors;
-    cursors.reserve(stored.numCpus());
     for (unsigned cpu = 0; cpu < stored.numCpus(); ++cpu)
         cursors.push_back(stored.cpuCursor(cpu));
-    std::vector<RequestPort> ports;
-    ports.reserve(cursors.size());
-    for (unsigned cpu = 0; cpu < cursors.size(); ++cpu)
-        ports.emplace_back(cpu, cursors[cpu].get());
-    return runPorts(ports);
+    return runCursors(cursors);
 }
 
 TimedRun
-TimedBusSim::runPorts(std::vector<RequestPort> &ports)
+TimedBusSim::runStreams(
+    const std::vector<trace::PreparedCpuStream> &streams)
+{
+    std::vector<std::unique_ptr<trace::CpuRefCursor>> cursors;
+    for (const trace::PreparedCpuStream &stream : streams)
+        cursors.push_back(
+            std::make_unique<trace::PreparedCpuStreamCursor>(stream));
+    return runCursors(cursors);
+}
+
+TimedRun
+TimedBusSim::runCursors(
+    const std::vector<std::unique_ptr<trace::CpuRefCursor>> &cursors)
 {
     // Validates the cost options before anything runs.
     TransactionModel model(_cfg.scheme, _cfg.bus.costs, _cfg.costOpts);
@@ -211,7 +274,7 @@ TimedBusSim::runPorts(std::vector<RequestPort> &ports)
     if (_cfg.sim.expectedBlocks != 0)
         _engine->reserveBlocks(_cfg.sim.expectedBlocks);
 
-    const unsigned nCpus = static_cast<unsigned>(ports.size());
+    const unsigned nCpus = static_cast<unsigned>(cursors.size());
     TimedRun result;
     result.scheme =
         sim::schemeName(_cfg.scheme, _cfg.costOpts.nPointers);
@@ -223,73 +286,71 @@ TimedBusSim::runPorts(std::vector<RequestPort> &ports)
         return result;
     }
 
+    std::vector<RequestPort> ports;
+    ports.reserve(nCpus);
+    for (unsigned cpu = 0; cpu < nCpus; ++cpu)
+        ports.emplace_back(cpu, *cursors[cpu]);
     const auto arbiter = BusArbiter::make(_cfg.discipline, nCpus);
+    const unsigned memExtra = _cfg.bus.memExtraLatency;
 
-    // --- The discrete-event loop -------------------------------------
-    EventQueue eq;
+    // --- The cycle loop ----------------------------------------------
+    WakeRing ring(nCpus, std::max(kCyclesPerRef, memExtra));
     std::vector<BusRequest> waiters;
     bool busBusy = false;
-    [[maybe_unused]] unsigned busHolder = 0;
+    std::uint64_t busDone = 0;
+    unsigned busHolder = 0;
     bool busUsesMemory = false;
     std::uint64_t reqSeq = 0;
+    std::uint64_t now = 0;
 
-    // Push the next tenure of @p port's in-flight charge into the
-    // arbitration queue; the grant phase at the end of the current
-    // cycle considers it.
-    const auto issue = [&](RequestPort &port, std::uint64_t now) {
+    // Queue the next tenure of @p port's in-flight charge; the grant
+    // phase at the end of the current cycle considers it.
+    const auto issue = [&](RequestPort &port) {
         const TxnCharge &txn = port.nextTxn();
         waiters.push_back(BusRequest{port.cpu(), now, reqSeq++,
                                      txn.busCycles, txn.usesMemory});
     };
 
-    for (unsigned p = 0; p < nCpus; ++p)
-        eq.push(0, EventKind::CpuReady, p);
-
-    while (!eq.empty()) {
-        const std::uint64_t now = eq.nextTime();
-
-        // Deliver every event of this cycle before arbitrating, so a
-        // freed bus and the requests arriving on the same cycle meet
-        // in one grant phase.
-        while (!eq.empty() && eq.nextTime() == now) {
-            const Event ev = eq.pop();
-            RequestPort &port = ports[ev.cpu];
-
-            if (ev.kind == EventKind::BusComplete) {
-                assert(busBusy && busHolder == ev.cpu);
-                busBusy = false;
-                // Pipelined buses: the requester sees the data only
-                // after the off-bus memory wait.
-                const std::uint64_t done =
-                    now + (busUsesMemory ? _cfg.bus.memExtraLatency
-                                         : 0);
-                if (!port.hasPendingTxn())
-                    port.endStall(done);
-                eq.push(done, EventKind::CpuReady, ev.cpu);
-                continue;
-            }
-
-            // CpuReady: either issue the next tenure of a stalled
-            // reference, or execute the next reference.
-            if (port.hasPendingTxn()) {
-                issue(port, now);
-                continue;
-            }
-            if (!port.hasMoreRefs()) {
-                port.finish(now);
-                continue;
-            }
-            const PortRef ref = port.takeRef();
-            _engine->access(ref.unit, ref.type, ref.block);
-            const RefCharge charge = model.charge(_engine->results());
-            if (charge.empty()) {
-                eq.push(now + _cfg.cyclesPerRef, EventKind::CpuReady,
-                        ev.cpu);
-                continue;
-            }
-            port.beginStall(charge, now);
-            issue(port, now);
+    // A woken CPU either issues the next tenure of a stalled
+    // reference or executes its next reference.
+    const auto wake = [&](unsigned cpu) {
+        RequestPort &port = ports[cpu];
+        if (port.hasPendingTxn()) {
+            issue(port);
+            return;
         }
+        if (!port.hasMoreRefs()) {
+            port.finish(now);
+            return;
+        }
+        const PortRef ref = port.takeRef();
+        const RefCharge &charge =
+            model.charge(_engine->access(ref.unit, ref.type, ref.block));
+        if (charge.empty()) {
+            ring.schedule(cpu, now + kCyclesPerRef);
+            return;
+        }
+        port.beginStall(charge, now);
+        issue(port);
+    };
+
+    for (unsigned cpu = 0; cpu < nCpus; ++cpu)
+        ring.schedule(cpu, 0);
+    for (;;) {
+        // The completion comes first, so a freed bus and the requests
+        // arriving on the same cycle meet in one grant phase.
+        if (busBusy && busDone == now) {
+            busBusy = false;
+            // Pipelined buses: the requester sees the data only after
+            // the off-bus memory wait.
+            const std::uint64_t done =
+                now + (busUsesMemory ? memExtra : 0);
+            RequestPort &port = ports[busHolder];
+            if (!port.hasPendingTxn())
+                port.endStall(done);
+            ring.schedule(busHolder, done);
+        }
+        ring.drain(now, wake);
 
         if (!busBusy && !waiters.empty()) {
             const std::size_t pick = arbiter->pick(waiters);
@@ -303,11 +364,18 @@ TimedBusSim::runPorts(std::vector<RequestPort> &ports)
             ++result.transactions;
             result.busBusyCycles += req.busCycles;
             busBusy = true;
+            busDone = now + req.busCycles;
             busHolder = req.cpu;
             busUsesMemory = req.usesMemory;
-            eq.push(now + req.busCycles, EventKind::BusComplete,
-                    req.cpu);
         }
+
+        // On to the next cycle with work: the bus completion or the
+        // first pending wake-up, whichever comes sooner.
+        if (ring.empty() && !busBusy)
+            break;
+        now = ring.empty() ? busDone
+              : busBusy    ? std::min(busDone, ring.next(now))
+                           : ring.next(now);
     }
     assert(waiters.empty());
 

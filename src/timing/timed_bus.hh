@@ -1,19 +1,19 @@
 /**
  * @file
- * Discrete-event timed bus simulator.
+ * Cycle-driven timed bus simulator.
  *
  * The paper prices coherence traffic as frequency × static cost; the
  * bus is never *occupied*, so queueing, arbitration and processor
  * stall are invisible.  TimedBusSim replays the same per-CPU
- * reference streams the engines already consume, but issues every
- * chargeable transaction (the sim::CostModel event→cycles mapping,
- * recovered per reference by timing::TransactionModel) into a bus
- * with real occupancy, arbitrated by a pluggable discipline.
+ * reference streams the engines already consume, prices each
+ * reference's coherence::Outcome with the charge table of
+ * timing::TransactionModel, and issues the resulting tenures into a
+ * bus with real occupancy, arbitrated by a pluggable discipline.
  *
  * Model:
  *  - Each CPU executes its stream in simulated-time order across
- *    CPUs (deterministic tie-breaking), one cycle per reference that
- *    needs no bus transaction.
+ *    CPUs, kCyclesPerRef cycles per reference that needs no bus
+ *    tenure.
  *  - A chargeable reference stalls its CPU: each of its bus tenures
  *    is queued, granted by the BusArbiter when the bus frees, and
  *    occupies the bus for its integer cycle cost; the CPU resumes
@@ -22,6 +22,15 @@
  *  - Bus occupancies come from bus::BusCosts, i.e. derive from the
  *    Table 1 BusPrimitives; on the pipelined bus the memory wait is
  *    off-bus and only delays the requester.
+ *
+ * Schedule: at most one tenure is on the bus at a time, and each CPU
+ * has at most one pending wake-up, at most max(kCyclesPerRef,
+ * memExtraLatency) cycles ahead.  So the simulator keeps the bus
+ * completion time as a scalar and the wake-ups in a small ring of
+ * per-cycle CPU bitsets.  Each cycle it delivers the bus completion
+ * first (a requester with no off-bus wait runs again that cycle),
+ * then wakes CPUs lowest index first, then lets the arbiter grant a
+ * free bus.  A run is a pure function of (config, engine, stream).
  *
  * Zero-contention anchor: with one CPU the bus is always free at
  * request time, so total bus-busy cycles equal the static cost
@@ -69,6 +78,9 @@ TimedBusModel timedPipelinedBus(
 TimedBusModel timedNonPipelinedBus(
     const bus::BusPrimitives &prim = bus::BusPrimitives{});
 
+/** CPU cycles a reference that needs no bus tenure takes. */
+inline constexpr unsigned kCyclesPerRef = 1;
+
 /** Configuration of one timed run. */
 struct TimedBusConfig
 {
@@ -76,8 +88,6 @@ struct TimedBusConfig
     sim::CostOptions costOpts;
     TimedBusModel bus = timedPipelinedBus();
     Discipline discipline = Discipline::FCFS;
-    /** CPU cycles consumed by a reference that needs no bus tenure. */
-    unsigned cyclesPerRef = 1;
     /** Block size and sharing domain (matches sim::Simulator). */
     sim::SimConfig sim;
 };
@@ -138,8 +148,7 @@ class TimedBusSim
     /**
      * Stream @p source to exhaustion and return the timed result.
      * The stream is demuxed per CPU; engine accesses happen in
-     * simulated-time order with deterministic tie-breaking, so a run
-     * is a pure function of (config, engine, stream).
+     * simulated-time order, lowest CPU first within a cycle.
      */
     TimedRun run(trace::RefSource &source);
 
@@ -164,8 +173,12 @@ class TimedBusSim
     const TimedBusConfig &config() const { return _cfg; }
 
   private:
-    /** The discrete-event loop shared by both entry points. */
-    TimedRun runPorts(std::vector<RequestPort> &ports);
+    TimedRun
+    runStreams(const std::vector<trace::PreparedCpuStream> &streams);
+    /** One port per cursor, then the cycle loop every entry point
+     *  shares. */
+    TimedRun runCursors(
+        const std::vector<std::unique_ptr<trace::CpuRefCursor>> &cursors);
 
     TimedBusConfig _cfg;
     std::unique_ptr<coherence::CoherenceEngine> _engine;

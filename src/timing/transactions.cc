@@ -1,7 +1,7 @@
 #include "timing/transactions.hh"
 
-#include <cassert>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 #include <stdexcept>
 
@@ -10,6 +10,7 @@ namespace dirsim::timing
 
 using coherence::EngineResults;
 using coherence::Event;
+using coherence::Outcome;
 
 namespace
 {
@@ -29,20 +30,18 @@ toCycles(double value, const char *what)
     return static_cast<std::uint32_t>(value);
 }
 
-/** Integer version of the cost model's pointerInvalCycles: directed
- *  while the copy count fits the pointers, broadcast beyond. */
-std::uint64_t
-pointerInvalCycles(const stats::Histogram &hist, unsigned limit,
-                   std::uint64_t directed, std::uint64_t broadcast)
+/** Add @p cycles of uncounted traffic to @p charge: onto its last
+ *  tenure, or as a tenure of its own when it has none. */
+void
+fold(RefCharge &charge, std::uint64_t cycles)
 {
-    std::uint64_t cycles = 0;
-    for (std::size_t k = 0; k <= hist.maxValue(); ++k) {
-        const std::uint64_t n = hist.count(k);
-        if (n == 0)
-            continue;
-        cycles += k <= limit ? n * k * directed : n * broadcast;
-    }
-    return cycles;
+    if (cycles == 0)
+        return;
+    if (charge.count != 0)
+        charge.txns[charge.count - 1].busCycles +=
+            static_cast<std::uint32_t>(cycles);
+    else
+        charge.add(cycles, false);
 }
 
 } // namespace
@@ -55,497 +54,235 @@ TransactionModel::TransactionModel(sim::Scheme scheme,
       _broadcastCycles(toCycles(opts.broadcastCost, "broadcastCost")),
       _overheadQ(toCycles(opts.overheadQ, "overheadQ"))
 {
-}
+    const std::uint32_t mem = bus.memoryAccess;
+    const std::uint32_t cache = bus.cacheAccess;
+    const std::uint32_t wb = bus.writeBack;
+    const std::uint32_t ww = bus.writeWord;
+    const std::uint32_t dc = bus.directoryCheck;
+    const std::uint32_t inv = bus.invalidate;
+    const std::uint32_t req = bus.requestAddress;
+    constexpr bool memory = true;
 
-void
-TransactionModel::reset()
-{
-    _prev = Snapshot{};
-}
-
-RefCharge
-TransactionModel::charge(const EngineResults &r)
-{
-    assert(r.events.totalRefs() == _prev.totalRefs + 1 &&
-           "charge() must follow exactly one engine access()");
-
-    // Exactly one event is recorded per reference; find it.
-    Event event = Event::NumEvents;
-    for (std::size_t i = 0; i < coherence::numEvents; ++i) {
-        const auto e = static_cast<Event>(i);
-        if (r.events.count(e) != _prev.events[i]) {
-            event = e;
-            break;
-        }
-    }
-    assert(event != Event::NumEvents);
-
-    // Deltas of the auxiliary counters the cost model reads.
-    const std::uint64_t dWhW =
-        r.whClnFanout.totalWeight() - _prev.whWeight;
-    const std::uint64_t dWmW =
-        r.wmClnFanout.totalWeight() - _prev.wmWeight;
-    const std::uint64_t dH12 = r.holderGrowth12 - _prev.holderGrowth12;
-    const std::uint64_t dDispl =
-        r.displacementInvals - _prev.displacementInvals;
-    const std::uint64_t dReplWB =
-        r.replacementWriteBacks - _prev.replacementWriteBacks;
-    const std::uint64_t dDcInv =
-        r.dirCacheEvictionInvals - _prev.dirCacheEvictionInvals;
-    const std::uint64_t dDcWB = r.dirCacheEvictionWriteBacks -
-                                _prev.dirCacheEvictionWriteBacks;
-
-    ++_prev.totalRefs;
-    ++_prev.events[static_cast<std::size_t>(event)];
-    _prev.whSamples = r.whClnFanout.totalSamples();
-    _prev.whWeight = r.whClnFanout.totalWeight();
-    _prev.wmSamples = r.wmClnFanout.totalSamples();
-    _prev.wmWeight = r.wmClnFanout.totalWeight();
-    _prev.holderGrowth12 = r.holderGrowth12;
-    _prev.displacementInvals = r.displacementInvals;
-    _prev.replacementWriteBacks = r.replacementWriteBacks;
-    _prev.dirCacheEvictionInvals = r.dirCacheEvictionInvals;
-    _prev.dirCacheEvictionWriteBacks = r.dirCacheEvictionWriteBacks;
-
-    const std::uint64_t mem = _bus.memoryAccess;
-    const std::uint64_t cache = _bus.cacheAccess;
-    const std::uint64_t wb = _bus.writeBack;
-    const std::uint64_t ww = _bus.writeWord;
-    const std::uint64_t dc = _bus.directoryCheck;
-    const std::uint64_t inv = _bus.invalidate;
-    const std::uint64_t req = _bus.requestAddress;
-
-    RefCharge out;
-    // Emit one tenure; counted tenures carry the overhead q the
-    // static model charges per transaction.  Zero-cycle tenures are
-    // dropped (they occupy nothing and cost nothing).
-    const auto emit = [&](std::uint64_t cycles, bool usesMemory,
-                          bool counted) {
-        if (counted)
-            cycles += _overheadQ;
-        if (cycles == 0)
-            return;
-        out.add(static_cast<std::uint32_t>(cycles), usesMemory,
-                counted);
-    };
-    // DiriB invalidation: directed while the copies fit the pointers,
-    // broadcast beyond.
-    const auto pointerInv = [&](std::uint64_t fanout) {
-        return fanout <= _nPointers ? fanout * inv : _broadcastCycles;
+    // One counted transaction (so carrying q) for each of @p events.
+    const auto txn = [this](std::initializer_list<Event> events,
+                            std::uint64_t cycles, bool usesMemory) {
+        for (const Event e : events)
+            _rows[static_cast<std::size_t>(e)].add(cycles + _overheadQ,
+                                                   usesMemory);
     };
 
-    switch (_scheme) {
+    switch (scheme) {
       case sim::Scheme::Dir1NB:
       case sim::Scheme::DirINB:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + dWmW * inv, true, true);
-            break;
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::RmBlkDrty:
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnExcl:
-          case Event::WhBlkClnShared:
-            // A single pointer makes cached blocks exclusive by
-            // construction, so write hits are free for i = 1.
-            if (_nPointers >= 2)
-                emit(dc + dWhW * inv, false, true);
-            break;
-          default:
-            break;
+        txn({Event::RmBlkCln, Event::RmMemory, Event::WmBlkCln,
+             Event::WmMemory},
+            mem, memory);
+        txn({Event::RmBlkDrty, Event::WmBlkDrty}, req + wb + inv, false);
+        // A single pointer makes cached blocks exclusive by
+        // construction, so write hits are free for i = 1.
+        if (_nPointers >= 2) {
+            txn({Event::WhBlkClnExcl, Event::WhBlkClnShared}, dc, false);
+            _whFanout = Fanout::Directed;
         }
+        _wmFanout = Fanout::Directed;
         // Pointer displacements on fills are charged but are not bus
-        // transactions of their own in the static accounting; fold
-        // them into this reference's tenure when it has one.
-        if (dDispl != 0) {
-            if (out.count != 0)
-                out.txns[out.count - 1].busCycles +=
-                    static_cast<std::uint32_t>(dDispl * inv);
-            else
-                emit(dDispl * inv, false, false);
-        }
+        // transactions of their own in the static accounting.
+        _displacementCycles = inv;
         break;
 
       case sim::Scheme::Dir0B:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + inv, true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnExcl:
-            // "Clean in exactly one cache" suppresses the broadcast.
-            emit(dc, false, true);
-            break;
-          case Event::WhBlkClnShared:
-            emit(dc + inv, false, true);
-            break;
-          default:
-            break;
-        }
+        txn({Event::RmBlkCln, Event::RmMemory, Event::WmMemory}, mem,
+            memory);
+        txn({Event::WmBlkCln}, mem + inv, memory);
+        txn({Event::RmBlkDrty}, req + wb, false);
+        txn({Event::WmBlkDrty}, req + wb + inv, false);
+        // "Clean in exactly one cache" suppresses the broadcast.
+        txn({Event::WhBlkClnExcl}, dc, false);
+        txn({Event::WhBlkClnShared}, dc + inv, false);
         break;
 
       case sim::Scheme::DirNNBSeq:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            // One directed message per actual copy.
-            emit(mem + dWmW * inv, true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnExcl:
-          case Event::WhBlkClnShared:
-            emit(dc + dWhW * inv, false, true);
-            break;
-          default:
-            break;
-        }
-        break;
-
       case sim::Scheme::DirIB:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + pointerInv(dWmW), true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnExcl:
-          case Event::WhBlkClnShared:
-            emit(dc + pointerInv(dWhW), false, true);
-            break;
-          default:
-            break;
-        }
+        txn({Event::RmBlkCln, Event::RmMemory, Event::WmMemory,
+             Event::WmBlkCln},
+            mem, memory);
+        txn({Event::RmBlkDrty}, req + wb, false);
+        txn({Event::WmBlkDrty}, req + wb + inv, false);
+        txn({Event::WhBlkClnExcl, Event::WhBlkClnShared}, dc, false);
+        // Clean-block writes invalidate each copy with a directed
+        // message; DiriB broadcasts once the copies outnumber its
+        // pointers.
+        _whFanout = _wmFanout = scheme == sim::Scheme::DirIB
+                                    ? Fanout::Pointer
+                                    : Fanout::Directed;
         break;
 
       case sim::Scheme::WTI:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmBlkDrty:
-          case Event::RmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-          case Event::WmBlkDrty:
-          case Event::WmMemory:
-            // The miss fill and the write-through are two tenures.
-            emit(mem, true, true);
-            emit(ww, false, true);
-            break;
-          case Event::WhBlkDrty:
-          case Event::WhBlkClnExcl:
-          case Event::WhBlkClnShared:
-          case Event::WmFirstRef:
-            // Every write goes through; snooping invalidates free.
-            emit(ww, false, true);
-            break;
-          default:
-            break;
-        }
+        txn({Event::RmBlkCln, Event::RmBlkDrty, Event::RmMemory,
+             Event::WmBlkCln, Event::WmBlkDrty, Event::WmMemory},
+            mem, memory);
+        // Every write goes through (a write miss's after its fill);
+        // snooping invalidates for free.
+        txn({Event::WmBlkCln, Event::WmBlkDrty, Event::WmMemory,
+             Event::WhBlkDrty, Event::WhBlkClnExcl,
+             Event::WhBlkClnShared, Event::WmFirstRef},
+            ww, false);
         break;
 
       case sim::Scheme::Dragon:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(cache, false, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + ww, true, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(cache + ww, false, true);
-            break;
-          case Event::WhDistrib:
-            emit(ww, false, true);
-            break;
-          default:
-            break;
-        }
+        txn({Event::RmBlkCln, Event::RmMemory, Event::WmMemory}, mem,
+            memory);
+        txn({Event::RmBlkDrty}, cache, false);
+        txn({Event::WmBlkCln}, mem + ww, memory);
+        txn({Event::WmBlkDrty}, cache + ww, false);
+        txn({Event::WhDistrib}, ww, false);
         break;
 
       case sim::Scheme::Berkeley:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + inv, true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnShared:
-            // The cache's own state replaces the directory probe.
-            emit(inv, false, true);
-            break;
-          default:
-            break;
-        }
-        break;
-
       case sim::Scheme::YenFu:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + inv, true, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnShared:
-            emit(dc + inv, false, true);
-            break;
-          default:
+        txn({Event::RmBlkCln, Event::RmMemory, Event::WmMemory}, mem,
+            memory);
+        txn({Event::WmBlkCln}, mem + inv, memory);
+        txn({Event::RmBlkDrty}, req + wb, false);
+        txn({Event::WmBlkDrty}, req + wb + inv, false);
+        if (scheme == sim::Scheme::Berkeley) {
+            // The cache's own state replaces the directory probe.
+            txn({Event::WhBlkClnShared}, inv, false);
+        } else {
             // The single bit answers the exclusive-clean check
-            // locally: WhBlkClnExcl costs nothing.
-            break;
+            // locally, but keeping single bits current costs one bus
+            // word per 1 -> 2 holder transition.
+            txn({Event::WhBlkClnShared}, dc + inv, false);
+            _growthTenure = true;
         }
-        // ...but keeping single bits current costs one bus word per
-        // 1 -> 2 holder transition (its own counted transaction).
-        if (dH12 != 0)
-            emit(dH12 * ww, false, true);
         break;
 
       case sim::Scheme::BerkeleyOwn:
-        switch (event) {
-          case Event::RmBlkCln:
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::WmBlkCln:
-            emit(mem + inv, true, true);
-            break;
-          case Event::RmBlkDrty:
-            // The owning cache supplies; no memory write-back.
-            emit(cache, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(cache + inv, false, true);
-            break;
-          case Event::WhBlkClnExcl:
-          case Event::WhBlkClnShared:
-            // No exclusivity knowledge: every clean write hit
-            // broadcasts one invalidate.
-            emit(inv, false, true);
-            break;
-          default:
-            break;
-        }
+        txn({Event::RmBlkCln, Event::RmMemory, Event::WmMemory}, mem,
+            memory);
+        txn({Event::WmBlkCln}, mem + inv, memory);
+        // The owning cache supplies; no memory write-back.
+        txn({Event::RmBlkDrty}, cache, false);
+        txn({Event::WmBlkDrty}, cache + inv, false);
+        // No exclusivity knowledge: every clean write hit broadcasts
+        // one invalidate.
+        txn({Event::WhBlkClnExcl, Event::WhBlkClnShared}, inv, false);
         break;
 
       case sim::Scheme::MESI:
-        switch (event) {
-          case Event::RmMemory:
-          case Event::WmMemory:
-            emit(mem, true, true);
-            break;
-          case Event::RmBlkCln:
-            emit(cache, false, true);
-            break;
-          case Event::WmBlkCln:
-            emit(cache + inv, false, true);
-            break;
-          case Event::RmBlkDrty:
-            emit(req + wb, false, true);
-            break;
-          case Event::WmBlkDrty:
-            emit(req + wb + inv, false, true);
-            break;
-          case Event::WhBlkClnShared:
-            emit(inv, false, true);
-            break;
-          default:
-            // Exclusive-clean write hits are silent.
-            break;
-        }
+        txn({Event::RmMemory, Event::WmMemory}, mem, memory);
+        txn({Event::RmBlkCln}, cache, false);
+        txn({Event::WmBlkCln}, cache + inv, false);
+        txn({Event::RmBlkDrty}, req + wb, false);
+        txn({Event::WmBlkDrty}, req + wb + inv, false);
+        // Exclusive-clean write hits are silent.
+        txn({Event::WhBlkClnShared}, inv, false);
         break;
     }
 
+    // Zero-cycle tenures occupy nothing and cost nothing: drop them.
+    for (std::size_t e = 0; e < coherence::numEvents; ++e) {
+        for (unsigned t = 0; t < _rows[e].count; ++t) {
+            const TxnCharge &txn = _rows[e].txns[t];
+            if (txn.busCycles != 0)
+                _base[e].add(txn.busCycles, txn.usesMemory);
+        }
+    }
+}
+
+std::uint64_t
+TransactionModel::fanoutCycles(Fanout rule, std::uint64_t fanout) const
+{
+    switch (rule) {
+      case Fanout::None:
+        break;
+      case Fanout::Directed:
+        return fanout * _bus.invalidate;
+      case Fanout::Pointer:
+        return fanout <= _nPointers ? fanout * _bus.invalidate
+                                    : _broadcastCycles;
+    }
+    return 0;
+}
+
+const RefCharge &
+TransactionModel::price(const Outcome &o)
+{
+    const RefCharge &row = _rows[static_cast<std::size_t>(o.event())];
+    const std::uint64_t growth =
+        o.sampled() ? fanoutCycles(coherence::isWriteHit(o.event())
+                                       ? _whFanout
+                                       : _wmFanout,
+                                   o.fanout())
+                    : 0;
+
+    RefCharge &out = _scratch;
+    out.count = 0;
+    for (unsigned t = 0; t < row.count; ++t) {
+        const std::uint64_t cycles =
+            row.txns[t].busCycles + (t == 0 ? growth : 0);
+        if (cycles != 0)
+            out.add(cycles, row.txns[t].usesMemory);
+    }
+    if (row.count == 0)
+        fold(out, growth);
+    fold(out,
+         std::uint64_t(o.displacementInvals()) * _displacementCycles);
+    if (_growthTenure && o.holderGrowth12() != 0) {
+        const std::uint64_t cycles =
+            std::uint64_t(o.holderGrowth12()) * _bus.writeWord +
+            _overheadQ;
+        if (cycles != 0)
+            out.add(cycles, false);
+    }
     // Finite-cache replacement write-backs and directory-cache
     // eviction traffic use the bus but are not transactions of their
     // own in the static accounting.
-    const std::uint64_t extra =
-        dReplWB * wb + dDcInv * inv + dDcWB * wb;
-    if (extra != 0) {
-        if (out.count != 0)
-            out.txns[out.count - 1].busCycles +=
-                static_cast<std::uint32_t>(extra);
-        else
-            emit(extra, false, false);
-    }
-
+    fold(out,
+         std::uint64_t(o.replacementWriteBacks()) * _bus.writeBack +
+             std::uint64_t(o.dirCacheEvictionInvals()) * _bus.invalidate +
+             std::uint64_t(o.dirCacheEvictionWriteBacks()) *
+                 _bus.writeBack);
     return out;
+}
+
+std::uint64_t
+TransactionModel::histogramCycles(const stats::Histogram &hist,
+                                  Fanout rule) const
+{
+    std::uint64_t cycles = 0;
+    if (rule == Fanout::None)
+        return cycles;
+    for (std::size_t k = 0; k <= hist.maxValue(); ++k)
+        cycles += hist.count(k) * fanoutCycles(rule, k);
+    return cycles;
+}
+
+std::uint64_t
+TransactionModel::totalCycles(const EngineResults &r) const
+{
+    std::uint64_t cycles = 0;
+    for (std::size_t e = 0; e < coherence::numEvents; ++e) {
+        std::uint64_t row = 0;
+        for (unsigned t = 0; t < _rows[e].count; ++t)
+            row += _rows[e].txns[t].busCycles;
+        cycles += r.events.count(static_cast<Event>(e)) * row;
+    }
+    cycles += histogramCycles(r.whClnFanout, _whFanout) +
+              histogramCycles(r.wmClnFanout, _wmFanout);
+    cycles += r.displacementInvals * _displacementCycles;
+    if (_growthTenure)
+        cycles += r.holderGrowth12 * (_bus.writeWord + _overheadQ);
+    return cycles + r.replacementWriteBacks * _bus.writeBack +
+           r.dirCacheEvictionInvals * _bus.invalidate +
+           r.dirCacheEvictionWriteBacks * _bus.writeBack;
 }
 
 std::uint64_t
 staticBusCycles(sim::Scheme scheme, const EngineResults &results,
                 const bus::BusCosts &bus, const sim::CostOptions &opts)
 {
-    const std::uint64_t bcast =
-        toCycles(opts.broadcastCost, "broadcastCost");
-    const std::uint64_t q = toCycles(opts.overheadQ, "overheadQ");
-    const unsigned nPtrs =
-        scheme == sim::Scheme::Dir1NB ? 1 : opts.nPointers;
-
-    const auto c = [&](Event e) { return results.events.count(e); };
-    const std::uint64_t rm =
-        c(Event::RmBlkCln) + c(Event::RmBlkDrty) + c(Event::RmMemory);
-    const std::uint64_t wm =
-        c(Event::WmBlkCln) + c(Event::WmBlkDrty) + c(Event::WmMemory);
-    const std::uint64_t mm = c(Event::RmBlkCln) + c(Event::RmMemory) +
-                             c(Event::WmBlkCln) + c(Event::WmMemory);
-    const std::uint64_t md =
-        c(Event::RmBlkDrty) + c(Event::WmBlkDrty);
-    const std::uint64_t whCln =
-        c(Event::WhBlkClnExcl) + c(Event::WhBlkClnShared);
-    const std::uint64_t whW = results.whClnFanout.totalWeight();
-    const std::uint64_t wmW = results.wmClnFanout.totalWeight();
-
-    const std::uint64_t mem = bus.memoryAccess;
-    const std::uint64_t cache = bus.cacheAccess;
-    const std::uint64_t wb = bus.writeBack;
-    const std::uint64_t ww = bus.writeWord;
-    const std::uint64_t dc = bus.directoryCheck;
-    const std::uint64_t inv = bus.invalidate;
-    const std::uint64_t req = bus.requestAddress;
-
-    std::uint64_t cycles = 0;
-    std::uint64_t txns = 0;
-
-    switch (scheme) {
-      case sim::Scheme::Dir1NB:
-      case sim::Scheme::DirINB:
-        cycles = mm * mem + md * (req + wb + inv) +
-                 (wmW + whW + results.displacementInvals) * inv;
-        txns = rm + wm;
-        if (nPtrs >= 2) {
-            cycles += whCln * dc;
-            txns += whCln;
-        }
-        break;
-      case sim::Scheme::Dir0B:
-        cycles = mm * mem + md * (req + wb) +
-                 (c(Event::WmBlkCln) + c(Event::WmBlkDrty) +
-                  c(Event::WhBlkClnShared)) *
-                     inv +
-                 whCln * dc;
-        txns = rm + wm + whCln;
-        break;
-      case sim::Scheme::DirNNBSeq:
-        cycles = mm * mem + md * (req + wb) +
-                 (whW + wmW + c(Event::WmBlkDrty)) * inv + whCln * dc;
-        txns = rm + wm + whCln;
-        break;
-      case sim::Scheme::DirIB:
-        cycles = mm * mem + md * (req + wb) +
-                 pointerInvalCycles(results.whClnFanout, nPtrs, inv,
-                                    bcast) +
-                 pointerInvalCycles(results.wmClnFanout, nPtrs, inv,
-                                    bcast) +
-                 c(Event::WmBlkDrty) * inv + whCln * dc;
-        txns = rm + wm + whCln;
-        break;
-      case sim::Scheme::WTI:
-        cycles = (rm + wm) * mem + results.events.writes() * ww;
-        txns = rm + wm + results.events.writes();
-        break;
-      case sim::Scheme::Dragon:
-        cycles = mm * mem + md * cache +
-                 (c(Event::WhDistrib) + c(Event::WmBlkCln) +
-                  c(Event::WmBlkDrty)) *
-                     ww;
-        txns = rm + wm + c(Event::WhDistrib);
-        break;
-      case sim::Scheme::Berkeley:
-        cycles = mm * mem + md * (req + wb) +
-                 (c(Event::WmBlkCln) + c(Event::WmBlkDrty) +
-                  c(Event::WhBlkClnShared)) *
-                     inv;
-        txns = rm + wm + c(Event::WhBlkClnShared);
-        break;
-      case sim::Scheme::YenFu:
-        cycles = mm * mem + md * (req + wb) +
-                 (c(Event::WmBlkCln) + c(Event::WmBlkDrty) +
-                  c(Event::WhBlkClnShared)) *
-                     inv +
-                 c(Event::WhBlkClnShared) * dc +
-                 results.holderGrowth12 * ww;
-        txns = rm + wm + c(Event::WhBlkClnShared) +
-               results.holderGrowth12;
-        break;
-      case sim::Scheme::BerkeleyOwn:
-        cycles = mm * mem + md * cache +
-                 (whCln + c(Event::WmBlkCln) + c(Event::WmBlkDrty)) *
-                     inv;
-        txns = rm + wm + whCln;
-        break;
-      case sim::Scheme::MESI:
-        cycles = (c(Event::RmMemory) + c(Event::WmMemory)) * mem +
-                 (c(Event::RmBlkCln) + c(Event::WmBlkCln)) * cache +
-                 md * (req + wb) +
-                 (c(Event::WhBlkClnShared) + c(Event::WmBlkCln) +
-                  c(Event::WmBlkDrty)) *
-                     inv;
-        txns = rm + wm + c(Event::WhBlkClnShared);
-        break;
-    }
-
-    return cycles + results.replacementWriteBacks * wb +
-           results.dirCacheEvictionInvals * inv +
-           results.dirCacheEvictionWriteBacks * wb + txns * q;
+    return TransactionModel(scheme, bus, opts).totalCycles(results);
 }
 
 } // namespace dirsim::timing

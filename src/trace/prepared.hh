@@ -93,13 +93,15 @@ class PreparedTraceBuilder;
 class StoredTrace;
 
 /**
- * One contiguous window of prepared data-reference columns: parallel
+ * One contiguous window of prepared reference columns: parallel
  * arrays of block index, dense unit index and packed type+flags byte.
  * The chunk-iterator replay path (sim::Simulator over a
  * PreparedSpanSource) consumes a *sequence* of these instead of one
  * trace-length slice, so the backing storage only ever needs to keep
  * one window resident — the out-of-core store (trace/store.hh) serves
- * spans straight out of a windowed file mapping.
+ * spans straight out of a windowed file mapping.  A CpuRefCursor
+ * hands out windows of one CPU's timed stream in the same shape
+ * (instruction fetches included there).
  */
 struct PreparedSpan
 {
@@ -152,24 +154,26 @@ class PreparedSpanSource
 
 /**
  * Sequential reader over one CPU's timed stream (instruction fetches
- * included), the per-CPU analogue of PreparedSpanSource.  The timed
- * bus replays one of these per port; atEnd() may do work (refill a
- * file window), so it is deliberately non-const.
+ * included), the per-CPU analogue of PreparedSpanSource: each call
+ * hands out the next window of SoA columns.  The timed bus keeps one
+ * per port and walks each window with pointer reads.
  */
 class CpuRefCursor
 {
   public:
     virtual ~CpuRefCursor() = default;
 
-    /** The stream is exhausted (may refill an internal window). */
-    virtual bool atEnd() = 0;
-
-    /** Consume the next reference; atEnd() must have returned false. */
-    virtual void take(std::uint32_t &block, std::uint8_t &unit,
-                      std::uint8_t &typeFlags) = 0;
+    /**
+     * Produce the next window; its pointers stay valid until the next
+     * call.
+     * @retval false End of stream (and on every later call); @p window
+     *         is untouched.
+     */
+    virtual bool nextWindow(PreparedSpan &window) = 0;
 };
 
-/** CpuRefCursor over an in-memory PreparedCpuStream. */
+/** CpuRefCursor over an in-memory PreparedCpuStream: one window
+ *  holding the whole stream. */
 class PreparedCpuStreamCursor final : public CpuRefCursor
 {
   public:
@@ -179,21 +183,22 @@ class PreparedCpuStreamCursor final : public CpuRefCursor
     {
     }
 
-    bool atEnd() override { return _next >= _stream->size(); }
-
-    void
-    take(std::uint32_t &block, std::uint8_t &unit,
-         std::uint8_t &typeFlags) override
+    bool
+    nextWindow(PreparedSpan &window) override
     {
-        block = _stream->block[_next];
-        unit = _stream->unit[_next];
-        typeFlags = _stream->typeFlags[_next];
-        ++_next;
+        if (_done)
+            return false;
+        _done = true;
+        window = PreparedSpan{_stream->block.data(),
+                              _stream->unit.data(),
+                              _stream->typeFlags.data(),
+                              _stream->size()};
+        return true;
     }
 
   private:
     const PreparedCpuStream *_stream;
-    std::size_t _next = 0;
+    bool _done = false;
 };
 
 /**

@@ -724,49 +724,30 @@ class StoredCpuCursor final : public CpuRefCursor
     }
 
     bool
-    atEnd() override
+    nextWindow(PreparedSpan &window) override
     {
-        while (_i >= _n) {
-            if (_nextChunk >= _chunks->size())
-                return true;
-            const StoredTrace::ChunkRef &c = (*_chunks)[_nextChunk];
-            const std::uint8_t *p = viewChunk(
-                _window, *_trace, c.offset, c.nRefs, c.digest,
-                _trace->_readOpts.verifyDigests, _trace->path());
-            _block = reinterpret_cast<const std::uint32_t *>(p);
-            _unit = p + 4 * c.nRefs;
-            _typeFlags = p + 5 * c.nRefs;
-            _n = std::size_t(c.nRefs);
-            _i = 0;
-            ++_nextChunk;
-            if (_nextChunk < _chunks->size())
-                _window.prefetch(
-                    (*_chunks)[_nextChunk].offset,
-                    payloadBytes((*_chunks)[_nextChunk].nRefs));
-        }
-        return false;
-    }
-
-    void
-    take(std::uint32_t &block, std::uint8_t &unit,
-         std::uint8_t &typeFlags) override
-    {
-        block = _block[_i];
-        unit = _unit[_i];
-        typeFlags = _typeFlags[_i];
-        ++_i;
+        if (_next >= _chunks->size())
+            return false;
+        const StoredTrace::ChunkRef &c = (*_chunks)[_next];
+        const std::uint8_t *p = viewChunk(
+            _window, *_trace, c.offset, c.nRefs, c.digest,
+            _trace->_readOpts.verifyDigests, _trace->path());
+        window.block = reinterpret_cast<const std::uint32_t *>(p);
+        window.unit = p + 4 * c.nRefs;
+        window.typeFlags = p + 5 * c.nRefs;
+        window.n = std::size_t(c.nRefs);
+        ++_next;
+        if (_next < _chunks->size())
+            _window.prefetch((*_chunks)[_next].offset,
+                             payloadBytes((*_chunks)[_next].nRefs));
+        return true;
     }
 
   private:
     std::shared_ptr<const StoredTrace> _trace;
     FileWindow _window;
     const std::vector<StoredTrace::ChunkRef> *_chunks;
-    std::size_t _nextChunk = 0;
-    const std::uint32_t *_block = nullptr;
-    const std::uint8_t *_unit = nullptr;
-    const std::uint8_t *_typeFlags = nullptr;
-    std::size_t _n = 0;
-    std::size_t _i = 0;
+    std::size_t _next = 0;
 };
 
 std::unique_ptr<PreparedSpanSource>

@@ -8,10 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
+#include "coherence/berkeley_engine.hh"
 #include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
 #include "coherence/limited_engine.hh"
+#include "coherence/multi_limited_engine.hh"
+#include "coherence/wti_engine.hh"
 #include "directory/coarse_vector.hh"
 #include "directory/full_map.hh"
 #include "directory/limited_pointer.hh"
@@ -770,5 +775,119 @@ TEST(FanoutBounds, NeverExceedsOtherCacheCount)
     // Write-miss fanout is at least 1 by definition of WmBlkCln.
     EXPECT_EQ(eng.results().wmClnFanout.count(0), 0u);
 }
+
+// ---------------------------------------------------------------------
+// Outcomes: what access() reports sums to what results() accumulates.
+// ---------------------------------------------------------------------
+
+/** Replay @p refs through access() and sum the returned outcomes
+ *  into the counters they mirror. */
+EngineResults
+sumOutcomes(CoherenceEngine &eng, const std::vector<RandomRef> &refs)
+{
+    EngineResults sum;
+    for (const RandomRef &ref : refs) {
+        const Outcome o = eng.access(ref.unit, ref.type, ref.block);
+        sum.events.record(o.event());
+        if (o.sampled())
+            (isWriteHit(o.event()) ? sum.whClnFanout : sum.wmClnFanout)
+                .sample(o.fanout());
+        sum.holderGrowth12 += o.holderGrowth12();
+        sum.displacementInvals += o.displacementInvals();
+        sum.replacementWriteBacks += o.replacementWriteBacks();
+        sum.dirCacheEvictionInvals += o.dirCacheEvictionInvals();
+        sum.dirCacheEvictionWriteBacks += o.dirCacheEvictionWriteBacks();
+    }
+    return sum;
+}
+
+/**
+ * Every engine configuration reports, reference by reference, exactly
+ * what it adds to the counters the cost models read — which is what
+ * makes the timed bus's busy cycles equal timing::staticBusCycles by
+ * construction.
+ */
+TEST(OutcomeSum, EqualsResultsForEveryEngineConfiguration)
+{
+    constexpr unsigned units = 8;
+    const auto refs = randomTrace(units, 40'000, 2024, 0.3);
+    dirsim::directory::DirCacheConfig dirCache;
+    dirCache.enabled = true;
+    dirCache.entries = 32;
+    const dirsim::directory::LimitedPointerFactory dir2b(2, true);
+
+    const auto inval = [&](bool finiteCaches, bool finiteDir,
+                           bool shadowed) {
+        InvalEngineConfig cfg;
+        cfg.nUnits = units;
+        if (finiteCaches)
+            cfg.cacheFactory = [] {
+                return std::make_unique<dirsim::mem::SetAssocTagStore>(
+                    dirsim::mem::CacheGeometry{256, 16, 2});
+            };
+        if (finiteDir)
+            cfg.dirCache = dirCache;
+        if (shadowed)
+            cfg.dirFactory = &dir2b;
+        return std::make_unique<InvalEngine>(cfg);
+    };
+    std::vector<std::pair<std::string, std::unique_ptr<CoherenceEngine>>>
+        engines;
+    engines.emplace_back("inval", inval(false, false, false));
+    engines.emplace_back("inval finite caches", inval(true, false, false));
+    engines.emplace_back("inval finite dir cache",
+                         inval(false, true, false));
+    engines.emplace_back("inval shadowed dir", inval(false, false, true));
+    engines.emplace_back("dir1nb finite dir cache",
+                         std::make_unique<LimitedEngine>(units, 1, dirCache));
+    engines.emplace_back("dir2nb finite dir cache",
+                         std::make_unique<LimitedEngine>(units, 2, dirCache));
+    engines.emplace_back("dragon", std::make_unique<DragonEngine>(units));
+    engines.emplace_back("berkeley",
+                         std::make_unique<BerkeleyEngine>(units));
+    engines.emplace_back("wti", std::make_unique<WtiEngine>(units, true));
+    engines.emplace_back("multi-limited lane 0",
+                         std::make_unique<MultiLimitedEngine>(
+                             units, std::vector<unsigned>{2, 1, 4}));
+
+    EngineResults covered;
+    for (const auto &[label, eng] : engines) {
+        const EngineResults sum = sumOutcomes(*eng, refs);
+        const EngineResults &r = eng->results();
+        EXPECT_EQ(sum.events.totalRefs(), r.events.totalRefs()) << label;
+        for (std::size_t e = 0; e < numEvents; ++e) {
+            const auto event = static_cast<Event>(e);
+            EXPECT_EQ(sum.events.count(event), r.events.count(event))
+                << label << ": " << eventName(event);
+        }
+        EXPECT_TRUE(sum.whClnFanout == r.whClnFanout) << label;
+        EXPECT_EQ(sum.whClnFanout.totalWeight(),
+                  r.whClnFanout.totalWeight())
+            << label;
+        EXPECT_TRUE(sum.wmClnFanout == r.wmClnFanout) << label;
+        EXPECT_EQ(sum.wmClnFanout.totalWeight(),
+                  r.wmClnFanout.totalWeight())
+            << label;
+        EXPECT_EQ(sum.holderGrowth12, r.holderGrowth12) << label;
+        EXPECT_EQ(sum.displacementInvals, r.displacementInvals) << label;
+        EXPECT_EQ(sum.replacementWriteBacks, r.replacementWriteBacks)
+            << label;
+        EXPECT_EQ(sum.dirCacheEvictionInvals, r.dirCacheEvictionInvals)
+            << label;
+        EXPECT_EQ(sum.dirCacheEvictionWriteBacks,
+                  r.dirCacheEvictionWriteBacks)
+            << label;
+        covered.merge(sum);
+    }
+    // The configurations between them move every counter.
+    EXPECT_GT(covered.whClnFanout.totalWeight(), 0u);
+    EXPECT_GT(covered.wmClnFanout.totalWeight(), 0u);
+    EXPECT_GT(covered.holderGrowth12, 0u);
+    EXPECT_GT(covered.displacementInvals, 0u);
+    EXPECT_GT(covered.replacementWriteBacks, 0u);
+    EXPECT_GT(covered.dirCacheEvictionInvals, 0u);
+    EXPECT_GT(covered.dirCacheEvictionWriteBacks, 0u);
+}
+
 
 } // namespace
