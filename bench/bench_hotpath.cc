@@ -63,8 +63,6 @@
  *                  two-pass path falls below R (sweep mode; default
  *                  0 = disabled; fails if --no-direct-gen disabled
  *                  the cold pass)
- *   --no-reserve   skip the expectedBlocks reserve hint (measures the
- *                  growth-by-rehash path the seed code always paid)
  *   --trace-cache-dir PATH    persistent trace cache directory; the
  *                  prepared pass streams from warm store files and
  *                  spills on cold misses (sweep mode)
@@ -123,7 +121,6 @@ struct Options
     std::string out;
     double floor = 0.0;
     bool sweep = false;
-    bool reserve = true;
     std::string traceCacheDir;
     std::uint64_t traceCacheBudgetMiB = 4096;
     std::uint64_t streamChunkRefs = trace::kDefaultChunkRefs;
@@ -177,8 +174,6 @@ parseOptions(int argc, char **argv)
                 std::numeric_limits<double>::max());
         } else if (std::strcmp(argv[a], "--sweep") == 0) {
             opts.sweep = true;
-        } else if (std::strcmp(argv[a], "--no-reserve") == 0) {
-            opts.reserve = false;
         } else if (std::strcmp(argv[a], "--trace-cache-dir") == 0) {
             opts.traceCacheDir = want("--trace-cache-dir");
         } else if (std::strcmp(argv[a], "--trace-cache-budget") ==
@@ -217,7 +212,7 @@ parseOptions(int argc, char **argv)
             std::cerr << "error: unknown flag '" << argv[a] << "'\n"
                       << "usage: bench_hotpath [--refs N] [--reps N] "
                          "[--out PATH] [--floor R] [--sweep] "
-                         "[--schemes CSV] [--no-reserve] "
+                         "[--schemes CSV] "
                          "[--no-fused] [--no-multi] "
                          "[--multi-floor R] [--no-direct-gen] "
                          "[--gen-chunk-refs N] [--cold-floor R] "
@@ -433,8 +428,6 @@ writeJson(const Options &opts, const gen::WorkloadConfig &workload,
     os << "  \"workload\": \"" << workload.name << "\",\n";
     os << "  \"refs\": " << opts.refs << ",\n";
     os << "  \"reps\": " << opts.reps << ",\n";
-    os << "  \"reserve\": " << (opts.reserve ? "true" : "false")
-       << ",\n";
     os << "  \"peak_rss_kb\": " << peakRssKb() << ",\n";
     os << "  \"decode_seconds\": " << decodeSeconds << ",\n";
     os << "  \"points\": [\n";
@@ -563,8 +556,6 @@ runSchemeAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
             const auto prepared =
                 sim::TraceRepository::global().get(cfg, prep);
             const unsigned units = cfg.space.nProcesses;
-            const std::uint64_t expected =
-                gen::expectedUniqueBlocks(cfg.space);
             std::vector<std::unique_ptr<coherence::CoherenceEngine>>
                 engines;
             std::vector<coherence::CoherenceEngine *> ptrs;
@@ -572,7 +563,6 @@ runSchemeAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
             for (const auto &[name, make] :
                  campaignEngines(units, schemeFilter)) {
                 engines.push_back(make());
-                engines.back()->reserveBlocks(expected);
                 ptrs.push_back(engines.back().get());
                 names.push_back(name);
             }
@@ -622,7 +612,7 @@ struct MultiRowResult
 {
     bool enabled = false;
     std::vector<unsigned> lanes; //!< Pointer counts, sweep order.
-    double seconds = 0.0; //!< Best-of-reps, all workloads, one probe.
+    double seconds = 0.0; //!< Best-of-reps, all workloads, one lookup.
     std::uint64_t refs = 0; //!< Stream refs through the shared table.
     /** Sum of the same lanes' independent-engine rows (pass above). */
     double independentSeconds = 0.0;
@@ -634,8 +624,8 @@ struct MultiRowResult
  * lanes are the sweep's DiriNB configurations, co-resident with the
  * other campaign engines so cache pressure matches the independent
  * attribution pass — but only the multi row's per-engine clock is
- * harvested.  Each reference costs one shared block-table probe plus
- * one update per lane, versus one probe per lane for the independent
+ * harvested.  Each reference costs one shared block-table lookup plus
+ * one update per lane, versus one lookup per lane for the independent
  * engines; the speedup over the summed independent rows is the gate
  * the CI --multi-floor locks in.
  */
@@ -654,8 +644,6 @@ runMultiAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
             const auto prepared =
                 sim::TraceRepository::global().get(cfg, prep);
             const unsigned units = cfg.space.nProcesses;
-            const std::uint64_t expected =
-                gen::expectedUniqueBlocks(cfg.space);
             std::vector<std::unique_ptr<coherence::CoherenceEngine>>
                 engines;
             std::vector<coherence::CoherenceEngine *> ptrs;
@@ -675,7 +663,6 @@ runMultiAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
                 } else {
                     engines.push_back(make());
                 }
-                engines.back()->reserveBlocks(expected);
                 ptrs.push_back(engines.back().get());
             }
             sim::FusedReplayOptions fr;
@@ -778,6 +765,7 @@ runColdAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
             a.instrRefs() == b.instrRefs() &&
             a.numUnits() == b.numUnits() &&
             a.numCpus() == b.numCpus() &&
+            std::ranges::equal(a.blockNames(), b.blockNames()) &&
             (a.dataRefs() == 0 ||
              (std::memcmp(a.blockData(), b.blockData(),
                           a.dataRefs() * sizeof(std::uint32_t)) == 0 &&
@@ -793,15 +781,12 @@ runColdAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
         }
 
         const unsigned units = cfg.space.nProcesses;
-        const std::uint64_t expected =
-            gen::expectedUniqueBlocks(cfg.space);
         for (unsigned rep = 0; rep < reps; ++rep) {
             std::vector<std::unique_ptr<coherence::CoherenceEngine>>
                 engines;
             std::vector<coherence::CoherenceEngine *> ptrs;
             for (const auto &[name, make] : campaignEngines(units, {})) {
                 engines.push_back(make());
-                engines.back()->reserveBlocks(expected);
                 ptrs.push_back(engines.back().get());
             }
             trace::PreparedTraceSpans spans(*direct);
@@ -1097,15 +1082,12 @@ main(int argc, char **argv)
     const unsigned units = workload.space.nProcesses;
 
     sim::SimConfig simCfg;
-    if (opts.reserve)
-        simCfg.expectedBlocks =
-            gen::expectedUniqueBlocks(workload.space);
     if (!opts.fused)
         simCfg.replayStripRefs = 0; // Whole-span prepared replay.
 
     std::cout << "bench_hotpath: workload=" << workload.name
               << " refs=" << opts.refs << " reps=" << opts.reps
-              << " reserve=" << (opts.reserve ? "on" : "off") << "\n";
+              << "\n";
 
     bench::WallTimer total;
     const trace::MemoryTrace trace = gen::generateTrace(workload);

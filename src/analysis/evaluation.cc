@@ -91,14 +91,12 @@ unitsFor(const gen::WorkloadConfig &cfg, const EvalOptions &opts)
                : cfg.space.nCpus;
 }
 
-/** Per-workload SimConfig: the caller's options plus the workload's
- *  expected-unique-blocks reserve hint (unless explicitly set). */
+/** Per-run SimConfig: the caller's options (engines are sized from
+ *  each trace's numBlocks(), so nothing is derived per workload). */
 sim::SimConfig
-simConfigFor(const gen::WorkloadConfig &cfg, const EvalOptions &opts)
+simConfigFor(const EvalOptions &opts)
 {
     sim::SimConfig sc = opts.sim;
-    if (sc.expectedBlocks == 0)
-        sc.expectedBlocks = gen::expectedUniqueBlocks(cfg.space);
     // The A/B hatch: sequential whole-stream passes per engine.
     if (!opts.fusedReplay)
         sc.replayStripRefs = 0;
@@ -132,7 +130,7 @@ using EngineFactory =
  * limitedPointers marks the cell as a plain DiriNB run (no directory
  * cache) with that pointer count — runMatrix may then run it as one
  * lane of a shared coherence::MultiLimitedEngine instead of invoking
- * the factory, one probe per reference for the whole pointer-count
+ * the factory, one lookup per reference for the whole pointer-count
  * row.  The factory stays the fallback (and the only path when
  * opts.multiConfig is off or the run has fewer than two such cells).
  */
@@ -227,7 +225,7 @@ runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
     if (jobs <= 1 || cfgs.empty() || specs.empty()) {
         for (std::size_t c = 0; c < cfgs.size(); ++c) {
             const unsigned units = unitsFor(cfgs[c], opts);
-            sim::Simulator simulator(simConfigFor(cfgs[c], opts));
+            sim::Simulator simulator(simConfigFor(opts));
             coherence::MultiLimitedEngine *multi = nullptr;
             std::vector<std::size_t> lane(specs.size(), kNone);
             std::vector<std::size_t> slot(specs.size(), kNone);
@@ -327,7 +325,7 @@ runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
         for (const EngineSpec &spec : specs) {
             sim::SweepPoint point;
             point.name = cfgs[c].name;
-            point.sim = simConfigFor(cfgs[c], opts);
+            point.sim = simConfigFor(opts);
             // Fuse the scheme axis: all of a workload's cells carry
             // one key (unique per index — names can repeat), so the
             // runner collapses them into a single fused column pass.

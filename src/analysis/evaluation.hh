@@ -161,8 +161,8 @@ struct EvalOptions
      * Collapse a run's DiriNB cells into one
      * coherence::MultiLimitedEngine: one shared block table whose
      * entries hold every pointer count's state side by side, so the
-     * Dir1NB…Dir8NB axis costs one probe + k lane updates per
-     * reference instead of k probes.  Applies wherever a run (serial)
+     * Dir1NB…Dir8NB axis costs one lookup + k lane updates per
+     * reference instead of k lookups.  Applies wherever a run (serial)
      * or a fused sweep group (parallel) carries at least two DiriNB
      * cells; results are bit-identical to independent engines (golden
      * + differential suites).  Automatically falls back to

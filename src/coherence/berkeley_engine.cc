@@ -46,6 +46,7 @@ Outcome
 BerkeleyEngine::access(unsigned unit, trace::RefType type,
                        mem::BlockId block)
 {
+    _blocks.cover(block);
     return step<Outcome>(unit, type, block);
 }
 
@@ -67,15 +68,17 @@ BerkeleyEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 void
 BerkeleyEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        _blocks.cover(accs[i].block);
         step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
+    }
 }
 
 void
 BerkeleyEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(
-        _blocks, slice,
+    forEachPreparedRef(
+        slice, [this](mem::BlockId last) { _blocks.cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

@@ -19,8 +19,8 @@
 #ifndef DIRSIM_COHERENCE_BERKELEY_ENGINE_HH
 #define DIRSIM_COHERENCE_BERKELEY_ENGINE_HH
 
+#include "coherence/block_table.hh"
 #include "coherence/engine.hh"
-#include "util/flat_map.hh"
 
 namespace dirsim::coherence
 {
@@ -45,7 +45,8 @@ class BerkeleyEngine final : public CoherenceEngine
     }
     std::uint64_t blocksTracked() const override
     {
-        return _blocks.size();
+        return _blocks.count(
+            [](const BlockState &st) { return st.referenced; });
     }
 
     /** Current owner of @p block (supplies data), or -1 if memory. */
@@ -69,7 +70,7 @@ class BerkeleyEngine final : public CoherenceEngine
 
     unsigned _nUnits;
     EngineResults _results;
-    util::FlatMap<mem::BlockId, BlockState> _blocks;
+    BlockTable<BlockState> _blocks;
 };
 
 } // namespace dirsim::coherence

@@ -28,6 +28,7 @@ Outcome
 DragonEngine::access(unsigned unit, trace::RefType type,
                      mem::BlockId block)
 {
+    _blocks.cover(block);
     return step<Outcome>(unit, type, block);
 }
 
@@ -49,15 +50,17 @@ DragonEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 void
 DragonEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        _blocks.cover(accs[i].block);
         step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
+    }
 }
 
 void
 DragonEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(
-        _blocks, slice,
+    forEachPreparedRef(
+        slice, [this](mem::BlockId last) { _blocks.cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

@@ -14,8 +14,8 @@
 #ifndef DIRSIM_COHERENCE_DRAGON_ENGINE_HH
 #define DIRSIM_COHERENCE_DRAGON_ENGINE_HH
 
+#include "coherence/block_table.hh"
 #include "coherence/engine.hh"
-#include "util/flat_map.hh"
 
 namespace dirsim::coherence
 {
@@ -40,7 +40,8 @@ class DragonEngine final : public CoherenceEngine
     }
     std::uint64_t blocksTracked() const override
     {
-        return _blocks.size();
+        return _blocks.count(
+            [](const BlockState &st) { return st.referenced; });
     }
 
   private:
@@ -61,7 +62,7 @@ class DragonEngine final : public CoherenceEngine
 
     unsigned _nUnits;
     EngineResults _results;
-    util::FlatMap<mem::BlockId, BlockState> _blocks;
+    BlockTable<BlockState> _blocks;
 };
 
 } // namespace dirsim::coherence

@@ -14,6 +14,8 @@
 #ifndef DIRSIM_COHERENCE_ENGINE_HH
 #define DIRSIM_COHERENCE_ENGINE_HH
 
+#include <span>
+
 #include "coherence/outcome.hh"
 #include "coherence/results.hh"
 #include "mem/block.hh"
@@ -35,7 +37,7 @@ static_assert(std::is_trivially_copyable_v<BlockAccess>,
 
 /**
  * A view over prepared-trace SoA columns (see trace/prepared.hh):
- * @p n data references as parallel arrays of 32-bit block index,
+ * @p n data references as parallel arrays of 32-bit dense block id,
  * 8-bit dense unit index, and packed type+flags byte (decode with
  * trace::packedRefType / trace::packedFlags).  Instruction fetches
  * never appear in a slice — they are reported via recordInstrs().
@@ -61,7 +63,9 @@ class CoherenceEngine
      *             [0, nUnits).
      * @param type Reference type; instruction fetches are counted but
      *             cause no coherence action (Section 4 of the paper).
-     * @param block Coherence block identifier.
+     * @param block Dense block id: the engine indexes its per-block
+     *             state by it (coherence/block_table.hh), growing the
+     *             table for an id past its end.
      * @return What this reference added to the costed counters of
      *         results() (see coherence/outcome.hh); callers that only
      *         want the aggregate ignore it.
@@ -121,14 +125,55 @@ class CoherenceEngine
     virtual void reset() = 0;
 
     /**
-     * Pre-size per-block state for an expected working set.  A hint:
-     * engines that track per-block state reserve their tables so the
-     * hot loop never rehashes; others ignore it.
+     * Size per-block state exactly for dense ids [0, @p blocks) — a
+     * trace's numBlocks() — so replay never grows a table.  Never
+     * shrinks; ids past the end still grow it.
      */
     virtual void reserveBlocks(std::uint64_t /*blocks*/) {}
 
-    /** Number of blocks with tracked state (0 if not applicable). */
+    /**
+     * Bind the raw block index of every dense id the engine will see
+     * (the trace's blockNames()), once per replay; the span must stay
+     * valid while the engine replays.  Engines read the raw index
+     * only where the model depends on the address itself: the
+     * finite-cache and directory-cache set indices and
+     * HomePolicy::Modulo.  An unbound engine treats each id as its
+     * own raw index.
+     */
+    virtual void bindBlockNames(mem::BlockNames /*names*/) {}
+
+    /** Distinct blocks this engine has seen, each counted from its
+     *  first reference (0 if not applicable). */
     virtual std::uint64_t blocksTracked() const { return 0; }
+};
+
+/**
+ * Binds engines to a stream's block names for one replay and unbinds
+ * them when it ends, normally or by exception, so no engine keeps a
+ * view of a names table it does not own.
+ */
+class BlockNamesBinding
+{
+  public:
+    BlockNamesBinding(std::span<CoherenceEngine *const> engines,
+                      mem::BlockNames names)
+        : _engines(engines)
+    {
+        for (CoherenceEngine *engine : _engines)
+            engine->bindBlockNames(names);
+    }
+
+    ~BlockNamesBinding()
+    {
+        for (CoherenceEngine *engine : _engines)
+            engine->bindBlockNames({});
+    }
+
+    BlockNamesBinding(const BlockNamesBinding &) = delete;
+    BlockNamesBinding &operator=(const BlockNamesBinding &) = delete;
+
+  private:
+    std::span<CoherenceEngine *const> _engines;
 };
 
 } // namespace dirsim::coherence

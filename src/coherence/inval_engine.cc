@@ -57,11 +57,21 @@ InvalEngine::reserveBlocks(std::uint64_t blocks)
         _dirCache->reserveBlocks(blocks);
 }
 
+void
+InvalEngine::bindBlockNames(mem::BlockNames names)
+{
+    _names = names;
+    for (auto &cache : _caches)
+        cache->bindBlockNames(names);
+    if (_dirCache)
+        _dirCache->bindBlockNames(names);
+}
+
 InvalEngine::BlockState &
 InvalEngine::lookup(mem::BlockId block)
 {
-    auto [st, inserted] = _blocks.tryEmplace(block);
-    if (inserted && _dirArena.enabled())
+    BlockState &st = _blocks[block];
+    if (_dirArena.enabled() && st.dir == directory::DirEntryArena::npos)
         st.dir = _dirArena.allocate();
     return st;
 }
@@ -74,7 +84,8 @@ InvalEngine::recordHomeUse(unsigned unit, BlockState &st,
         return;
     if (st.home < 0) {
         st.home = _cfg.homePolicy == HomePolicy::Modulo
-                      ? static_cast<std::int16_t>(block % _cfg.nUnits)
+                      ? static_cast<std::int16_t>(
+                            mem::rawBlock(_names, block) % _cfg.nUnits)
                       : static_cast<std::int16_t>(unit);
     }
     if (st.home == static_cast<int>(unit))
@@ -106,12 +117,10 @@ InvalEngine::fillCache(unsigned unit, mem::BlockId block)
     if (!touch.evicted)
         return false;
     ++_results.replacementEvictions;
-    // The victim came out of a tag store, so it was filled by an
-    // earlier miss and is necessarily tracked already.  The
-    // non-inserting find keeps this call rehash-free: our callers
-    // hold a BlockState reference across it.
-    BlockState *victim = _blocks.find(touch.evictedBlock);
-    assert(victim && "evicted block must be tracked");
+    // The victim came out of a tag store, whose tag is the dense id,
+    // so it was filled by an earlier miss and is tracked already.
+    BlockState *victim = &_blocks[touch.evictedBlock];
+    assert(victim->referenced && "evicted block must be tracked");
     victim->holders &= ~(1ULL << unit);
     const bool writeBack = victim->owner == static_cast<int>(unit);
     if (writeBack) {
@@ -139,12 +148,10 @@ InvalEngine::touchDirCache(mem::BlockId block)
     if (!touch.evicted)
         return out;
     ++_results.dirCacheEvictions;
-    // Any block that ever got a directory entry is tracked.  The
-    // non-inserting find keeps this call rehash-free: our callers
-    // hold a BlockState reference across it (same contract as
-    // fillCache).
-    BlockState *victim = _blocks.find(touch.victim);
-    assert(victim && "dir-cache victim must be tracked");
+    // Any block that ever got a directory entry is tracked, and the
+    // entry's tag is its dense id.
+    BlockState *victim = &_blocks[touch.victim];
+    assert(victim->referenced && "dir-cache victim must be tracked");
     const unsigned invals = popcount(victim->holders);
     const bool writeBack = victim->owner >= 0;
     _results.dirCacheEvictionInvals += invals;
@@ -184,6 +191,7 @@ Outcome
 InvalEngine::access(unsigned unit, trace::RefType type,
                     mem::BlockId block)
 {
+    _blocks.cover(block);
     return step<Outcome>(unit, type, block);
 }
 
@@ -205,15 +213,17 @@ InvalEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 void
 InvalEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        _blocks.cover(accs[i].block);
         step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
+    }
 }
 
 void
 InvalEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(
-        _blocks, slice,
+    forEachPreparedRef(
+        slice, [this](mem::BlockId last) { _blocks.cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

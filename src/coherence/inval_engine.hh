@@ -22,12 +22,12 @@
 #include <memory>
 #include <vector>
 
+#include "coherence/block_table.hh"
 #include "coherence/engine.hh"
 #include "directory/arena.hh"
 #include "directory/dir_cache.hh"
 #include "directory/entry.hh"
 #include "mem/tag_store.hh"
-#include "util/flat_map.hh"
 
 namespace dirsim::coherence
 {
@@ -37,7 +37,7 @@ namespace dirsim::coherence
 enum class HomePolicy
 {
     None,      //!< Centralised memory; no locality tracking.
-    Modulo,    //!< Home = block id mod unit count (interleaved).
+    Modulo,    //!< Home = raw block index mod unit count (interleaved).
     FirstTouch,//!< Home = first unit to reference the block (NUMA).
 };
 
@@ -76,9 +76,13 @@ class InvalEngine final : public CoherenceEngine
     unsigned numUnits() const override { return _cfg.nUnits; }
     void reset() override;
     void reserveBlocks(std::uint64_t blocks) override;
+    /** Binds the names for HomePolicy::Modulo and forwards them to the
+     *  finite caches and the directory cache. */
+    void bindBlockNames(mem::BlockNames names) override;
     std::uint64_t blocksTracked() const override
     {
-        return _blocks.size();
+        return _blocks.count(
+            [](const BlockState &st) { return st.referenced; });
     }
 
     /** Exact holder mask of @p block (tests / diagnostics). */
@@ -104,6 +108,8 @@ class InvalEngine final : public CoherenceEngine
             directory::DirEntryArena::npos;
     };
 
+    /** @p block's state, allocating its shadowed directory entry on
+     *  first touch. */
     BlockState &lookup(mem::BlockId block);
     /** The shadowed entry of @p st, or null when none. */
     directory::DirEntry *dirOf(const BlockState &st)
@@ -143,7 +149,8 @@ class InvalEngine final : public CoherenceEngine
 
     InvalEngineConfig _cfg;
     EngineResults _results;
-    util::FlatMap<mem::BlockId, BlockState> _blocks;
+    BlockTable<BlockState> _blocks;
+    mem::BlockNames _names;
     directory::DirEntryArena _dirArena;
     std::vector<std::unique_ptr<mem::TagStore>> _caches;
     std::unique_ptr<directory::DirectoryCache> _dirCache;

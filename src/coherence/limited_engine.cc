@@ -48,6 +48,7 @@ Outcome
 LimitedEngine::access(unsigned unit, trace::RefType type,
                       mem::BlockId block)
 {
+    _blocks.cover(block);
     return step<Outcome>(unit, type, block);
 }
 
@@ -70,15 +71,17 @@ LimitedEngine::step(unsigned unit, trace::RefType type,
 void
 LimitedEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        _blocks.cover(accs[i].block);
         step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
+    }
 }
 
 void
 LimitedEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(
-        _blocks, slice,
+    forEachPreparedRef(
+        slice, [this](mem::BlockId last) { _blocks.cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });
@@ -106,10 +109,10 @@ LimitedEngine::touchDirCache(mem::BlockId block)
     if (!touch.evicted)
         return out;
     ++_results.dirCacheEvictions;
-    // Non-inserting find: access() holds a BlockState reference for
-    // the current block across this call.
-    BlockState *victim = _blocks.find(touch.victim);
-    assert(victim && "dir-cache victim must be tracked");
+    // The victim's tag is its dense id, and any block that ever got a
+    // directory entry has been referenced.
+    BlockState *victim = &_blocks[touch.victim];
+    assert(victim->referenced && "dir-cache victim must be tracked");
     const unsigned invals = std::popcount(victim->mask);
     const bool writeBack = victim->owner >= 0;
     _results.dirCacheEvictionInvals += invals;

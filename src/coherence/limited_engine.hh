@@ -21,10 +21,10 @@
 #include <cstdint>
 #include <memory>
 
+#include "coherence/block_table.hh"
 #include "coherence/engine.hh"
 #include "coherence/limited_policy.hh"
 #include "directory/dir_cache.hh"
-#include "util/flat_map.hh"
 
 namespace dirsim::coherence
 {
@@ -60,9 +60,16 @@ class LimitedEngine final : public CoherenceEngine
         if (_dirCache)
             _dirCache->reserveBlocks(blocks);
     }
+    /** Forwards to the finite directory cache's set index. */
+    void bindBlockNames(mem::BlockNames names) override
+    {
+        if (_dirCache)
+            _dirCache->bindBlockNames(names);
+    }
     std::uint64_t blocksTracked() const override
     {
-        return _blocks.size();
+        return _blocks.count(
+            [](const BlockState &st) { return st.referenced; });
     }
 
     unsigned numPointers() const { return _nPointers; }
@@ -97,7 +104,7 @@ class LimitedEngine final : public CoherenceEngine
     unsigned _nUnits;
     unsigned _nPointers;
     EngineResults _results;
-    util::FlatMap<mem::BlockId, BlockState> _blocks;
+    BlockTable<BlockState> _blocks;
     std::unique_ptr<directory::DirectoryCache> _dirCache;
 };
 

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -15,7 +14,7 @@ MultiLimitedEngine::MultiLimitedEngine(
     unsigned nUnits, const std::vector<unsigned> &pointerCounts)
     : _nUnits(nUnits),
       _k(static_cast<unsigned>(pointerCounts.size())),
-      _stride(2 * pointerCounts.size())
+      _words(2 * pointerCounts.size()), _cold(pointerCounts.size())
 {
     if (nUnits == 0 || nUnits > 64)
         throw std::invalid_argument(
@@ -52,47 +51,24 @@ MultiLimitedEngine::reset()
         r = EngineResults{};
         r.name = name;
     }
-    _blocks.clear();
     _words.clear();
-    _owners.clear();
-    _referenced.clear();
-    _entries = 0;
+    _cold.clear();
 }
 
 void
 MultiLimitedEngine::reserveBlocks(std::uint64_t blocks)
 {
-    _blocks.reserve(blocks);
-    _words.reserve(blocks * _stride);
-    _owners.reserve(blocks * _k);
-    _referenced.reserve(blocks * _k);
-}
-
-std::uint32_t
-MultiLimitedEngine::entryFor(mem::BlockId block)
-{
-    const auto slot = _blocks.tryEmplace(block);
-    if (!slot.inserted)
-        return slot.value;
-    assert(_entries < std::numeric_limits<std::uint32_t>::max());
-    slot.value = _entries++;
-    // Fresh entry: every lane starts empty, exactly like a fresh
-    // LimitedEngine block.
-    _words.resize(_words.size() + _stride, 0);
-    _owners.resize(_owners.size() + _k, -1);
-    _referenced.resize(_referenced.size() + _k, 0);
-    return slot.value;
+    _words.reserve(blocks);
+    _cold.reserve(blocks);
 }
 
 template <typename Out>
 Out
-MultiLimitedEngine::handleRead(unsigned unit, std::uint32_t entry)
+MultiLimitedEngine::handleRead(unsigned unit, mem::BlockId block)
 {
-    std::uint64_t *masks = _words.data() + std::size_t(entry) * _stride;
+    std::uint64_t *masks = _words.row(block);
     std::uint64_t *fillqs = masks + _k;
-    std::int16_t *owners = _owners.data() + std::size_t(entry) * _k;
-    std::uint8_t *referenced =
-        _referenced.data() + std::size_t(entry) * _k;
+    LaneCold *cold = _cold.row(block);
     Out first;
     for (unsigned l = 0; l < _k; ++l) {
         Out out;
@@ -102,13 +78,12 @@ MultiLimitedEngine::handleRead(unsigned unit, std::uint32_t entry)
         if (laneHolds(masks[l], unit)) {
             classify(_results[l], out, Event::RdHit);
         } else {
-            LimitedLane lane{masks[l], fillqs[l], owners[l],
-                             referenced[l] != 0};
+            LimitedLane lane{masks[l], fillqs[l], cold[l].owner,
+                             cold[l].referenced};
             laneReadMiss(lane, unit, _pointers[l], _results[l], out);
             masks[l] = lane.mask;
             fillqs[l] = lane.fillq;
-            owners[l] = lane.owner;
-            referenced[l] = lane.referenced;
+            cold[l] = {lane.owner, lane.referenced};
         }
         if (l == 0)
             first = out;
@@ -118,27 +93,24 @@ MultiLimitedEngine::handleRead(unsigned unit, std::uint32_t entry)
 
 template <typename Out>
 Out
-MultiLimitedEngine::handleWrite(unsigned unit, std::uint32_t entry)
+MultiLimitedEngine::handleWrite(unsigned unit, mem::BlockId block)
 {
-    std::uint64_t *masks = _words.data() + std::size_t(entry) * _stride;
+    std::uint64_t *masks = _words.row(block);
     std::uint64_t *fillqs = masks + _k;
-    std::int16_t *owners = _owners.data() + std::size_t(entry) * _k;
-    std::uint8_t *referenced =
-        _referenced.data() + std::size_t(entry) * _k;
+    LaneCold *cold = _cold.row(block);
     Out first;
     for (unsigned l = 0; l < _k; ++l) {
         Out out;
         if (laneHolds(masks[l], unit) &&
-            owners[l] == static_cast<int>(unit)) {
+            cold[l].owner == static_cast<int>(unit)) {
             classify(_results[l], out, Event::WhBlkDrty);
         } else {
-            LimitedLane lane{masks[l], fillqs[l], owners[l],
-                             referenced[l] != 0};
+            LimitedLane lane{masks[l], fillqs[l], cold[l].owner,
+                             cold[l].referenced};
             laneWrite(lane, unit, _results[l], out);
             masks[l] = lane.mask;
             fillqs[l] = lane.fillq;
-            owners[l] = lane.owner;
-            referenced[l] = lane.referenced;
+            cold[l] = {lane.owner, lane.referenced};
         }
         if (l == 0)
             first = out;
@@ -150,6 +122,7 @@ Outcome
 MultiLimitedEngine::access(unsigned unit, trace::RefType type,
                            mem::BlockId block)
 {
+    cover(block);
     return step<Outcome>(unit, type, block);
 }
 
@@ -164,25 +137,26 @@ MultiLimitedEngine::step(unsigned unit, trace::RefType type,
             r.events.record(Event::Instr);
         return Out{};
     }
-    // The one probe that replaces k per-engine probes.
-    const std::uint32_t entry = entryFor(block);
+    // The one lookup that replaces k per-engine lookups.
     if (type == trace::RefType::Read)
-        return handleRead<Out>(unit, entry);
-    return handleWrite<Out>(unit, entry);
+        return handleRead<Out>(unit, block);
+    return handleWrite<Out>(unit, block);
 }
 
 void
 MultiLimitedEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        cover(accs[i].block);
         step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
+    }
 }
 
 void
 MultiLimitedEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(
-        _blocks, slice,
+    forEachPreparedRef(
+        slice, [this](mem::BlockId last) { cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

@@ -6,15 +6,15 @@
  * The paper's central axis re-runs the same protocol at pointer
  * counts i = 1..8.  The per-block *key set* is identical across those
  * runs — only the per-configuration state differs — so replaying them
- * as k independent LimitedEngines costs k FlatMap probes per
- * reference on identical keys.  In the spirit of single-pass
+ * as k independent LimitedEngines costs k block-table lookups per
+ * reference on identical ids.  In the spirit of single-pass
  * multi-configuration cache simulation (Sugumar/Abraham), this engine
- * keeps ONE FlatMap from block to an arena entry whose lanes hold
- * each configuration's state side by side: per entry, k holder masks
- * then k fill-order queues, packed contiguously (at the default
+ * keeps ONE lane arena indexed by the dense block id whose entries
+ * hold each configuration's state side by side: per entry, k holder
+ * masks then k fill-order queues, packed contiguously (at the default
  * four-lane sweep the whole entry is exactly one cache line), with
- * the cold owner/referenced words in parallel side arenas.  Each
- * reference is one probe + k lane transitions, demultiplexing into k
+ * the cold owner/referenced fields in a parallel side table.  Each
+ * reference is one lookup + k lane transitions, demultiplexing into k
  * independent EngineResults.
  *
  * The lane transitions are the *same inline functions* LimitedEngine
@@ -35,9 +35,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "coherence/block_table.hh"
 #include "coherence/engine.hh"
 #include "coherence/limited_policy.hh"
-#include "util/flat_map.hh"
 #include "util/simd.hh"
 
 namespace dirsim::coherence
@@ -72,9 +72,11 @@ class MultiLimitedEngine final : public CoherenceEngine
     unsigned numUnits() const override { return _nUnits; }
     void reset() override;
     void reserveBlocks(std::uint64_t blocks) override;
+    /** Lane 0's referenced field counts each block once. */
     std::uint64_t blocksTracked() const override
     {
-        return _blocks.size();
+        return _cold.count(
+            [](const LaneCold &lane) { return lane.referenced; });
     }
 
     std::size_t numLanes() const { return _results.size(); }
@@ -94,36 +96,44 @@ class MultiLimitedEngine final : public CoherenceEngine
     }
 
   private:
-    /** The arena entry for @p block, appending a fresh one (all
-     *  lanes empty) on first touch. */
-    std::uint32_t entryFor(mem::BlockId block);
+    /** One lane's cold fields (a fresh block: no owner, never
+     *  referenced). */
+    struct LaneCold
+    {
+        std::int16_t owner = -1;
+        bool referenced = false;
+    };
+
+    /** Make @p block's lane entry addressable (all lanes of a fresh
+     *  entry are empty, exactly like a fresh LimitedEngine block). */
+    void
+    cover(mem::BlockId block)
+    {
+        _words.cover(block);
+        _cold.cover(block);
+    }
     /** One reference, its lane-0 outcome as @p Out: Outcome for
      *  access(), NoOutcome for the static replay loops. */
     template <typename Out>
     Out step(unsigned unit, trace::RefType type, mem::BlockId block);
     template <typename Out>
-    Out handleRead(unsigned unit, std::uint32_t entry);
+    Out handleRead(unsigned unit, mem::BlockId block);
     template <typename Out>
-    Out handleWrite(unsigned unit, std::uint32_t entry);
+    Out handleWrite(unsigned unit, mem::BlockId block);
 
     unsigned _nUnits;
     unsigned _k; //!< Lane count.
-    /**
-     * u64 words per arena entry: k masks then k fill queues.  The
-     * base is 64-byte aligned (AlignedVector), so the paper's
-     * four-lane {1,2,4,8} sweep packs each block's hot state into
-     * exactly one cache line.
-     */
-    std::size_t _stride;
     std::vector<unsigned> _pointers; //!< Clamped, one per lane.
     std::vector<EngineResults> _results;
-    util::FlatMap<mem::BlockId, std::uint32_t> _blocks;
-    /** Hot lane words: [entry * _stride): masks[k], fillqs[k]. */
-    util::AlignedVector<std::uint64_t> _words;
-    /** Cold lane fields, k per entry. */
-    std::vector<std::int16_t> _owners;
-    std::vector<std::uint8_t> _referenced;
-    std::uint32_t _entries = 0;
+    /**
+     * Hot lane words, 2k per block: k masks then k fill queues.  The
+     * base is 64-byte aligned, so the paper's four-lane {1,2,4,8}
+     * sweep packs each block's hot state into exactly one cache line.
+     */
+    BlockTable<std::uint64_t, util::AlignedAllocator<std::uint64_t>>
+        _words;
+    /** Cold lane fields, k per block. */
+    BlockTable<LaneCold> _cold;
 };
 
 } // namespace dirsim::coherence

@@ -6,10 +6,11 @@
  * body: decode the packed type+flags byte, then run the protocol's
  * access logic against the per-block table.  This helper hoists the
  * decode out of the loop — util::decodeTypes() strips the whole
- * strip's type lane in one branchless SIMD/SWAR pass — and issues a
- * software prefetch for the block-table probe a few references ahead
- * of the dispatch point, so the probe's cache line is in flight while
- * earlier references are still being processed.
+ * strip's type lane in one branchless SIMD/SWAR pass — and hoists the
+ * block table's growth check too: one max over the strip's block ids
+ * lets the engine cover() them all before dispatch, so each
+ * reference indexes its state (coherence/block_table.hh) with no
+ * bounds check.
  *
  * The strip (util::kClassifyStripRefs) is sized so the decoded type
  * lane plus the column bytes it shadows stay L1-resident.  Dispatch
@@ -20,8 +21,7 @@
  * `this`, so private members stay private):
  *
  *   forEachPreparedRef(
- *       slice,
- *       [this](mem::BlockId b) { _blocks.prefetch(b); },
+ *       slice, [this](mem::BlockId last) { _blocks.cover(last); },
  *       [this](unsigned u, trace::RefType t, mem::BlockId b) {
  *           step<NoOutcome>(u, t, b);
  *       });
@@ -48,12 +48,12 @@ namespace dirsim::coherence
 /**
  * Dispatch every reference of @p slice, in order, to @p access
  * (unit, type, block), with the packed byte pre-decoded per strip and
- * @p prefetchProbe (block) invoked util::kPrefetchDistance references
- * ahead of the dispatch point.
+ * @p cover (largest block id of the strip) called before each strip
+ * is dispatched.
  */
-template <typename PrefetchFn, typename AccessFn>
+template <typename CoverFn, typename AccessFn>
 inline void
-forEachPreparedRef(const PreparedSlice &slice, PrefetchFn &&prefetchProbe,
+forEachPreparedRef(const PreparedSlice &slice, CoverFn &&cover,
                    AccessFn &&access)
 {
     alignas(util::kCacheLineBytes)
@@ -65,77 +65,13 @@ forEachPreparedRef(const PreparedSlice &slice, PrefetchFn &&prefetchProbe,
         util::decodeTypes(slice.typeFlags + base, types, n);
         const std::uint32_t *block = slice.block + base;
         const std::uint8_t *unit = slice.unit + base;
-        const std::size_t fetchable =
-            n > util::kPrefetchDistance ? n - util::kPrefetchDistance
-                                        : 0;
-        for (std::size_t i = 0; i < fetchable; ++i) {
-            prefetchProbe(block[i + util::kPrefetchDistance]);
-            access(unit[i], static_cast<trace::RefType>(types[i]),
-                   block[i]);
-        }
-        for (std::size_t i = fetchable; i < n; ++i)
-            access(unit[i], static_cast<trace::RefType>(types[i]),
-                   block[i]);
-    }
-}
-
-/**
- * Prefetch-free variant: the same strip-mined dispatch with no probe
- * hints.  Engines pick this when their block table is small enough
- * to be cache-resident (util::FlatMap::prefetchProfitable()) — the
- * hint's extra hash per reference would be pure overhead there, and
- * hoisting that decision out of the loop keeps the hot path free of
- * a per-reference capacity check.
- */
-template <typename AccessFn>
-inline void
-forEachPreparedRef(const PreparedSlice &slice, AccessFn &&access)
-{
-    alignas(util::kCacheLineBytes)
-        std::uint8_t types[util::kClassifyStripRefs];
-    for (std::size_t base = 0; base < slice.n;
-         base += util::kClassifyStripRefs) {
-        const std::size_t n =
-            std::min(util::kClassifyStripRefs, slice.n - base);
-        util::decodeTypes(slice.typeFlags + base, types, n);
-        const std::uint32_t *block = slice.block + base;
-        const std::uint8_t *unit = slice.unit + base;
+        std::uint32_t last = 0;
+        for (std::size_t i = 0; i < n; ++i)
+            last = std::max(last, block[i]);
+        cover(last);
         for (std::size_t i = 0; i < n; ++i)
             access(unit[i], static_cast<trace::RefType>(types[i]),
                    block[i]);
-    }
-}
-
-/**
- * The whole accessPrepared body every block-table engine shares:
- * strip-mined dispatch into @p dispatch (unit, type, block), with the
- * probe prefetch enabled iff @p blocks (the engine's per-block
- * FlatMap) has outgrown the cache (util::FlatMap::prefetchProfitable()).
- * The prefetch-or-not branch is hoisted out of the loop here, once, so
- * every engine's override is a single call that dispatches into its
- * outcome-discarding handlers:
- *
- *   void Engine::accessPrepared(const PreparedSlice &slice)
- *   {
- *       stripMinedAccessPrepared(
- *           _blocks, slice,
- *           [this](unsigned u, trace::RefType t, mem::BlockId b) {
- *               step<NoOutcome>(u, t, b);
- *           });
- *   }
- */
-template <typename BlockTable, typename DispatchFn>
-inline void
-stripMinedAccessPrepared(BlockTable &blocks, const PreparedSlice &slice,
-                         DispatchFn &&dispatch)
-{
-    if (blocks.prefetchProfitable()) {
-        forEachPreparedRef(
-            slice,
-            [&blocks](mem::BlockId block) { blocks.prefetch(block); },
-            dispatch);
-    } else {
-        forEachPreparedRef(slice, dispatch);
     }
 }
 

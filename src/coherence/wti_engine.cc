@@ -40,6 +40,7 @@ Outcome
 WtiEngine::access(unsigned unit, trace::RefType type,
                   mem::BlockId block)
 {
+    _blocks.cover(block);
     return step<Outcome>(unit, type, block);
 }
 
@@ -61,15 +62,17 @@ WtiEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 void
 WtiEngine::accessBatch(const BlockAccess *accs, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
+    for (std::size_t i = 0; i < n; ++i) {
+        _blocks.cover(accs[i].block);
         step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
+    }
 }
 
 void
 WtiEngine::accessPrepared(const PreparedSlice &slice)
 {
-    stripMinedAccessPrepared(
-        _blocks, slice,
+    forEachPreparedRef(
+        slice, [this](mem::BlockId last) { _blocks.cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

@@ -20,8 +20,8 @@
 #ifndef DIRSIM_COHERENCE_WTI_ENGINE_HH
 #define DIRSIM_COHERENCE_WTI_ENGINE_HH
 
+#include "coherence/block_table.hh"
 #include "coherence/engine.hh"
-#include "util/flat_map.hh"
 
 namespace dirsim::coherence
 {
@@ -53,7 +53,8 @@ class WtiEngine final : public CoherenceEngine
     }
     std::uint64_t blocksTracked() const override
     {
-        return _blocks.size();
+        return _blocks.count(
+            [](const BlockState &st) { return st.referenced; });
     }
 
   private:
@@ -73,7 +74,7 @@ class WtiEngine final : public CoherenceEngine
     unsigned _nUnits;
     bool _allocate;
     EngineResults _results;
-    util::FlatMap<mem::BlockId, BlockState> _blocks;
+    BlockTable<BlockState> _blocks;
 };
 
 } // namespace dirsim::coherence

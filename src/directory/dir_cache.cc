@@ -10,7 +10,7 @@ namespace dirsim::directory
 DirectoryCache::DirectoryCache(const DirCacheConfig &cfg) : _cfg(cfg)
 {
     if (_cfg.entries == 0)
-        return; // Unbounded: FlatSet presence tracking only.
+        return; // Unbounded: presence tracking only.
     if (_cfg.associativity == 0 ||
         _cfg.entries % _cfg.associativity != 0)
         throw std::invalid_argument(
@@ -28,8 +28,8 @@ DirectoryCache::DirectoryCache(const DirCacheConfig &cfg) : _cfg(cfg)
 std::uint64_t
 DirectoryCache::setIndexOf(mem::BlockId block) const
 {
-    const std::uint64_t key =
-        _cfg.mixSetIndex ? util::mix64(block) : block;
+    const mem::BlockId raw = mem::rawBlock(_names, block);
+    const std::uint64_t key = _cfg.mixSetIndex ? util::mix64(raw) : raw;
     return key & _setMask;
 }
 
@@ -38,7 +38,10 @@ DirectoryCache::touch(mem::BlockId block)
 {
     DirCacheTouch result;
     if (unbounded()) {
-        if (_present.insert(block)) {
+        if (block >= _present.size())
+            _present.resize(block + 1, 0);
+        if (!_present[block]) {
+            _present[block] = 1;
             ++_misses;
             ++_resident;
         } else {
@@ -85,7 +88,7 @@ bool
 DirectoryCache::contains(mem::BlockId block) const
 {
     if (unbounded())
-        return _present.contains(block);
+        return block < _present.size() && _present[block];
     const Way *ways = &_ways[setIndexOf(block) * _cfg.associativity];
     for (unsigned w = 0; w < _cfg.associativity; ++w) {
         if (ways[w].valid && ways[w].block == block)
@@ -105,7 +108,7 @@ DirectoryCache::clear()
 {
     _ways.assign(_ways.size(), Way{});
     _setReplacements.assign(_setReplacements.size(), 0);
-    _present.clear();
+    _present.assign(_present.size(), 0);
     _resident = 0;
     _hits = 0;
     _misses = 0;
@@ -115,8 +118,8 @@ DirectoryCache::clear()
 void
 DirectoryCache::reserveBlocks(std::uint64_t blocks)
 {
-    if (unbounded())
-        _present.reserve(blocks);
+    if (unbounded() && blocks > _present.size())
+        _present.resize(blocks, 0);
 }
 
 } // namespace dirsim::directory

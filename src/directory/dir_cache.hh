@@ -13,10 +13,14 @@
  * entry and which resident entry each new entry displaces.
  *
  * Geometry follows SetAssocTagStore (true LRU, ways kept MRU-first),
- * with one deliberate difference: block identifiers arriving here are
- * BlockMapper's dense sequential ids, so indexing sets by low bits
- * would alias strided footprints systematically.  The set index is
- * therefore derived from util::mix64 of the block id (configurable).
+ * with one deliberate difference: raw block indices are sequential
+ * within each region, so indexing sets by low bits would alias
+ * strided footprints systematically.  The set index is therefore
+ * derived from util::mix64 of the raw block index (configurable).
+ * Entries are tagged with the engines' dense block ids, and the raw
+ * index of each comes from the bound names (bindBlockNames()), so a
+ * victim indexes engine state directly.  LRU order never depends on
+ * id values, so the results are those of raw-id tags.
  *
  * entries == 0 selects the unbounded mode: the cache records presence
  * (so hit/miss statistics stay meaningful) but never evicts, which by
@@ -30,7 +34,6 @@
 #include <vector>
 
 #include "mem/block.hh"
-#include "util/flat_set.hh"
 
 namespace dirsim::directory
 {
@@ -45,8 +48,8 @@ struct DirCacheConfig
     /** Ways per set; entries/associativity sets (power of two). */
     unsigned associativity = 4;
     /**
-     * Spread dense block ids across sets with util::mix64 before
-     * masking.  Off, sequential ids map to consecutive sets and
+     * Spread raw block indices across sets with util::mix64 before
+     * masking.  Off, sequential blocks map to consecutive sets and
      * strided footprints collapse onto a few sets.
      */
     bool mixSetIndex = true;
@@ -58,7 +61,8 @@ struct DirCacheTouch
     bool hit = false;
     /** A resident entry was replaced to make room. */
     bool evicted = false;
-    /** Block whose entry was replaced (valid when evicted). */
+    /** Dense id of the block whose entry was replaced (valid when
+     *  evicted). */
     mem::BlockId victim = 0;
 };
 
@@ -105,8 +109,11 @@ class DirectoryCache
 
     /** Drop every entry and counter; keeps the storage. */
     void clear();
-    /** Pre-size the unbounded store for @p blocks entries. */
+    /** Pre-size the unbounded store for dense ids [0, @p blocks). */
     void reserveBlocks(std::uint64_t blocks);
+    /** Bind the raw block index of each dense id (mem::BlockNames);
+     *  unbound, ids are raw indices. */
+    void bindBlockNames(mem::BlockNames names) { _names = names; }
 
   private:
     struct Way
@@ -123,8 +130,9 @@ class DirectoryCache
     /** Finite mode: _numSets * associativity ways, MRU-first per set. */
     std::vector<Way> _ways;
     std::vector<std::uint64_t> _setReplacements;
-    /** Unbounded mode: presence only. */
-    util::FlatSet<mem::BlockId> _present;
+    /** Unbounded mode: presence only, indexed by dense id. */
+    std::vector<std::uint8_t> _present;
+    mem::BlockNames _names;
     std::uint64_t _resident = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;

@@ -53,10 +53,14 @@ struct AddressSpaceConfig
 };
 
 /**
- * Expected distinct coherence blocks a workload over @p cfg can touch:
- * the sum of every region's block count.  An upper bound (cold private
- * blocks may never be referenced) used as the reserve() hint for the
- * engines' per-block tables via sim::SimConfig::expectedBlocks.
+ * Distinct coherence blocks a workload over @p cfg can touch: the sum
+ * of every region's block count.  A loose upper bound — cold private
+ * blocks may never be referenced, and at scaled machine sizes it
+ * overstates the touched blocks ~10×.  Replay no longer uses it:
+ * engines are sized exactly from a prepared trace's numBlocks().  It
+ * stays because the benchmark runner (perfbench/runner.cc) still
+ * fills sim::SimConfig::expectedBlocks from it; removing both belongs
+ * to a benchmark change.
  */
 std::uint64_t expectedUniqueBlocks(const AddressSpaceConfig &cfg);
 

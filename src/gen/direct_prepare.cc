@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "mem/block.hh"
+#include "trace/block_numbering.hh"
 #include "util/thread_pool.hh"
 
 namespace dirsim::gen
@@ -37,13 +38,14 @@ mapDense(std::vector<std::int32_t> &table, unsigned key, unsigned &seen)
 }
 
 /**
- * One generation chunk, already in final column form: the
+ * One generation chunk, nearly in final column form: the generator's
  * order-dependent work is done (the filter, the dense unit numbers,
- * the block shift, the packed type+flags byte), so what remains —
- * copying into the destination columns, or the store writer's
- * append+digest — is pure and position-independent.  The generator
- * emits 6 bytes per data reference here, versus the 16-byte
- * TraceRecord the legacy path materialises.
+ * the block shift, the packed type+flags byte) and the block column
+ * holds raw block indices.  What remains — first-touch block
+ * numbering, then copying into the destination columns or the store
+ * writer's append+digest — is the pack worker's.  The generator emits
+ * 6 bytes per data reference here, versus the 16-byte TraceRecord the
+ * legacy path materialises.
  */
 struct GenChunk
 {
@@ -71,11 +73,12 @@ struct StreamTotals
 
 /**
  * Schedules per-chunk pack work: on the single pool worker when
- * pipelining (FIFO, so chunks retire in submission order — the store
- * writer depends on that), inline otherwise.  run() drains the
- * previous task first, so at most one task is ever in flight — that
- * wait is exactly the double-buffer handoff: when the generator
- * refills a buffer, the pack of the chunk *before last* has retired.
+ * pipelining (FIFO, so chunks retire in submission order — the block
+ * numbering and the store writer depend on that), inline otherwise.
+ * run() drains the previous task first, so at most one task is ever
+ * in flight — that wait is exactly the double-buffer handoff: when
+ * the generator refills a buffer, the pack of the chunk *before last*
+ * has retired.
  * Worker exceptions (e.g. disk-full from the store writer) are
  * captured and rethrown on the generator thread at the next
  * run()/drain(); the pool's wait() orders the capture before the
@@ -263,17 +266,20 @@ generatePrepared(const WorkloadConfig &cfg,
         static_cast<std::size_t>(cfg.totalRefs));
     util::AlignedVector<std::uint8_t> typeFlags(
         static_cast<std::size_t>(cfg.totalRefs));
+    // Only pack tasks touch the numbering, one at a time, in stream
+    // order; it outlives the runner, which joins first.
+    trace::BlockNumbering blocks;
 
     ChunkRunner runner(dg.pipeline);
     const StreamTotals totals = streamChunks(
         source, opts, chunkRefs, runner, [&](GenChunk &chunk) {
             GenChunk *c = &chunk;
-            runner.run([&block, &unit, &typeFlags, c] {
+            runner.run([&block, &unit, &typeFlags, &blocks, c] {
                 const std::size_t n = c->size();
                 const std::size_t at = c->dataOffset;
+                for (std::size_t i = 0; i < n; ++i)
+                    block[at + i] = blocks.number(c->block[i]);
                 if (n > 0) {
-                    std::memcpy(block.data() + at, c->block.data(),
-                                n * sizeof(std::uint32_t));
                     std::memcpy(unit.data() + at, c->unit.data(), n);
                     std::memcpy(typeFlags.data() + at,
                                 c->typeFlags.data(), n);
@@ -295,8 +301,8 @@ generatePrepared(const WorkloadConfig &cfg,
     }
     return trace::PreparedTrace::fromColumns(
         cfg.name, opts, totals.instrRefs, totals.nUnits, totals.nCpus,
-        std::move(outBlock), std::move(outUnit),
-        std::move(outTypeFlags));
+        std::move(outBlock), std::move(outUnit), std::move(outTypeFlags),
+        blocks.takeNames());
 }
 
 trace::StoredTraceInfo
@@ -316,20 +322,24 @@ spillPrepared(const WorkloadConfig &cfg,
         dg.chunkRefs > 0 ? dg.chunkRefs : 1;
 
     // Declaration order matters: the runner joins (and so retires any
-    // in-flight writer append) before the writer's destructor can
-    // abandon a partial file on the error path.
+    // in-flight writer append) before the numbering goes away and
+    // before the writer's destructor can abandon a partial file on
+    // the error path.
     trace::PreparedTraceWriter writer(path, cfg.name, opts, store);
+    trace::BlockNumbering blocks;
     ChunkRunner runner(dg.pipeline);
     const StreamTotals totals = streamChunks(
         source, opts, chunkRefs, runner, [&](GenChunk &chunk) {
-            // The worker owns the writer between handoffs: chunks
-            // retire in FIFO order on the single worker, so appends
-            // land in stream order and digest/flush work overlaps
+            // The worker owns the numbering and the writer between
+            // handoffs: chunks retire in FIFO order on the single
+            // worker, so blocks are numbered and appends land in
+            // stream order, and digest/flush work overlaps
             // generation.  appendDataBulk re-chunks at the writer's
             // own flush boundaries — the file is byte-identical
             // whatever this pipeline's chunk size.
             GenChunk *c = &chunk;
-            runner.run([&writer, c] {
+            runner.run([&writer, &blocks, c] {
+                blocks.numberAll(c->block.data(), c->size());
                 writer.appendDataBulk(c->block.data(), c->unit.data(),
                                       c->typeFlags.data(), c->size());
                 writer.addInstrRefs(c->instr);
@@ -337,6 +347,7 @@ spillPrepared(const WorkloadConfig &cfg,
         });
 
     writer.setUnits(totals.nUnits, totals.nCpus);
+    writer.setBlockNames(blocks.takeNames());
     trace::StoredTraceInfo info;
     info.instrRefs = writer.instrRefs();
     info.dataRefs = writer.dataRefs();

@@ -19,13 +19,18 @@
  *    dense unit/CPU numbers (the same discipline as sim::UnitMapper
  *    and PreparedTraceBuilder's planning scan), packs the type+flags
  *    byte, counts instruction fetches, and accumulates each chunk's
- *    global column offset.  Everything order-dependent happens here.
+ *    global column offset.  Everything order-dependent but the block
+ *    numbering happens here.
  *
- *  - Pack worker (one, double-buffered): pure per-chunk column
- *    packing — the address→block shift into the chunk's precomputed
- *    disjoint output range, or the store writer's chunk append.  No
- *    shared mutable state with the generator except the two chunk
- *    buffers, handed off through the pool's queue mutex.
+ *  - Pack worker (one, double-buffered): first-touch block numbering
+ *    (trace/block_numbering.hh) and per-chunk column packing into the
+ *    chunk's precomputed disjoint output range, or the store writer's
+ *    chunk append.  Chunks retire in FIFO stream order on the single
+ *    worker, so the numbering is deterministic and stays off the
+ *    generator thread.  No shared mutable state with the generator
+ *    except the two chunk buffers, handed off through the pool's
+ *    queue mutex; the numbering is read back only after the last
+ *    chunk has retired.
  *
  * The output is bit-identical to generateTrace + PreparedTraceBuilder
  * (and spillFromSource for the store path) by construction; the

@@ -12,12 +12,32 @@
 #include <bit>
 #include <cassert>
 #include <cstdint>
+#include <span>
 
 namespace dirsim::mem
 {
 
 /** A block-aligned address identifier (byte address / block size). */
 using BlockId = std::uint64_t;
+
+/**
+ * The raw block index of every dense block id, indexed by id.
+ *
+ * Prepared traces number blocks densely in first-touch order
+ * (trace/block_numbering.hh), so engines index their per-block state
+ * by the id itself.  The raw index is part of the model in three
+ * places only — finite-cache and directory-cache set indices, and
+ * modulo home placement — and those read it from this table.  An
+ * empty table means unbound: every id is its own raw index.
+ */
+using BlockNames = std::span<const std::uint32_t>;
+
+/** Raw block index of dense id @p block (the id itself when unbound). */
+constexpr BlockId
+rawBlock(BlockNames names, BlockId block)
+{
+    return names.empty() ? block : names[block];
+}
 
 /** True when @p v is a power of two (and nonzero). */
 constexpr bool

@@ -24,8 +24,9 @@ SetAssocTagStore::SetAssocTagStore(const CacheGeometry &geometry)
 std::uint64_t
 SetAssocTagStore::setIndex(BlockId block) const
 {
+    const BlockId raw = rawBlock(_names, block);
     const std::uint64_t key =
-        _geometry.mixSetIndex ? util::mix64(block) : block;
+        _geometry.mixSetIndex ? util::mix64(raw) : raw;
     return key & _setMask;
 }
 

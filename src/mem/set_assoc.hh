@@ -21,12 +21,12 @@ struct CacheGeometry
     unsigned blockBytes = 16;
     unsigned ways = 4;
     /**
-     * Spread block ids across sets with util::mix64 before masking.
-     * BlockMapper hands engines dense sequential ids, so the default
-     * low-bits index aliases strided footprints (every numSets-th
-     * block lands in one set); mixing breaks that up.  Off by default:
-     * the original fixed mapping is what hardware indexed by address
-     * bits does, and the finite-cache golden digests pin it.
+     * Spread raw block indices across sets with util::mix64 before
+     * masking.  The default low-bits index aliases strided footprints
+     * (every numSets-th block lands in one set); mixing breaks that
+     * up.  Off by default: the original fixed mapping is what
+     * hardware indexed by address bits does, and the finite-cache
+     * golden digests pin it.
      */
     bool mixSetIndex = false;
 
@@ -43,7 +43,10 @@ struct CacheGeometry
  * A set-associative cache directory with true-LRU replacement.
  *
  * Each set keeps its ways ordered most- to least-recently used; a
- * touch moves the block to the front, a fill evicts the back.
+ * touch moves the block to the front, a fill evicts the back.  Tags
+ * are the dense block ids the engines use; the set index comes from
+ * the raw block index (bindBlockNames()), as hardware indexes by
+ * address bits.
  */
 class SetAssocTagStore : public TagStore
 {
@@ -59,6 +62,7 @@ class SetAssocTagStore : public TagStore
     bool contains(BlockId block) const override;
     std::uint64_t size() const override;
     void clear() override;
+    void bindBlockNames(BlockNames names) override { _names = names; }
 
     const CacheGeometry &geometry() const { return _geometry; }
 
@@ -78,6 +82,7 @@ class SetAssocTagStore : public TagStore
     std::uint64_t _numSets;
     std::uint64_t _setMask;
     std::vector<Way> _ways;
+    BlockNames _names;
     std::uint64_t _resident = 0;
 };
 

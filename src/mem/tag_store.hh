@@ -46,6 +46,13 @@ class TagStore
     virtual std::uint64_t size() const = 0;
     /** Drop all contents. */
     virtual void clear() = 0;
+    /**
+     * Bind the raw block index of each dense block id (see
+     * mem::BlockNames).  A store whose placement depends on the
+     * address reads it from here; tags stay dense ids, so a victim
+     * indexes engine state directly.  Unbound, ids are raw indices.
+     */
+    virtual void bindBlockNames(BlockNames /*names*/) {}
 };
 
 } // namespace dirsim::mem

@@ -46,8 +46,10 @@ FusedReplay::run(
     std::vector<double> *timing =
         _opts.timeEngines ? &seconds : nullptr;
 
-    if (out.instrRefs != 0) {
-        for (coherence::CoherenceEngine *engine : engines)
+    const coherence::BlockNamesBinding names(engines, spans.blockNames());
+    for (coherence::CoherenceEngine *engine : engines) {
+        engine->reserveBlocks(spans.numBlocks());
+        if (out.instrRefs != 0)
             engine->recordInstrs(out.instrRefs);
     }
 

@@ -99,9 +99,11 @@ class FusedReplay
 
     /**
      * Rewind @p spans and replay the whole stream through every
-     * engine of @p engines: bulk instruction counts up front (order-
-     * independent — they change no coherence state), then the span
-     * walk, strip-mined per FusedReplayOptions::stripRefs.
+     * engine of @p engines: each engine is sized from the stream's
+     * numBlocks() and bound to its blockNames() for the replay, bulk
+     * instruction counts go up front (order-independent — they change
+     * no coherence state), then the span walk, strip-mined per
+     * FusedReplayOptions::stripRefs.
      *
      * @throws std::runtime_error if the source yields a different
      *         number of data references than its summary declares.

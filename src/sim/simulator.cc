@@ -2,6 +2,7 @@
 
 #include <limits>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace dirsim::sim
@@ -31,11 +32,6 @@ Simulator::addEngine(std::unique_ptr<coherence::CoherenceEngine> engine)
 std::uint64_t
 Simulator::run(trace::RefSource &source)
 {
-    if (_cfg.expectedBlocks != 0) {
-        for (auto &engine : _engines)
-            engine->reserveBlocks(_cfg.expectedBlocks);
-    }
-
     // The capacity shared by every engine; a unit index at or beyond
     // it can reach no engine, so it is checked while mapping units —
     // before the batch is dispatched anywhere.
@@ -52,6 +48,16 @@ Simulator::run(trace::RefSource &source)
     const mem::BlockMapper toBlock(_cfg.blockBytes);
     std::vector<trace::TraceRecord> records(batchRecords);
     std::vector<coherence::BlockAccess> batch(batchRecords);
+    const std::vector<coherence::CoherenceEngine *> engines =
+        enginePointers();
+    // A failed run leaves no partially-accumulated state behind.
+    const auto fail = [this](const std::string &what) {
+        for (auto &engine : _engines)
+            engine->reset();
+        _unitMap.clear();
+        _blocks.clear();
+        throw std::runtime_error("Simulator: " + what);
+    };
     std::size_t n;
     while ((n = source.nextBatch(records.data(), batchRecords)) != 0) {
         // Map (and validate) the whole batch first: if the trace
@@ -60,27 +66,31 @@ Simulator::run(trace::RefSource &source)
         // Instruction fetches change no engine state, so they are
         // stripped here and reported in bulk — the unit map still
         // sees every record, keeping first-seen numbering intact.
-        // The strip is branchless (write, then advance conditionally):
-        // instruction/data interleaving is close to a coin flip, and a
-        // mispredicted branch per record costs more than the store.
+        // Data blocks are numbered in first-touch order, exactly as
+        // the prepared builders number them.
         std::size_t nData = 0;
         for (std::size_t i = 0; i < n; ++i) {
             const trace::TraceRecord &rec = records[i];
             const unsigned unit = _unitMap.map(rec);
-            if (unit >= capacity) {
-                for (auto &engine : _engines)
-                    engine->reset();
-                _unitMap.clear();
-                throw std::runtime_error(
-                    "Simulator: trace uses more sharing units than "
-                    "engine '" + smallest->results().name +
-                    "' supports");
-            }
-            batch[nData] = {unit, rec.type, toBlock(rec.addr)};
-            nData += rec.type != trace::RefType::Instr;
+            if (unit >= capacity)
+                fail("trace uses more sharing units than engine '" +
+                     smallest->results().name + "' supports");
+            if (rec.type == trace::RefType::Instr)
+                continue;
+            const mem::BlockId raw = toBlock(rec.addr);
+            if (raw > 0xffffffffULL)
+                fail("address " + std::to_string(rec.addr) +
+                     " exceeds the 32-bit block index at block size " +
+                     std::to_string(_cfg.blockBytes));
+            batch[nData++] = {unit, rec.type,
+                              _blocks.number(std::uint32_t(raw))};
         }
         const std::uint64_t nInstr = n - nData;
-        for (auto &engine : _engines) {
+        // The names table grows (and may move) as blocks are
+        // numbered, so the engines are bound afresh for every batch.
+        const coherence::BlockNamesBinding names(engines,
+                                                 _blocks.names());
+        for (coherence::CoherenceEngine *engine : engines) {
             if (nInstr != 0)
                 engine->recordInstrs(nInstr);
             engine->accessBatch(batch.data(), nData);
@@ -117,10 +127,6 @@ Simulator::run(const trace::PreparedTrace &prepared)
             "Simulator: trace uses more sharing units than engine '" +
             smallest->results().name + "' supports");
 
-    if (_cfg.expectedBlocks != 0) {
-        for (auto &engine : _engines)
-            engine->reserveBlocks(_cfg.expectedBlocks);
-    }
     if (prepared.numUnits() > _preparedUnits)
         _preparedUnits = prepared.numUnits();
 
@@ -154,10 +160,6 @@ Simulator::run(trace::PreparedSpanSource &spans)
             "Simulator: trace uses more sharing units than engine '" +
             smallest->results().name + "' supports");
 
-    if (_cfg.expectedBlocks != 0) {
-        for (auto &engine : _engines)
-            engine->reserveBlocks(_cfg.expectedBlocks);
-    }
     if (spans.numUnits() > _preparedUnits)
         _preparedUnits = spans.numUnits();
 

@@ -24,6 +24,7 @@
 #include "coherence/engine.hh"
 #include "sim/fused_replay.hh"
 #include "sim/unit_map.hh"
+#include "trace/block_numbering.hh"
 #include "trace/prepared.hh"
 #include "trace/ref_source.hh"
 
@@ -36,11 +37,12 @@ struct SimConfig
     unsigned blockBytes = 16; //!< The paper's 4-word block.
     SharingDomain domain = SharingDomain::Process;
     /**
-     * Expected distinct blocks the trace touches (0 = unknown).  A
-     * hint only — forwarded to each engine's reserveBlocks() before
-     * streaming so the per-block tables are sized once instead of
-     * rehashing while the hot loop runs.  gen::expectedUniqueBlocks()
-     * derives it from workload metadata.
+     * No longer sizes replay, and no Simulator path reads it: engines
+     * are sized exactly from the trace's numBlocks() (prepared
+     * replay) or grow with the block numbering (raw replay).  Kept
+     * only because the benchmark runner (perfbench/runner.cc) still
+     * sets it from gen::expectedUniqueBlocks(); removing it belongs to
+     * a benchmark change.
      */
     std::uint64_t expectedBlocks = 0;
     /**
@@ -78,14 +80,20 @@ class Simulator
      * Records are fetched in batches and each engine consumes the
      * whole batch in its own inner loop, so the per-record virtual
      * dispatch of RefSource::next() is amortised and engine state
-     * stays hot in cache.
+     * stays hot in cache.  Blocks are numbered on the fly with the
+     * prepared builders' first-touch numbering (kept across calls,
+     * like the unit map), and the engines are bound to the growing
+     * names table afresh for every batch.
      *
      * @return Number of references processed.
      * @throws std::runtime_error if the trace contains more sharing
-     *         units than an engine supports.  Unit capacity is checked
-     *         before a batch reaches any engine, and on failure every
-     *         engine is reset() and the unit map cleared, so a failed
-     *         run leaves no partially-accumulated state behind.
+     *         units than an engine supports, or an address whose block
+     *         index exceeds 32 bits (the width of the names table, as
+     *         in the prepared formats).  Both are checked before a
+     *         batch reaches any engine, and on failure every engine is
+     *         reset() and the unit map and block numbering cleared, so
+     *         a failed run leaves no partially-accumulated state
+     *         behind.
      */
     std::uint64_t run(trace::RefSource &source);
 
@@ -94,7 +102,10 @@ class Simulator
      * instruction count plus one dense SoA scan per engine, with no
      * per-record decode at all.  Bit-identical to streaming the raw
      * trace through run(RefSource&) — the prepared decode froze the
-     * same unit numbering and block mapping this driver would compute.
+     * same unit numbering and block numbering this driver would
+     * compute.  Block ids are dense per trace, so engine state carries
+     * over only between replays of the same trace; reset() the
+     * engines before replaying a different one.
      *
      * @return Number of references processed (instr + data).
      * @throws std::invalid_argument if @p prepared was decoded for a
@@ -149,6 +160,8 @@ class Simulator
     SimConfig _cfg;
     std::vector<std::unique_ptr<coherence::CoherenceEngine>> _engines;
     UnitMapper _unitMap;
+    /** The raw path's first-touch block numbering. */
+    trace::BlockNumbering _blocks;
     /** Units covered by prepared replays (they bypass _unitMap). */
     unsigned _preparedUnits = 0;
 };

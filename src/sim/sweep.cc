@@ -127,7 +127,7 @@ SweepRunner::run()
             Simulator simulator(lead.sim);
             // Multi-configuration collapse: the group's DiriNB cells
             // (multiPointers hints) become lanes of one shared
-            // MultiLimitedEngine — one block-table probe per
+            // MultiLimitedEngine — one block-table lookup per
             // reference for the whole pointer-count row.  Everyone
             // else (and every cell when the plan falls back) builds
             // its own engines.

@@ -151,7 +151,7 @@ struct SweepPoint
      * with this pointer count over @ref multiUnits caches, and the
      * runner may run it as one lane of a shared
      * coherence::MultiLimitedEngine together with the other such
-     * cells of its fusion group: one block-table probe per reference
+     * cells of its fusion group: one block-table lookup per reference
      * serves every pointer count, results fanned back to their cells
      * (bit-identical to independent engines — the differential suite
      * holds it to that).  The @ref engines factory must still build

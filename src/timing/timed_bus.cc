@@ -8,6 +8,7 @@
 
 #include "sim/unit_map.hh"
 #include "timing/transactions.hh"
+#include "trace/block_numbering.hh"
 #include "trace/store.hh"
 
 namespace dirsim::timing
@@ -164,12 +165,15 @@ TimedBusSim::run(trace::RefSource &source)
     // Demux the stream into per-CPU SoA columns — the same shape a
     // prepared trace's timed streams carry — mapping sharing units
     // with the same UnitMapper sim::Simulator uses (so timed and
-    // untimed runs agree on unit numbering).  Port demux always keys
-    // by CPU, whatever the sharing domain.  Unit capacity is checked
-    // here, before the engine sees any reference.
+    // untimed runs agree on unit numbering) and numbering data blocks
+    // in first-touch order like the prepared builders (instruction
+    // entries carry block 0).  Port demux always keys by CPU,
+    // whatever the sharing domain.  Unit capacity is checked here,
+    // before the engine sees any reference.
     std::vector<trace::PreparedCpuStream> streams;
     sim::UnitMapper cpuMap(sim::SharingDomain::Processor);
     sim::UnitMapper unitMap(_cfg.sim.domain);
+    trace::BlockNumbering blocks;
     const mem::BlockMapper toBlock(_cfg.sim.blockBytes);
     const unsigned capacity = _engine->numUnits();
 
@@ -195,13 +199,15 @@ TimedBusSim::run(trace::RefSource &source)
                 streams.emplace_back();
             trace::PreparedCpuStream &stream = streams[cpu];
             stream.block.push_back(
-                static_cast<std::uint32_t>(block));
+                rec.isInstr()
+                    ? 0
+                    : blocks.number(static_cast<std::uint32_t>(block)));
             stream.unit.push_back(static_cast<std::uint8_t>(unit));
             stream.typeFlags.push_back(
                 trace::packTypeFlags(rec.type, rec.flags));
         }
     }
-    return runStreams(streams);
+    return runStreams(streams, blocks.names());
 }
 
 TimedRun
@@ -222,7 +228,7 @@ TimedBusSim::run(const trace::PreparedTrace &prepared)
         throw std::runtime_error(
             "TimedBusSim: trace uses more sharing units than "
             "engine '" + _engine->results().name + "' supports");
-    return runStreams(prepared.cpuStreams());
+    return runStreams(prepared.cpuStreams(), prepared.blockNames());
 }
 
 TimedRun
@@ -250,29 +256,32 @@ TimedBusSim::run(const trace::StoredTrace &stored)
     std::vector<std::unique_ptr<trace::CpuRefCursor>> cursors;
     for (unsigned cpu = 0; cpu < stored.numCpus(); ++cpu)
         cursors.push_back(stored.cpuCursor(cpu));
-    return runCursors(cursors);
+    return runCursors(cursors, stored.blockNames());
 }
 
 TimedRun
 TimedBusSim::runStreams(
-    const std::vector<trace::PreparedCpuStream> &streams)
+    const std::vector<trace::PreparedCpuStream> &streams,
+    mem::BlockNames names)
 {
     std::vector<std::unique_ptr<trace::CpuRefCursor>> cursors;
     for (const trace::PreparedCpuStream &stream : streams)
         cursors.push_back(
             std::make_unique<trace::PreparedCpuStreamCursor>(stream));
-    return runCursors(cursors);
+    return runCursors(cursors, names);
 }
 
 TimedRun
 TimedBusSim::runCursors(
-    const std::vector<std::unique_ptr<trace::CpuRefCursor>> &cursors)
+    const std::vector<std::unique_ptr<trace::CpuRefCursor>> &cursors,
+    mem::BlockNames names)
 {
     // Validates the cost options before anything runs.
     TransactionModel model(_cfg.scheme, _cfg.bus.costs, _cfg.costOpts);
     _engine->reset();
-    if (_cfg.sim.expectedBlocks != 0)
-        _engine->reserveBlocks(_cfg.sim.expectedBlocks);
+    _engine->reserveBlocks(names.size());
+    coherence::CoherenceEngine *const engine = _engine.get();
+    const coherence::BlockNamesBinding binding({&engine, 1}, names);
 
     const unsigned nCpus = static_cast<unsigned>(cursors.size());
     TimedRun result;

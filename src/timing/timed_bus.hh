@@ -174,11 +174,14 @@ class TimedBusSim
 
   private:
     TimedRun
-    runStreams(const std::vector<trace::PreparedCpuStream> &streams);
-    /** One port per cursor, then the cycle loop every entry point
+    runStreams(const std::vector<trace::PreparedCpuStream> &streams,
+               mem::BlockNames names);
+    /** Size and bind the engine from the stream's block @p names,
+     *  one port per cursor, then the cycle loop every entry point
      *  shares. */
     TimedRun runCursors(
-        const std::vector<std::unique_ptr<trace::CpuRefCursor>> &cursors);
+        const std::vector<std::unique_ptr<trace::CpuRefCursor>> &cursors,
+        mem::BlockNames names);
 
     TimedBusConfig _cfg;
     std::unique_ptr<coherence::CoherenceEngine> _engine;

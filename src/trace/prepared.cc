@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "mem/block.hh"
+#include "trace/block_numbering.hh"
 
 namespace dirsim::trace
 {
@@ -48,11 +49,16 @@ PreparedTraceBuilder::PreparedTraceBuilder(const MemoryTrace &trace,
     _out._name = trace.meta().name;
     _out._opts = opts;
 
-    // --- Planning scan: freeze numbering, count, validate ------------
+    // --- Planning scan: number, count, validate -----------------------
     // The scan applies the same filter and visits records in the same
     // order as the raw replay path, so the dense numbering it freezes
-    // is exactly what sim::UnitMapper would assign there.
+    // is exactly what sim::UnitMapper (units) and the raw path's
+    // BlockNumbering (blocks) would assign there.  Block numbering is
+    // inherently serial, so the scan writes the block column itself;
+    // the decode workers read it back for the timed streams.
     const std::vector<TraceRecord> &records = trace.records();
+    const mem::BlockMapper toBlock(opts.blockBytes);
+    BlockNumbering blocks;
     unsigned unitsSeen = 0;
     unsigned cpusSeen = 0;
     std::uint64_t maxAddr = 0;
@@ -79,10 +85,15 @@ PreparedTraceBuilder::PreparedTraceBuilder(const MemoryTrace &trace,
             const unsigned cpu = mapDense(_cpuOf, rec.cpu, cpusSeen);
             if (rec.addr > maxAddr)
                 maxAddr = rec.addr;
-            if (rec.isInstr())
+            if (rec.isInstr()) {
                 ++instrRefs;
-            else
+            } else {
+                // Truncation past 32 bits is harmless: such a trace
+                // is rejected below, before the builder is usable.
+                _out._block.push_back(blocks.number(
+                    static_cast<std::uint32_t>(toBlock(rec.addr))));
                 ++dataTotal;
+            }
             if (opts.timedStreams) {
                 if (cpu >= cpuTotal.size())
                     cpuTotal.resize(cpu + 1, 0);
@@ -104,7 +115,6 @@ PreparedTraceBuilder::PreparedTraceBuilder(const MemoryTrace &trace,
             std::to_string(cpusSeen) +
             " CPUs; the prepared 8-bit unit column holds at most " +
             std::to_string(maxDenseUnits));
-    const mem::BlockMapper toBlock(opts.blockBytes);
     if (toBlock(maxAddr) > maxBlockIndex)
         throw std::invalid_argument(
             "PreparedTrace: address " + std::to_string(maxAddr) +
@@ -115,7 +125,9 @@ PreparedTraceBuilder::PreparedTraceBuilder(const MemoryTrace &trace,
     _out._instrRefs = instrRefs;
     _out._nUnits = unitsSeen;
     _out._nCpus = cpusSeen;
-    _out._block.resize(dataTotal);
+    // Exact capacity: byteSize() feeds the repository's LRU budget.
+    _out._block.shrink_to_fit();
+    _out._names = blocks.takeNames();
     _out._unit.resize(dataTotal);
     _out._typeFlags.resize(dataTotal);
     if (opts.timedStreams) {
@@ -141,7 +153,6 @@ PreparedTraceBuilder::decodeChunk(std::size_t chunk)
     const ChunkPlan &plan = _chunks.at(chunk);
     const std::vector<TraceRecord> &records = _trace.records();
     const PrepareOptions &opts = _out._opts;
-    const mem::BlockMapper toBlock(opts.blockBytes);
 
     std::size_t dataPos = plan.dataOffset;
     // Local write cursors; each chunk owns a disjoint slice of every
@@ -155,11 +166,12 @@ PreparedTraceBuilder::decodeChunk(std::size_t chunk)
             continue;
         const unsigned unit = static_cast<unsigned>(
             _unitOf[sim::unitKey(rec, opts.domain)]);
+        // Instruction entries (timed streams only) carry block 0: no
+        // engine reads an instruction's block.
         const std::uint32_t block =
-            static_cast<std::uint32_t>(toBlock(rec.addr));
+            rec.isInstr() ? 0 : _out._block[dataPos];
         const std::uint8_t tf = packTypeFlags(rec.type, rec.flags);
         if (!rec.isInstr()) {
-            _out._block[dataPos] = block;
             _out._unit[dataPos] = static_cast<std::uint8_t>(unit);
             _out._typeFlags[dataPos] = tf;
             ++dataPos;
@@ -198,7 +210,8 @@ PreparedTrace::fromColumns(std::string name, const PrepareOptions &opts,
                            unsigned nCpus,
                            util::AlignedVector<std::uint32_t> block,
                            util::AlignedVector<std::uint8_t> unit,
-                           util::AlignedVector<std::uint8_t> typeFlags)
+                           util::AlignedVector<std::uint8_t> typeFlags,
+                           std::vector<std::uint32_t> blockNames)
 {
     if (unit.size() != block.size() ||
         typeFlags.size() != block.size())
@@ -211,6 +224,13 @@ PreparedTrace::fromColumns(std::string name, const PrepareOptions &opts,
         throw std::invalid_argument(
             "PreparedTrace::fromColumns: timed streams need the "
             "two-phase builder");
+    const std::size_t bad = firstBlockOutOfRange(
+        block.data(), nullptr, block.size(), blockNames.size());
+    if (bad != block.size())
+        throw std::invalid_argument(
+            "PreparedTrace::fromColumns: block id " +
+            std::to_string(block[bad]) + " is out of range (numBlocks " +
+            std::to_string(blockNames.size()) + ")");
     PreparedTrace out;
     out._name = std::move(name);
     out._opts = opts;
@@ -220,6 +240,7 @@ PreparedTrace::fromColumns(std::string name, const PrepareOptions &opts,
     out._block = std::move(block);
     out._unit = std::move(unit);
     out._typeFlags = std::move(typeFlags);
+    out._names = std::move(blockNames);
     return out;
 }
 
@@ -258,6 +279,7 @@ PreparedTrace::byteSize() const
     std::size_t bytes = sizeof(*this);
     bytes += _block.capacity() * sizeof(std::uint32_t);
     bytes += _unit.capacity() + _typeFlags.capacity();
+    bytes += _names.capacity() * sizeof(std::uint32_t);
     for (const PreparedCpuStream &s : _cpuStreams) {
         bytes += s.block.capacity() * sizeof(std::uint32_t);
         bytes += s.unit.capacity() + s.typeFlags.capacity();

@@ -7,18 +7,26 @@
  * 16-byte TraceRecord — block shift, unit mapping, instruction strip,
  * flag tests — once per (workload × scheme) sweep point.  A
  * PreparedTrace pays that decode exactly once: records are lowered to
- * structure-of-arrays columns (32-bit block index, 8-bit dense unit
+ * structure-of-arrays columns (32-bit dense block id, 8-bit dense unit
  * index, packed type+flags byte — ~6 bytes per reference instead of
  * 16), instruction fetches are stripped into a single bulk count, and
  * the data references become one dense contiguous scan that
  * CoherenceEngine::accessPrepared consumes directly.
  *
+ * Block identity is decoded once too.  The block column holds dense
+ * first-touch ids in [0, numBlocks()) (trace/block_numbering.hh), so
+ * every engine indexes its per-block state by the id without hashing
+ * and sizes it exactly from numBlocks(); blockNames() maps each id
+ * back to its raw block index for the places the model uses the
+ * address itself (mem::BlockNames).
+ *
  * Determinism is the contract that makes this safe: the decode uses
- * the same mem::BlockMapper and sim::UnitMapper first-seen numbering
- * as sim::Simulator and timing::TimedBusSim, over the same
- * (optionally lock-test-filtered) record order, so replaying the
- * prepared stream is bit-identical to replaying the raw trace — the
- * golden digest suite enforces this for every scheme × workload.
+ * the same mem::BlockMapper, first-touch block numbering and
+ * sim::UnitMapper first-seen unit numbering as sim::Simulator and
+ * timing::TimedBusSim, over the same (optionally lock-test-filtered)
+ * record order, so replaying the prepared stream is bit-identical to
+ * replaying the raw trace — the golden digest suite enforces this for
+ * every scheme × workload.
  *
  * Decoding parallelises: PreparedTraceBuilder plans the output layout
  * in one serial scan (freezing the unit numbering and per-chunk write
@@ -39,6 +47,7 @@
 // Header-only; pulls in no sim library code.  Sharing SharingDomain
 // and unitKey() is the point: prepared unit numbering must match
 // what the raw replay path's UnitMapper would compute.
+#include "mem/block.hh"
 #include "sim/unit_map.hh"
 #include "trace/record.hh"
 #include "trace/trace.hh"
@@ -68,7 +77,9 @@ struct PrepareOptions
  * One CPU's slice of the stream in SoA form, for timed replay.
  * Unlike the interleaved data columns, these keep instruction
  * fetches: the timed bus charges CPU cycles per reference, so the
- * instr/data interleaving is part of the timing model.
+ * instr/data interleaving is part of the timing model.  Data entries
+ * carry the trace's dense block ids; instruction entries carry 0,
+ * since no engine reads an instruction's block.
  */
 struct PreparedCpuStream
 {
@@ -94,7 +105,8 @@ class StoredTrace;
 
 /**
  * One contiguous window of prepared reference columns: parallel
- * arrays of block index, dense unit index and packed type+flags byte.
+ * arrays of dense block id, dense unit index and packed type+flags
+ * byte.
  * The chunk-iterator replay path (sim::Simulator over a
  * PreparedSpanSource) consumes a *sequence* of these instead of one
  * trace-length slice, so the backing storage only ever needs to keep
@@ -136,7 +148,11 @@ class PreparedSpanSource
     virtual std::uint64_t dataRefs() const = 0;
     virtual unsigned numUnits() const = 0;
     virtual unsigned numCpus() const = 0;
+    /** Raw block index of every dense block id of the stream. */
+    virtual mem::BlockNames blockNames() const = 0;
     std::uint64_t totalRefs() const { return instrRefs() + dataRefs(); }
+    /** Distinct blocks: every block id lies in [0, numBlocks()). */
+    std::uint64_t numBlocks() const { return blockNames().size(); }
     /** @} */
 
     /**
@@ -221,9 +237,15 @@ class PreparedTrace
      *
      * Caller contract (the class invariants build() establishes): the
      * three columns are equal-length and ordered exactly as the
-     * stream's kept data references; @p unit holds first-seen dense
-     * indices below @p nUnits; @p nUnits and @p nCpus are at most 256.
-     * No per-CPU timed streams (use the builder for those).
+     * stream's kept data references; @p block holds first-touch dense
+     * ids and @p blockNames their raw block indices; @p unit holds
+     * first-seen dense indices below @p nUnits; @p nUnits and
+     * @p nCpus are at most 256.  No per-CPU timed streams (use the
+     * builder for those).
+     *
+     * @throws std::invalid_argument when the columns disagree in
+     *         length, a count exceeds 256, or a block id is not below
+     *         blockNames.size() (engines index their state by it).
      */
     static PreparedTrace
     fromColumns(std::string name, const PrepareOptions &opts,
@@ -231,7 +253,8 @@ class PreparedTrace
                 unsigned nCpus,
                 util::AlignedVector<std::uint32_t> block,
                 util::AlignedVector<std::uint8_t> unit,
-                util::AlignedVector<std::uint8_t> typeFlags);
+                util::AlignedVector<std::uint8_t> typeFlags,
+                std::vector<std::uint32_t> blockNames);
 
     const std::string &name() const { return _name; }
     const PrepareOptions &options() const { return _opts; }
@@ -247,6 +270,11 @@ class PreparedTrace
     unsigned numUnits() const { return _nUnits; }
     /** Distinct CPUs (dense first-seen indices [0, numCpus)). */
     unsigned numCpus() const { return _nCpus; }
+
+    /** Distinct blocks: every block id lies in [0, numBlocks()). */
+    std::uint64_t numBlocks() const { return _names.size(); }
+    /** Raw block index of every dense block id. */
+    mem::BlockNames blockNames() const { return _names; }
 
     /** @name Interleaved data-reference columns (global order). */
     /** @{ */
@@ -266,7 +294,8 @@ class PreparedTrace
         return _cpuStreams;
     }
 
-    /** Heap bytes held by the decoded columns (repository budget). */
+    /** Heap bytes held by the decoded columns and the block names
+     *  (repository budget). */
     std::size_t byteSize() const;
 
   private:
@@ -282,6 +311,7 @@ class PreparedTrace
     util::AlignedVector<std::uint32_t> _block;
     util::AlignedVector<std::uint8_t> _unit;
     util::AlignedVector<std::uint8_t> _typeFlags;
+    std::vector<std::uint32_t> _names;
     std::vector<PreparedCpuStream> _cpuStreams;
 };
 
@@ -321,6 +351,10 @@ class PreparedTraceSpans final : public PreparedSpanSource
     }
     unsigned numUnits() const override { return _trace->numUnits(); }
     unsigned numCpus() const override { return _trace->numCpus(); }
+    mem::BlockNames blockNames() const override
+    {
+        return _trace->blockNames();
+    }
 
     bool nextSpan(PreparedSpan &span) override;
     void rewind() override { _pos = 0; _done = false; }
@@ -334,10 +368,11 @@ class PreparedTraceSpans final : public PreparedSpanSource
 
 /**
  * Two-phase decoder: a serial planning scan in the constructor
- * (freezes unit numbering, validates widths, computes every chunk's
- * write offsets), then decodeChunk() for each chunk in [0,
- * numChunks()) — concurrently if desired, each chunk writes a
- * disjoint range — then finish() to take the result.
+ * (freezes unit numbering, numbers blocks into the block column,
+ * validates widths, computes every chunk's write offsets), then
+ * decodeChunk() for each chunk in [0, numChunks()) — concurrently if
+ * desired, each chunk writes a disjoint range and only reads what the
+ * scan froze — then finish() to take the result.
  *
  * @throws std::invalid_argument from the constructor when the trace
  *         does not fit the prepared widths: more than 256 sharing

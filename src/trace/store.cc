@@ -12,6 +12,7 @@
 #include <stdexcept>
 
 #include "mem/block.hh"
+#include "trace/block_numbering.hh"
 #include "util/hash.hh"
 #include "util/simd.hh"
 
@@ -217,7 +218,11 @@ class FileWindow
     util::AlignedVector<std::uint8_t> _buf; //!< 64-aligned base.
 };
 
-/** View chunk @p c and (optionally) verify its digest. */
+/**
+ * View the chunk at @p offset and check it: its digest (when
+ * @p verify) and, always, that every data entry's block id is below
+ * the trace's numBlocks() — engines index their state by it.
+ */
 const std::uint8_t *
 viewChunk(FileWindow &win, const StoredTrace &trace, std::uint64_t offset,
           std::uint64_t nRefs, std::uint64_t digest, bool verify,
@@ -237,6 +242,17 @@ viewChunk(FileWindow &win, const StoredTrace &trace, std::uint64_t offset,
                        std::to_string(offset) +
                        " (corrupted store) in trace '" + trace.name() +
                        "'");
+    const auto *block = reinterpret_cast<const std::uint32_t *>(p);
+    const std::size_t n = std::size_t(nRefs);
+    const std::size_t bad =
+        firstBlockOutOfRange(block, p + 5 * nRefs, n, trace.numBlocks());
+    if (bad != n)
+        fail(path, "block id " + std::to_string(block[bad]) +
+                       " out of range (numBlocks " +
+                       std::to_string(trace.numBlocks()) +
+                       ") in the chunk at offset " +
+                       std::to_string(offset) + " of trace '" +
+                       trace.name() + "'");
     return p;
 }
 
@@ -419,6 +435,10 @@ PreparedTraceWriter::finish()
             }
         }
     }
+    putLE64(table, _names.size());
+    for (const std::uint32_t name : _names)
+        putLE32(table, name);
+    table.resize(std::size_t(align8(table.size())), 0);
     putLE64(table, util::StreamHash64::of(table.data(), table.size()));
     writeBytes(table.data(), table.size());
 
@@ -611,6 +631,24 @@ StoredTrace::open(const std::string &path, const StoredTraceOptions &opts)
             fail(path, "per-CPU stream totals disagree with the "
                        "header's reference counts");
     }
+
+    // Each block is numbered by the first data reference to touch
+    // it, so a trace has at most as many blocks as data references.
+    need(8);
+    const std::uint64_t nBlocks = getLE64(cur);
+    cur += 8;
+    if (nBlocks > t->_dataRefs)
+        fail(path, "block names table holds " + std::to_string(nBlocks) +
+                       " names but the trace has only " +
+                       std::to_string(t->_dataRefs) +
+                       " data references");
+    need(align8(4 * nBlocks));
+    t->_names.resize(std::size_t(nBlocks));
+    for (std::uint32_t &name : t->_names) {
+        name = getLE32(cur);
+        cur += 4;
+    }
+    cur = table.data() + align8(std::uint64_t(cur - table.data()));
     if (cur != end)
         fail(path, "trailing bytes after the chunk table");
 
@@ -666,6 +704,10 @@ class StoredSpanCursor final : public PreparedSpanSource
     }
     unsigned numUnits() const override { return _trace->numUnits(); }
     unsigned numCpus() const override { return _trace->numCpus(); }
+    mem::BlockNames blockNames() const override
+    {
+        return _trace->blockNames();
+    }
 
     bool
     nextSpan(PreparedSpan &span) override
@@ -775,6 +817,7 @@ StoredTrace::loadAll() const
     out._instrRefs = _instrRefs;
     out._nUnits = _nUnits;
     out._nCpus = _nCpus;
+    out._names = _names;
     out._block.reserve(std::size_t(_dataRefs));
     out._unit.reserve(std::size_t(_dataRefs));
     out._typeFlags.reserve(std::size_t(_dataRefs));
@@ -853,6 +896,7 @@ spillFromSource(RefSource &source, const std::string &name,
     std::vector<std::int32_t> cpuOf;
     unsigned unitsSeen = 0;
     unsigned cpusSeen = 0;
+    BlockNumbering blocks;
     const mem::BlockMapper toBlock(opts.blockBytes);
     constexpr std::uint64_t maxBlockIndex = 0xffffffffULL;
 
@@ -876,16 +920,19 @@ spillFromSource(RefSource &source, const std::string &name,
                 " exceeds the 32-bit block index at block size " +
                 std::to_string(opts.blockBytes));
         const std::uint8_t tf = packTypeFlags(rec.type, rec.flags);
-        if (rec.isInstr())
+        // Instruction entries (timed streams only) carry block 0.
+        std::uint32_t id = 0;
+        if (rec.isInstr()) {
             writer.addInstrRefs(1);
-        else
-            writer.appendData(std::uint32_t(blockIdx),
-                              std::uint8_t(unit), tf);
+        } else {
+            id = blocks.number(std::uint32_t(blockIdx));
+            writer.appendData(id, std::uint8_t(unit), tf);
+        }
         if (opts.timedStreams)
-            writer.appendCpu(cpu, std::uint32_t(blockIdx),
-                             std::uint8_t(unit), tf);
+            writer.appendCpu(cpu, id, std::uint8_t(unit), tf);
     }
     writer.setUnits(unitsSeen, cpusSeen);
+    writer.setBlockNames(blocks.takeNames());
 
     StoredTraceInfo info;
     info.instrRefs = writer.instrRefs();
@@ -916,6 +963,8 @@ writeStored(const PreparedTrace &trace, const std::string &path,
                                  streams[c].typeFlags[i]);
     }
     writer.setUnits(trace.numUnits(), trace.numCpus());
+    const mem::BlockNames names = trace.blockNames();
+    writer.setBlockNames({names.begin(), names.end()});
 
     StoredTraceInfo info;
     info.instrRefs = writer.instrRefs();

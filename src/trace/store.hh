@@ -12,7 +12,7 @@
  * (spillFromSource, no full materialisation at any stage), and replay
  * maps one chunk window at a time (mmap with a pread fallback).
  *
- * On-disk layout, format version 1 (all integers little-endian):
+ * On-disk layout, format version 2 (all integers little-endian):
  *
  *   header   magic "DSPTRACE" | u32 version | u32 headerBytes |
  *            u64 configFingerprint | u32 blockBytes | u32 domain |
@@ -22,24 +22,34 @@
  *            u64 tableOffset | name bytes | u64 headerDigest
  *   chunks   per data chunk of n refs (offset 64-aligned when
  *            written by this build; readers accept any 8-aligned
- *            offset, so older 8-aligned files stay readable):
+ *            offset):
  *            u32 block[n] | u8 unit[n] | u8 typeFlags[n] | pad to 8
- *            (timed per-CPU stream chunks use the same framing)
+ *            (timed per-CPU stream chunks use the same framing).
+ *            block holds dense first-touch ids in [0, numBlocks);
+ *            timed instruction entries carry 0.
  *            The 64-byte chunk alignment keeps mmap'd column windows
  *            on cache-line boundaries so SIMD replay loads take the
  *            aligned path; it is a pure padding change — chunk
  *            offsets are explicit in the table, so no version bump.
  *   table    { u64 offset, u64 nRefs, u64 digest } per data chunk,
  *            then (timedStreams only) u64 cpuRefs[nCpus] followed by
- *            each CPU's chunk entries, then u64 tableDigest; the
- *            table ends exactly at EOF.
+ *            each CPU's chunk entries, then u64 numBlocks |
+ *            u32 blockNames[numBlocks] | pad to 8 (the raw block index
+ *            of every id), then u64 tableDigest; the table ends
+ *            exactly at EOF.
+ *
+ * Version 2 added the names table and the dense block column; a
+ * version 1 file (raw block indices, no names) fails the version
+ * check, which sim::TraceRepository's disk tier treats as a miss.
  *
  * Integrity: headerDigest covers every header field after the
  * magic/version pair (so a version bump reports as a version
- * mismatch, not corruption), tableDigest covers the table, and each
- * chunk entry carries a digest of its payload bytes, verified as the
- * window is read — a single flipped byte anywhere in the file is
- * detected before any engine consumes the data.  All digests are
+ * mismatch, not corruption), tableDigest covers the table (block
+ * names included), and each chunk entry carries a digest of its
+ * payload bytes, verified as the window is read — a single flipped
+ * byte anywhere in the file is detected before any engine consumes
+ * the data.  Block ids are range-checked against numBlocks in the
+ * same pass, since engines index their state by them.  All digests are
  * util::StreamHash64.  Crash safety is the *caller's* job via
  * write-to-temp-then-rename (sim::TraceRepository's disk tier does
  * exactly that); a torn direct write is still detected at open.
@@ -51,6 +61,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/prepared.hh"
@@ -60,7 +71,7 @@ namespace dirsim::trace
 {
 
 /** Format version written and required by this build. */
-constexpr std::uint32_t kStoreFormatVersion = 1;
+constexpr std::uint32_t kStoreFormatVersion = 2;
 
 /** Default references per chunk (~6 MiB of data columns). */
 constexpr std::uint64_t kDefaultChunkRefs = 1u << 20;
@@ -87,7 +98,9 @@ struct StoreWriteOptions
  * append references in stream order — appendData() for the
  * interleaved data columns, appendCpu() for the per-CPU timed streams
  * when PrepareOptions::timedStreams is set, addInstrRefs() for bulk
- * instruction counts — then setUnits() and finish().  Chunks flush to
+ * instruction counts — then setUnits(), setBlockNames() and finish().
+ * Block ids are the stream's dense first-touch ids
+ * (trace/block_numbering.hh).  Chunks flush to
  * disk as they fill, so writer memory is O(chunkRefs) (times nCpus+1
  * when timed streams are on).  The destructor without finish()
  * abandons the file (best-effort unlink): a half-written store is
@@ -158,6 +171,14 @@ class PreparedTraceWriter
     /** Record the dense unit/CPU counts (before finish()). */
     void setUnits(unsigned nUnits, unsigned nCpus);
 
+    /** Record the raw block index of every dense block id (before
+     *  finish()). */
+    void
+    setBlockNames(std::vector<std::uint32_t> names)
+    {
+        _names = std::move(names);
+    }
+
     /** Flush everything, write the chunk table, patch the header.
      *  The file is complete and readable once this returns. */
     void finish();
@@ -202,6 +223,7 @@ class PreparedTraceWriter
     std::vector<ChunkBuffer> _cpuBuffers;
     std::vector<std::uint64_t> _cpuRefs;
     std::vector<std::vector<ChunkEntry>> _cpuEntries;
+    std::vector<std::uint32_t> _names;
     bool _finished = false;
 };
 
@@ -240,7 +262,8 @@ class StoredTrace : public std::enable_shared_from_this<StoredTrace>
     /**
      * Open and validate @p path.
      * @throws std::runtime_error on I/O error, bad magic, digest
-     *         mismatch or malformed geometry; the message says which.
+     *         mismatch or malformed geometry (including more block
+     *         names than data references); the message says which.
      *         A version other than kStoreFormatVersion reports a
      *         distinct "format version" error.
      */
@@ -258,6 +281,10 @@ class StoredTrace : public std::enable_shared_from_this<StoredTrace>
     std::uint64_t totalRefs() const { return _instrRefs + _dataRefs; }
     unsigned numUnits() const { return _nUnits; }
     unsigned numCpus() const { return _nCpus; }
+    /** Distinct blocks: every block id lies in [0, numBlocks()). */
+    std::uint64_t numBlocks() const { return _names.size(); }
+    /** Raw block index of every dense block id (held in memory). */
+    mem::BlockNames blockNames() const { return _names; }
     bool hasTimedStreams() const { return _opts.timedStreams; }
     std::uint64_t chunkRefs() const { return _chunkRefs; }
     std::size_t numChunks() const { return _dataChunks.size(); }
@@ -272,7 +299,9 @@ class StoredTrace : public std::enable_shared_from_this<StoredTrace>
     /**
      * A fresh span cursor over the interleaved data columns, holding
      * a reference on this trace.  Peak resident memory is one chunk
-     * window regardless of trace length.
+     * window (plus the names table) regardless of trace length.  A
+     * chunk whose digest fails or whose block ids are not below
+     * numBlocks() throws std::runtime_error when read.
      */
     std::unique_ptr<PreparedSpanSource> spanCursor() const;
 
@@ -319,6 +348,7 @@ class StoredTrace : public std::enable_shared_from_this<StoredTrace>
     /** cpuChunks[cpu] = that CPU's stream chunks (timed only). */
     std::vector<std::vector<ChunkRef>> _cpuChunks;
     std::vector<std::uint64_t> _cpuRefCounts;
+    std::vector<std::uint32_t> _names;
 };
 
 /** Outcome summary of a spill. */
@@ -333,12 +363,14 @@ struct StoredTraceInfo
 
 /**
  * The O(chunk) build pipeline: stream @p source once, decode each
- * record with the same first-seen dense numbering, block mapping and
- * lock-test filter as PreparedTraceBuilder (bit-identical columns by
+ * record with the same first-seen unit numbering, first-touch block
+ * numbering, block mapping and lock-test filter as
+ * PreparedTraceBuilder (bit-identical columns and names by
  * construction — the builder's planning scan visits records in this
- * exact order), and spill chunks to @p path as they fill.  Nothing is
- * ever fully materialised: peak memory is one chunk buffer (plus one
- * per CPU when opts.timedStreams).
+ * exact order), and spill chunks to @p path as they fill.  Nothing but
+ * the block numbering is ever fully materialised: peak memory is one
+ * chunk buffer (plus one per CPU when opts.timedStreams) and
+ * O(numBlocks) for the names.
  *
  * @throws std::invalid_argument when the stream does not fit the
  *         prepared widths (same limits as PreparedTraceBuilder);

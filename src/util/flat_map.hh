@@ -1,15 +1,17 @@
 /**
  * @file
- * Open-addressing hash map for the per-block hot path.
+ * Open-addressing hash map for per-block lookups off the replay path.
  *
- * Every simulated memory reference performs at least one block-table
- * lookup, so the container behind it dominates simulator throughput.
+ * Engines index per-block state by dense block id
+ * (coherence/block_table.hh); the hashing happens once per data
+ * reference when a trace is prepared, in the first-touch block
+ * numbering (trace/block_numbering.hh), and in trace::characterize.
  * std::unordered_map is node-based: one heap allocation per block and
  * two dependent pointer loads per lookup.  FlatMap stores keys in one
  * contiguous array probed linearly (values in a parallel array touched
  * only on a hit), with power-of-two capacity, tombstone deletion, and
- * clear()-without-free so engines reset between runs without giving
- * the memory back.
+ * clear()-without-free so a numbering can be reset without giving the
+ * memory back.
  *
  * Contract differences from std::unordered_map, deliberate for the hot
  * path:
@@ -143,34 +145,6 @@ class FlatMap
 
     bool contains(const K &key) const { return findIndex(key) != npos; }
 
-    /**
-     * Warm the probe path for @p key: software-prefetch the control,
-     * key and value bytes the probe will touch first.  Purely
-     * advisory; never dereferences.  Callers on a hot loop should
-     * gate on prefetchProfitable() once per batch rather than paying
-     * the hash for a table that is cache-resident anyway.
-     */
-    void
-    prefetch(const K &key) const
-    {
-        const std::size_t idx = _hash(key) & _mask;
-        __builtin_prefetch(&_ctrl[idx], 0, 3);
-        __builtin_prefetch(&_keys[idx], 0, 3);
-        __builtin_prefetch(&_vals[idx], 0, 3);
-    }
-
-    /**
-     * Whether prefetch() hints plausibly help for this table: big
-     * enough that probes miss cache.  Below the threshold the table
-     * fits comfortably in L1/L2 and the extra hash per hint would
-     * cost more than it saves.
-     */
-    bool
-    prefetchProfitable() const
-    {
-        return capacity() >= prefetchMinCapacity;
-    }
-
     /** Remove @p key.  @return true when it was present. */
     bool
     erase(const K &key)
@@ -222,9 +196,6 @@ class FlatMap
 
     static constexpr std::size_t npos = static_cast<std::size_t>(-1);
     static constexpr std::size_t minCapacity = 16;
-    /** Smallest capacity (slots) at which prefetch() plausibly pays. */
-    static constexpr std::size_t prefetchMinCapacity =
-        std::size_t(1) << 15;
 
     static std::size_t
     capacityFor(std::size_t count)

@@ -3,8 +3,8 @@
  * SIMD-friendly batch kernels for the prepared-trace hot loop.
  *
  * The replay inner loop spends its time in two places: decoding the
- * packed type+flags byte of every reference and probing the per-block
- * FlatMap.  Both are batchable.  This header supplies the batch
+ * packed type+flags byte of every reference and updating the block's
+ * state.  The decode is batchable.  This header supplies the batch
  * primitives:
  *
  *  - decodeTypes(): strip the flag bits off a whole run of packed
@@ -19,9 +19,6 @@
  *  - classifyCounts(): branchless read/write/lock lane counts for a
  *    strip, used by diagnostics and tests (the engines consume the
  *    type lane directly).
- *
- *  - prefetchRead(): the software-prefetch hint the engines issue a
- *    few references ahead of the FlatMap probe.
  *
  *  - AlignedVector: 64-byte-aligned column storage, so vector loads
  *    over the prepared columns never split a cache line.
@@ -64,13 +61,6 @@ constexpr std::size_t kCacheLineBytes = 64;
  * stay L1-resident while the engine walks it; 4K refs ≈ 28 KiB.
  */
 constexpr std::size_t kClassifyStripRefs = 4096;
-
-/**
- * How many references ahead of the dispatch point the engines
- * prefetch their block-table probe.  Far enough to cover a memory
- * access, near enough that the line is still resident when used.
- */
-constexpr std::size_t kPrefetchDistance = 8;
 
 /** The packed byte's type field: low two bits.  Mirrors
  *  trace::packedTypeMask (static_assert'd at the trace layer — util
@@ -118,13 +108,6 @@ struct AlignedAllocator
 /** Cache-line-aligned vector: drop-in column storage. */
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
-
-/** Hint that @p p will be read soon (no-op where unsupported). */
-inline void
-prefetchRead(const void *p)
-{
-    __builtin_prefetch(p, /*rw=*/0, /*locality=*/3);
-}
 
 /**
  * Reference kernel: types[i] = packed[i] & kTypeLaneMask, one byte at

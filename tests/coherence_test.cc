@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "directory/two_bit.hh"
 #include "gen/rng.hh"
 #include "mem/set_assoc.hh"
+#include "trace/block_numbering.hh"
 
 namespace
 {
@@ -889,5 +891,101 @@ TEST(OutcomeSum, EqualsResultsForEveryEngineConfiguration)
     EXPECT_GT(covered.dirCacheEvictionWriteBacks, 0u);
 }
 
+// ---------------------------------------------------------------------
+// Dense block ids: the model reads raw indices only through the names.
+// ---------------------------------------------------------------------
+
+/**
+ * One stream fed twice — with sparse raw block ids through an unbound
+ * engine, and renumbered densely with the names bound — must give
+ * identical results.  The raw ids are strided by the set count (set
+ * mixing off, so the low bits pick the set): every one aliases onto a
+ * single set and a single modulo home, while the dense ids 0..47
+ * would spread over all 16 sets and 4 homes.  A set index or home
+ * taken from the dense id therefore changes the eviction and home
+ * counters, and this test fails.
+ */
+TEST(BlockNames, SetIndicesAndHomesComeFromRawIds)
+{
+    constexpr unsigned units = 4;
+    constexpr std::uint64_t sets = 16;
+    constexpr std::uint64_t distinct = 48;
+    auto refs = randomTrace(units, 30'000, 77, 0.3, 0.0);
+    for (RandomRef &ref : refs)
+        ref.block = 5 + sets * (ref.block % distinct);
+
+    dirsim::directory::DirCacheConfig dirCache;
+    dirCache.enabled = true;
+    dirCache.entries = sets * 4;
+    dirCache.associativity = 4;
+    dirCache.mixSetIndex = false;
+    const auto inval = [&](bool finiteCaches, bool finiteDir,
+                           HomePolicy home) {
+        InvalEngineConfig cfg;
+        cfg.nUnits = units;
+        cfg.homePolicy = home;
+        if (finiteCaches)
+            cfg.cacheFactory = [] {
+                // 16 sets of 4 ways; the low-bits mapping is pinned.
+                return std::make_unique<dirsim::mem::SetAssocTagStore>(
+                    dirsim::mem::CacheGeometry{sets * 4 * 16, 16, 4});
+            };
+        if (finiteDir)
+            cfg.dirCache = dirCache;
+        return std::unique_ptr<CoherenceEngine>(
+            std::make_unique<InvalEngine>(cfg));
+    };
+    const std::vector<std::pair<
+        std::string, std::function<std::unique_ptr<CoherenceEngine>()>>>
+        configs = {
+            {"inval, 4-way finite caches",
+             [&] { return inval(true, false, HomePolicy::None); }},
+            {"inval behind a 4-way directory cache",
+             [&] { return inval(false, true, HomePolicy::None); }},
+            {"dir1nb behind a 4-way directory cache",
+             [&] {
+                 return std::unique_ptr<CoherenceEngine>(
+                     std::make_unique<LimitedEngine>(units, 1,
+                                                     dirCache));
+             }},
+            {"inval, modulo homes",
+             [&] { return inval(false, false, HomePolicy::Modulo); }},
+        };
+
+    // The dense stream: first-touch ids plus their raw names.
+    dirsim::trace::BlockNumbering numbering;
+    std::vector<std::uint32_t> block;
+    std::vector<std::uint8_t> unit;
+    std::vector<std::uint8_t> typeFlags;
+    for (const RandomRef &ref : refs) {
+        block.push_back(
+            numbering.number(static_cast<std::uint32_t>(ref.block)));
+        unit.push_back(static_cast<std::uint8_t>(ref.unit));
+        typeFlags.push_back(dirsim::trace::packTypeFlags(ref.type, 0));
+    }
+    ASSERT_EQ(numbering.size(), distinct);
+    const PreparedSlice slice{block.data(), unit.data(),
+                              typeFlags.data(), block.size()};
+
+    std::vector<EngineResults> results;
+    for (const auto &[label, make] : configs) {
+        const auto sparse = make();
+        for (const RandomRef &ref : refs)
+            sparse->access(ref.unit, ref.type, ref.block);
+        const auto dense = make();
+        dense->reserveBlocks(numbering.size());
+        dense->bindBlockNames(numbering.names());
+        dense->accessPrepared(slice);
+        EXPECT_TRUE(sparse->results() == dense->results()) << label;
+        EXPECT_EQ(dense->blocksTracked(), distinct) << label;
+        results.push_back(dense->results());
+    }
+    // Each configuration exercises the raw-id dependence it is for.
+    EXPECT_GT(results[0].replacementWriteBacks, 0u);
+    EXPECT_GT(results[1].dirCacheEvictions, 0u);
+    EXPECT_GT(results[2].dirCacheEvictions, 0u);
+    EXPECT_GT(results[3].homeLocalTransactions, 0u);
+    EXPECT_GT(results[3].homeRemoteTransactions, 0u);
+}
 
 } // namespace

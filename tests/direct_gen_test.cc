@@ -11,6 +11,7 @@
  * compares column-for-column (or byte-for-byte for spilled files).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
@@ -58,6 +59,9 @@ expectSameColumns(const trace::PreparedTrace &direct,
     EXPECT_EQ(direct.instrRefs(), legacy.instrRefs());
     EXPECT_EQ(direct.numUnits(), legacy.numUnits());
     EXPECT_EQ(direct.numCpus(), legacy.numCpus());
+    EXPECT_TRUE(std::ranges::equal(direct.blockNames(),
+                                   legacy.blockNames()))
+        << "block names differ";
     const std::size_t n = legacy.dataRefs();
     if (n == 0)
         return;
@@ -191,6 +195,62 @@ TEST(DirectGen, SpillIsByteIdenticalToSpillFromSource)
         std::filesystem::remove(path);
     }
     std::filesystem::remove(refPath);
+}
+
+/**
+ * Every producer numbers blocks identically: the two-phase builder,
+ * the direct pipeline (in memory and spilled), and spillFromSource
+ * yield the same dense block columns — timed per-CPU streams
+ * included — and the same names, for every preset, with and without
+ * the lock-test filter.
+ */
+TEST(DirectGen, EveryProducerNumbersBlocksIdentically)
+{
+    const auto expectSameStreams = [](const trace::PreparedTrace &a,
+                                      const trace::PreparedTrace &b) {
+        expectSameColumns(a, b);
+        ASSERT_EQ(a.cpuStreams().size(), b.cpuStreams().size());
+        for (std::size_t c = 0; c < a.cpuStreams().size(); ++c) {
+            EXPECT_EQ(a.cpuStreams()[c].block, b.cpuStreams()[c].block);
+            EXPECT_EQ(a.cpuStreams()[c].unit, b.cpuStreams()[c].unit);
+            EXPECT_EQ(a.cpuStreams()[c].typeFlags,
+                      b.cpuStreams()[c].typeFlags);
+        }
+    };
+    trace::StoreWriteOptions store;
+    store.chunkRefs = 3001;
+    gen::DirectGenConfig dg;
+    dg.chunkRefs = 4097;
+    for (const auto &cfg : smallWorkloads(20000)) {
+        for (const bool drop : {false, true}) {
+            for (const bool timed : {false, true}) {
+                SCOPED_TRACE(cfg.name + " drop=" + std::to_string(drop) +
+                             " timed=" + std::to_string(timed));
+                trace::PrepareOptions opts;
+                opts.dropLockTests = drop;
+                opts.timedStreams = timed;
+                const auto builder = legacyPrepared(cfg, opts);
+                ASSERT_GT(builder.numBlocks(), 0u);
+                expectSameStreams(gen::generatePrepared(cfg, opts, dg),
+                                  builder);
+
+                const std::string direct = tmpPath("numbering_direct");
+                gen::spillPrepared(cfg, opts, direct, store, dg);
+                expectSameStreams(
+                    trace::StoredTrace::open(direct)->loadAll(), builder);
+                std::filesystem::remove(direct);
+
+                const std::string spilled = tmpPath("numbering_source");
+                gen::WorkloadSource source(cfg);
+                trace::spillFromSource(source, cfg.name, opts, spilled,
+                                       store);
+                expectSameStreams(
+                    trace::StoredTrace::open(spilled)->loadAll(),
+                    builder);
+                std::filesystem::remove(spilled);
+            }
+        }
+    }
 }
 
 TEST(DirectGen, RepositoryRoutesThroughDirectByDefault)

@@ -13,12 +13,19 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "coherence/berkeley_engine.hh"
+#include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
+#include "coherence/limited_engine.hh"
+#include "coherence/multi_limited_engine.hh"
+#include "coherence/wti_engine.hh"
 #include "gen/workload.hh"
 #include "gen/workloads.hh"
 #include "sim/simulator.hh"
@@ -77,18 +84,23 @@ TEST(PreparedTraceTest, DecodeMatchesManualExpectation)
     EXPECT_FALSE(prepared.hasTimedStreams());
 
     // Data columns keep the interleaved order with instrs stripped;
-    // blocks are the 16-byte-block indices of the addresses.
+    // blocks are dense first-touch ids whose names are the 16-byte-
+    // block indices of the addresses (instruction blocks take none).
     const std::uint32_t *block = prepared.blockData();
     const std::uint8_t *unit = prepared.unitData();
     const std::uint8_t *tf = prepared.typeFlagsData();
-    EXPECT_EQ(block[0], 0x100u >> 4);
+    ASSERT_EQ(prepared.numBlocks(), 2u);
+    const mem::BlockNames names = prepared.blockNames();
+    EXPECT_EQ(block[0], 0u);
+    EXPECT_EQ(names[block[0]], 0x100u >> 4);
     EXPECT_EQ(unit[0], 0u);
     EXPECT_EQ(trace::packedRefType(tf[0]), trace::RefType::Read);
-    EXPECT_EQ(block[1], 0x234u >> 4);
+    EXPECT_EQ(block[1], 1u);
+    EXPECT_EQ(names[block[1]], 0x234u >> 4);
     EXPECT_EQ(unit[1], 1u);
     EXPECT_EQ(trace::packedRefType(tf[1]), trace::RefType::Write);
     EXPECT_EQ(trace::packedFlags(tf[1]), trace::FlagSystem);
-    EXPECT_EQ(block[2], 0x100u >> 4);
+    EXPECT_EQ(block[2], 0u);
     EXPECT_EQ(unit[2], 1u);
 
     EXPECT_GT(prepared.byteSize(), 0u);
@@ -131,7 +143,10 @@ TEST(PreparedTraceTest, DropLockTestsFiltersBeforeNumbering)
     ASSERT_EQ(prepared.dataRefs(), 1u);
     EXPECT_EQ(prepared.numUnits(), 1u);
     EXPECT_EQ(prepared.unitData()[0], 0u);
-    EXPECT_EQ(prepared.blockData()[0], 0x200u >> 4);
+    // Block numbering also runs over the filtered stream.
+    ASSERT_EQ(prepared.numBlocks(), 1u);
+    EXPECT_EQ(prepared.blockData()[0], 0u);
+    EXPECT_EQ(prepared.blockNames()[0], 0x200u >> 4);
 }
 
 TEST(PreparedTraceTest, RejectsTracesExceedingColumnWidths)
@@ -181,8 +196,15 @@ TEST(PreparedTraceTest, TimedStreamsSplitPerCpu)
               trace::RefType::Instr);
     EXPECT_EQ(trace::packedRefType(streams[0].typeFlags[1]),
               trace::RefType::Read);
+    // Data entries share the interleaved columns' dense ids;
+    // instruction entries carry block 0.
+    EXPECT_EQ(streams[0].block[0], 0u);
+    EXPECT_EQ(streams[0].block[1], 0u);
     ASSERT_EQ(streams[1].size(), 1u);
-    EXPECT_EQ(streams[1].block[0], 0x200u >> 4);
+    EXPECT_EQ(streams[1].block[0], 1u);
+    ASSERT_EQ(prepared.numBlocks(), 2u);
+    EXPECT_EQ(prepared.blockNames()[0], 0x100u >> 4);
+    EXPECT_EQ(prepared.blockNames()[1], 0x200u >> 4);
 }
 
 /**
@@ -250,6 +272,138 @@ TEST(PreparedTraceBuilderTest, FinishGuardsMisuse)
         builder.decodeChunk(c);
     builder.finish();
     EXPECT_THROW(builder.finish(), std::logic_error);
+}
+
+/**
+ * The block column is the first-touch numbering of the kept data
+ * records: ids appear in increasing order of first use, and each id's
+ * name is the record's raw block index.
+ */
+TEST(PreparedTraceTest, BlockNamesAreTheKeptRecordsRawBlocks)
+{
+    for (auto cfg : gen::standardWorkloads()) {
+        cfg.totalRefs = 20'000;
+        const trace::MemoryTrace raw = gen::generateTrace(cfg);
+        for (const bool drop : {false, true}) {
+            SCOPED_TRACE(cfg.name + " drop=" + std::to_string(drop));
+            trace::PrepareOptions opts;
+            opts.dropLockTests = drop;
+            const trace::PreparedTrace prepared =
+                trace::PreparedTrace::build(raw, opts);
+            const mem::BlockNames names = prepared.blockNames();
+            const mem::BlockMapper toBlock(opts.blockBytes);
+            std::size_t i = 0;
+            std::uint64_t nextId = 0;
+            for (const trace::TraceRecord &rec : raw.records()) {
+                if ((drop && rec.isLockTest()) || rec.isInstr())
+                    continue;
+                ASSERT_LT(i, prepared.dataRefs());
+                const std::uint32_t id = prepared.blockData()[i++];
+                ASSERT_LE(id, nextId) << "ids must be first-touch";
+                if (id == nextId)
+                    ++nextId;
+                ASSERT_EQ(names[id], toBlock(rec.addr)) << "ref " << i;
+            }
+            EXPECT_EQ(i, prepared.dataRefs());
+            EXPECT_EQ(nextId, prepared.numBlocks());
+        }
+    }
+}
+
+TEST(PreparedTraceTest, FromColumnsRejectsOutOfRangeBlockIds)
+{
+    const auto columns = [](std::vector<std::uint32_t> ids,
+                            std::vector<std::uint32_t> names) {
+        const std::size_t n = ids.size();
+        return trace::PreparedTrace::fromColumns(
+            "crafted", {}, 0, 1, 1,
+            util::AlignedVector<std::uint32_t>(ids.begin(), ids.end()),
+            util::AlignedVector<std::uint8_t>(n, 0),
+            util::AlignedVector<std::uint8_t>(
+                n, trace::packTypeFlags(trace::RefType::Read, 0)),
+            std::move(names));
+    };
+    const trace::PreparedTrace ok = columns({0, 1, 0}, {0x10, 0x20});
+    EXPECT_EQ(ok.numBlocks(), 2u);
+    EXPECT_EQ(ok.blockNames()[1], 0x20u);
+    // Engines index their state by the id: id == numBlocks() would be
+    // an out-of-bounds write, so it is rejected with both numbers.
+    try {
+        columns({0, 1, 2}, {0x10, 0x20});
+        FAIL() << "block id == numBlocks() accepted";
+    } catch (const std::invalid_argument &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("block id 2"), std::string::npos) << what;
+        EXPECT_NE(what.find("numBlocks 2"), std::string::npos) << what;
+    }
+    EXPECT_THROW(columns({0}, {}), std::invalid_argument);
+}
+
+/** After a full replay every engine kind has seen every block. */
+TEST(PreparedTraceTest, EveryEngineTracksEveryBlock)
+{
+    const auto cfg = smallWorkload();
+    const trace::PreparedTrace prepared =
+        trace::PreparedTrace::build(gen::generateTrace(cfg));
+    ASSERT_GT(prepared.numBlocks(), 0u);
+    const unsigned units = cfg.space.nProcesses;
+    directory::DirCacheConfig dirCache;
+    dirCache.enabled = true;
+    dirCache.entries = 256;
+    const std::vector<std::pair<
+        std::string,
+        std::function<std::unique_ptr<coherence::CoherenceEngine>()>>>
+        kinds = {
+            {"inval",
+             [&] {
+                 coherence::InvalEngineConfig c;
+                 c.nUnits = units;
+                 return std::make_unique<coherence::InvalEngine>(c);
+             }},
+            {"inval behind a directory cache",
+             [&] {
+                 coherence::InvalEngineConfig c;
+                 c.nUnits = units;
+                 c.dirCache = dirCache;
+                 return std::make_unique<coherence::InvalEngine>(c);
+             }},
+            {"dir1nb",
+             [&] {
+                 return std::make_unique<coherence::LimitedEngine>(units,
+                                                                   1);
+             }},
+            {"dirinb lanes",
+             [&] {
+                 return std::make_unique<coherence::MultiLimitedEngine>(
+                     units, std::vector<unsigned>{1, 2, 4, 8});
+             }},
+            {"dragon",
+             [&] {
+                 return std::make_unique<coherence::DragonEngine>(units);
+             }},
+            {"berkeley",
+             [&] {
+                 return std::make_unique<coherence::BerkeleyEngine>(
+                     units);
+             }},
+            {"wti",
+             [&] {
+                 return std::make_unique<coherence::WtiEngine>(units,
+                                                               true);
+             }},
+            {"wti no-allocate",
+             [&] {
+                 return std::make_unique<coherence::WtiEngine>(units,
+                                                               false);
+             }},
+        };
+    for (const auto &[label, make] : kinds) {
+        sim::Simulator simulator;
+        coherence::CoherenceEngine &engine =
+            simulator.addEngine(make());
+        simulator.run(prepared);
+        EXPECT_EQ(engine.blocksTracked(), prepared.numBlocks()) << label;
+    }
 }
 
 /** Simulator::run(prepared) equals the raw streaming run. */

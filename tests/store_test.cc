@@ -79,6 +79,9 @@ expectColumnsEqual(const trace::PreparedTrace &a,
     ASSERT_EQ(a.dataRefs(), b.dataRefs());
     EXPECT_EQ(a.numUnits(), b.numUnits());
     EXPECT_EQ(a.numCpus(), b.numCpus());
+    ASSERT_EQ(a.numBlocks(), b.numBlocks());
+    for (std::size_t i = 0; i < a.numBlocks(); ++i)
+        ASSERT_EQ(a.blockNames()[i], b.blockNames()[i]) << "block " << i;
     for (std::size_t i = 0; i < a.dataRefs(); ++i) {
         ASSERT_EQ(a.blockData()[i], b.blockData()[i]) << "ref " << i;
         ASSERT_EQ(a.unitData()[i], b.unitData()[i]) << "ref " << i;
@@ -443,6 +446,116 @@ TEST(StoredTraceTest, WriterMisuseAndAbandonment)
     trace::PreparedTraceWriter untimed(path, "untimed", {});
     EXPECT_THROW(untimed.appendCpu(0, 1, 0, 0), std::logic_error);
     EXPECT_THROW(untimed.setUnits(300, 1), std::invalid_argument);
+}
+
+// --- Dense block ids at the store boundary ---------------------------
+
+/** Read every chunk of @p stored, data and CPU streams alike. */
+void
+readEveryChunk(const trace::StoredTrace &stored)
+{
+    const auto spans = stored.spanCursor();
+    trace::PreparedSpan span;
+    while (spans->nextSpan(span)) {
+    }
+    for (unsigned cpu = 0; stored.hasTimedStreams() && cpu < stored.numCpus();
+         ++cpu) {
+        const auto cursor = stored.cpuCursor(cpu);
+        while (cursor->nextWindow(span)) {
+        }
+    }
+}
+
+/** Expect reading @p path to fail with a message naming the block id
+ *  and the numBlocks bound. */
+void
+expectOutOfRangeRejected(const std::string &path, const std::string &id,
+                         const std::string &bound)
+{
+    const auto stored = trace::StoredTrace::open(path);
+    try {
+        readEveryChunk(*stored);
+        FAIL() << "out-of-range block id accepted";
+    } catch (const std::runtime_error &err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("block id " + id), std::string::npos) << what;
+        EXPECT_NE(what.find("numBlocks " + bound), std::string::npos)
+            << what;
+    }
+    EXPECT_THROW(stored->loadAll(), std::runtime_error);
+}
+
+TEST(StoredTraceTest, RejectsOutOfRangeBlockIdInDataChunk)
+{
+    // A crafted store whose chunk digests are all valid: only the
+    // range check stands between id == numBlocks() and an engine's
+    // out-of-bounds write.
+    const std::uint8_t read =
+        trace::packTypeFlags(trace::RefType::Read, 0);
+    PathGuard file{scratchPath("range-data")};
+    {
+        trace::PreparedTraceWriter writer(file.path, "crafted", {});
+        writer.appendData(0, 0, read);
+        writer.appendData(1, 0, read);
+        writer.appendData(2, 0, read);
+        writer.setUnits(1, 1);
+        writer.setBlockNames({0x10, 0x20});
+        writer.finish();
+    }
+    expectOutOfRangeRejected(file.path, "2", "2");
+}
+
+TEST(StoredTraceTest, RejectsOutOfRangeBlockIdInCpuChunk)
+{
+    const std::uint8_t read =
+        trace::packTypeFlags(trace::RefType::Read, 0);
+    const std::uint8_t instr =
+        trace::packTypeFlags(trace::RefType::Instr, 0);
+    trace::PrepareOptions timed;
+    timed.timedStreams = true;
+    // Instruction entries carry no block, so their id is not checked;
+    // the data entry with id == numBlocks() is.
+    const auto craft = [&](const std::string &path, std::uint32_t cpuId) {
+        trace::PreparedTraceWriter writer(path, "crafted", timed);
+        writer.appendData(0, 0, read);
+        writer.appendData(0, 0, read);
+        writer.addInstrRefs(1);
+        writer.appendCpu(0, 0, 0, read);
+        writer.appendCpu(0, 0xffffffffu, 0, instr);
+        writer.appendCpu(0, cpuId, 0, read);
+        writer.setUnits(1, 1);
+        writer.setBlockNames({0x40});
+        writer.finish();
+    };
+    PathGuard good{scratchPath("range-cpu-ok")};
+    craft(good.path, 0);
+    EXPECT_NO_THROW(readEveryChunk(*trace::StoredTrace::open(good.path)));
+
+    PathGuard bad{scratchPath("range-cpu")};
+    craft(bad.path, 1);
+    expectOutOfRangeRejected(bad.path, "1", "1");
+}
+
+TEST(StoredTraceTest, RejectsMoreBlockNamesThanDataRefs)
+{
+    // Each block is numbered by a data reference, so a names table
+    // longer than the data columns is malformed.
+    PathGuard file{scratchPath("names")};
+    {
+        trace::PreparedTraceWriter writer(file.path, "crafted", {});
+        writer.appendData(0, 0, 0);
+        writer.setUnits(1, 1);
+        writer.setBlockNames({0x10, 0x20});
+        writer.finish();
+    }
+    try {
+        trace::StoredTrace::open(file.path);
+        FAIL() << "more names than data references accepted";
+    } catch (const std::runtime_error &err) {
+        EXPECT_NE(std::string(err.what()).find("names"),
+                  std::string::npos)
+            << err.what();
+    }
 }
 
 TEST(StoredTraceTest, CpuCursorRequiresTimedStreams)
