@@ -23,9 +23,10 @@
  *
  * `--sweep` switches to an end-to-end campaign measurement instead:
  * the fig2/fig3-style evaluation (standard engines, DiriNB pointer
- * sweep, Berkeley) runs once with prepared traces disabled and once
- * through the sim::TraceRepository, and BENCH_sweep.json records the
- * wall clocks, the decode-vs-replay split and the speedup.
+ * sweep, Berkeley) runs through the sim::TraceRepository from a cold
+ * start, and BENCH_sweep.json records the decode-vs-replay split,
+ * per-scheme replay attribution, the multi-configuration row and the
+ * cold-path breakdown.
  *
  * Flags:
  *   --refs N       trace length (default 2,000,000; ignored by --sweep,
@@ -34,35 +35,20 @@
  *   --out PATH     JSON output path (default BENCH_hotpath.json, or
  *                  BENCH_sweep.json in --sweep mode)
  *   --floor R      fail (exit 1) if any reported replay point runs
- *                  below R refs/sec — or, in --sweep mode, if the
- *                  prepared-over-raw speedup falls below R
- *                  (default 0 = disabled)
+ *                  below R refs/sec (hot-path mode only; default 0 =
+ *                  disabled)
  *   --sweep        measure the end-to-end campaign instead of
  *                  single-engine replay
- *   --no-fused     sequential whole-stream replay per engine instead
- *                  of the fused multi-scheme column walk (A/B hatch;
- *                  results are bit-identical either way)
- *   --no-multi     independent LimitedEngines for the DiriNB row
- *                  instead of the shared-table multi-configuration
- *                  engine (A/B hatch; bit-identical either way)
  *   --multi-floor R  fail (exit 1) if the multi-configuration row's
  *                  speedup over the independent DiriNB engines falls
  *                  below R (sweep mode; default 0 = disabled)
  *   --schemes CSV  restrict the sweep's per-scheme attribution (and
  *                  the multi-config lanes) to the named schemes;
  *                  unknown names are a hard error (sweep mode)
- *   --no-direct-gen  route repository builds through the legacy
- *                  generateTrace + two-phase decode instead of the
- *                  single-pass direct pipeline, and skip the sweep's
- *                  cold attribution pass (A/B hatch; the prepared
- *                  columns are bit-identical either way)
- *   --gen-chunk-refs N  data references per direct-pipeline pack
- *                  chunk (default 65536)
  *   --cold-floor R  fail (exit 1) if the cold generate+prepare
  *                  speedup of the direct pipeline over the legacy
  *                  two-pass path falls below R (sweep mode; default
- *                  0 = disabled; fails if --no-direct-gen disabled
- *                  the cold pass)
+ *                  0 = disabled)
  *   --trace-cache-dir PATH    persistent trace cache directory; the
  *                  prepared pass streams from warm store files and
  *                  spills on cold misses (sweep mode)
@@ -125,11 +111,7 @@ struct Options
     std::uint64_t traceCacheBudgetMiB = 4096;
     std::uint64_t streamChunkRefs = trace::kDefaultChunkRefs;
     bool repoStats = false;
-    bool fused = true;
-    bool multi = true;
     double multiFloor = 0.0;
-    bool directGen = true;
-    std::uint64_t genChunkRefs = 0; //!< 0 = pipeline default.
     double coldFloor = 0.0;
     std::vector<std::string> schemes; //!< Empty = all.
 };
@@ -187,20 +169,10 @@ parseOptions(int argc, char **argv)
                 1, 1u << 31);
         } else if (std::strcmp(argv[a], "--repo-stats") == 0) {
             opts.repoStats = true;
-        } else if (std::strcmp(argv[a], "--no-fused") == 0) {
-            opts.fused = false;
-        } else if (std::strcmp(argv[a], "--no-multi") == 0) {
-            opts.multi = false;
         } else if (std::strcmp(argv[a], "--multi-floor") == 0) {
             opts.multiFloor = cli::parseDoubleInRange(
                 want("--multi-floor"), "--multi-floor", 0.0,
                 std::numeric_limits<double>::max());
-        } else if (std::strcmp(argv[a], "--no-direct-gen") == 0) {
-            opts.directGen = false;
-        } else if (std::strcmp(argv[a], "--gen-chunk-refs") == 0) {
-            opts.genChunkRefs = cli::parseUnsignedInRange(
-                want("--gen-chunk-refs"), "--gen-chunk-refs", 1,
-                1u << 31);
         } else if (std::strcmp(argv[a], "--cold-floor") == 0) {
             opts.coldFloor = cli::parseDoubleInRange(
                 want("--cold-floor"), "--cold-floor", 0.0,
@@ -213,14 +185,17 @@ parseOptions(int argc, char **argv)
                       << "usage: bench_hotpath [--refs N] [--reps N] "
                          "[--out PATH] [--floor R] [--sweep] "
                          "[--schemes CSV] "
-                         "[--no-fused] [--no-multi] "
-                         "[--multi-floor R] [--no-direct-gen] "
-                         "[--gen-chunk-refs N] [--cold-floor R] "
+                         "[--multi-floor R] [--cold-floor R] "
                          "[--trace-cache-dir PATH] "
                          "[--trace-cache-budget MiB] "
                          "[--stream-chunk-refs N] [--repo-stats]\n";
             std::exit(2);
         }
+    }
+    if (opts.floor > 0.0 && opts.sweep) {
+        std::cerr << "error: --floor only applies to hot-path mode, "
+                     "not --sweep\n";
+        std::exit(2);
     }
     if (!opts.schemes.empty() && !opts.sweep) {
         std::cerr << "error: --schemes only applies to --sweep\n";
@@ -537,16 +512,14 @@ filteredLanePointers(const std::vector<std::string> &schemeFilter)
 
 /**
  * Time each campaign scheme's replay over the (already warm) prepared
- * traces: one fused pass per workload with per-engine clocks, or —
- * with the --no-fused hatch — one sequential pass per engine.  The
+ * traces: one fused pass per workload with per-engine clocks.  The
  * campaign timings above measure end-to-end walls; this pass
  * attributes pure replay time to each scheme so a regression in one
  * protocol's hot path is visible in the JSON, not averaged away.
  */
 std::vector<SchemeResult>
 runSchemeAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
-                     const trace::PrepareOptions &prep, bool fused,
-                     unsigned reps,
+                     const trace::PrepareOptions &prep, unsigned reps,
                      const std::vector<std::string> &schemeFilter)
 {
     std::vector<SchemeResult> schemes;
@@ -573,23 +546,12 @@ runSchemeAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
             }
             sim::FusedReplayOptions fr;
             fr.timeEngines = true;
-            if (fused) {
-                trace::PreparedTraceSpans spans(*prepared);
-                const sim::FusedReplayRun run =
-                    sim::FusedReplay(fr).run(spans, ptrs);
-                for (std::size_t e = 0; e < ptrs.size(); ++e) {
-                    pass[e].seconds += run.engineSeconds[e];
-                    pass[e].refs += run.totalRefs();
-                }
-            } else {
-                fr.stripRefs = 0;
-                for (std::size_t e = 0; e < ptrs.size(); ++e) {
-                    trace::PreparedTraceSpans spans(*prepared);
-                    const sim::FusedReplayRun run =
-                        sim::FusedReplay(fr).run(spans, {ptrs[e]});
-                    pass[e].seconds += run.engineSeconds[0];
-                    pass[e].refs += run.totalRefs();
-                }
+            trace::PreparedTraceSpans spans(*prepared);
+            const sim::FusedReplayRun run =
+                sim::FusedReplay(fr).run(spans, ptrs);
+            for (std::size_t e = 0; e < ptrs.size(); ++e) {
+                pass[e].seconds += run.engineSeconds[e];
+                pass[e].refs += run.totalRefs();
             }
         }
         if (schemes.empty()) {
@@ -705,8 +667,7 @@ struct ColdResult
  */
 std::vector<ColdResult>
 runColdAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
-                   const trace::PrepareOptions &prep, unsigned reps,
-                   const gen::DirectGenConfig &dg)
+                   const trace::PrepareOptions &prep, unsigned reps)
 {
     std::vector<ColdResult> cold;
     for (const gen::WorkloadConfig &cfg : cfgs) {
@@ -746,8 +707,7 @@ runColdAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
         std::optional<trace::PreparedTrace> direct;
         for (unsigned rep = 0; rep < reps; ++rep) {
             bench::WallTimer timer;
-            trace::PreparedTrace p =
-                gen::generatePrepared(cfg, prep, dg);
+            trace::PreparedTrace p = gen::generatePrepared(cfg, prep);
             const double s = timer.seconds();
             if (rep == 0 || s < cr.directSeconds)
                 cr.directSeconds = s;
@@ -820,27 +780,17 @@ runSweepMode(const Options &opts)
     std::cout << "bench_hotpath --sweep: " << cfgs.size()
               << " workloads, fig2/fig3-style campaign\n";
 
-    // Raw pass: regenerate and re-decode every workload per stage,
-    // as every caller did before the trace repository existed.
-    analysis::EvalOptions raw;
-    raw.usePreparedTraces = false;
-    bench::WallTimer rawTimer;
-    const unsigned points = runCampaign(cfgs, raw);
-    const double rawSeconds = rawTimer.seconds();
-    std::cout << "  raw: " << points << " points in " << rawSeconds
-              << " s\n";
-
-    // Prepared pass from a cold repository: the decode split is the
+    // The campaign from a cold repository: the decode split is the
     // one-time generate+prepare cost, the replay split is everything
     // the campaign does on top of the shared prepared traces.  With a
     // trace cache directory the campaign instead streams out-of-core
     // store files (warm files skip generate+prepare entirely).
-    analysis::EvalOptions prepared;
+    const analysis::EvalOptions evalOpts;
     sim::TraceRepository &repo = sim::TraceRepository::global();
     repo.clear();
     trace::PrepareOptions prep;
-    prep.blockBytes = prepared.sim.blockBytes;
-    prep.domain = prepared.sim.domain;
+    prep.blockBytes = evalOpts.sim.blockBytes;
+    prep.domain = evalOpts.sim.domain;
     bench::WallTimer decodeTimer;
     if (!opts.traceCacheDir.empty()) {
         for (const gen::WorkloadConfig &cfg : cfgs)
@@ -851,33 +801,29 @@ runSweepMode(const Options &opts)
     }
     const double decodeSeconds = decodeTimer.seconds();
     bench::WallTimer replayTimer;
-    const unsigned preparedPoints = runCampaign(cfgs, prepared);
+    const unsigned points = runCampaign(cfgs, evalOpts);
     const double replaySeconds = replayTimer.seconds();
     const double preparedSeconds = decodeSeconds + replaySeconds;
-    std::cout << "  prepared: decode " << decodeSeconds
-              << " s + replay " << replaySeconds << " s = "
-              << preparedSeconds << " s\n";
-
-    const double speedup =
-        preparedSeconds > 0.0 ? rawSeconds / preparedSeconds : 0.0;
-    std::cout << "  speedup " << speedup << "x ("
+    std::cout << "  campaign: " << points << " points, decode "
+              << decodeSeconds << " s + replay " << replaySeconds
+              << " s = " << preparedSeconds << " s ("
               << repo.buildCount() << " repository builds)\n";
 
     // Per-scheme replay attribution over the now-warm repository.
     const std::vector<SchemeResult> schemes = runSchemeAttribution(
-        cfgs, prep, opts.fused, opts.reps, opts.schemes);
+        cfgs, prep, opts.reps, opts.schemes);
     for (const SchemeResult &s : schemes)
         std::cout << "  "
                   << bench::throughputLine(s.name, s.refs, s.seconds)
                   << "\n";
 
     // Multi-configuration pass: the same DiriNB row collapsed into
-    // one shared-table engine.  Needs fused replay (the per-engine
-    // clocks) and at least two surviving lanes to be a collapse.
+    // one shared-table engine.  Needs at least two surviving lanes to
+    // be a collapse.
     MultiRowResult multi;
     const std::vector<unsigned> lanes =
         filteredLanePointers(opts.schemes);
-    if (opts.fused && opts.multi && lanes.size() >= 2) {
+    if (lanes.size() >= 2) {
         multi = runMultiAttribution(cfgs, prep, opts.reps, lanes,
                                     opts.schemes);
         multi.enabled = true;
@@ -903,33 +849,25 @@ runSweepMode(const Options &opts)
     // Cold-path attribution: where a cold campaign's wall clock goes
     // (generate vs prepare vs replay), and the direct pipeline's
     // speedup over the legacy two-pass cold path — the --cold-floor
-    // gate.  Skipped under --no-direct-gen (there is no direct run
-    // to attribute).
-    std::vector<ColdResult> cold;
+    // gate.
+    const std::vector<ColdResult> cold =
+        runColdAttribution(cfgs, prep, opts.reps);
     double coldLegacySeconds = 0.0;
     double coldDirectSeconds = 0.0;
-    double coldSpeedup = 0.0;
-    if (opts.directGen) {
-        gen::DirectGenConfig dg;
-        if (opts.genChunkRefs != 0)
-            dg.chunkRefs = opts.genChunkRefs;
-        cold = runColdAttribution(cfgs, prep, opts.reps, dg);
-        for (const ColdResult &cr : cold) {
-            coldLegacySeconds +=
-                cr.generateSeconds + cr.prepareSeconds;
-            coldDirectSeconds += cr.directSeconds;
-            std::cout << "  cold " << cr.name << ": generate "
-                      << cr.generateSeconds << " s + prepare "
-                      << cr.prepareSeconds << " s legacy, direct "
-                      << cr.directSeconds << " s (" << cr.speedup
-                      << "x), replay " << cr.replaySeconds << " s\n";
-        }
-        coldSpeedup = coldDirectSeconds > 0.0
-                          ? coldLegacySeconds / coldDirectSeconds
-                          : 0.0;
-        std::cout << "  cold generate+prepare speedup " << coldSpeedup
-                  << "x (direct single-pass over legacy two-pass)\n";
+    for (const ColdResult &cr : cold) {
+        coldLegacySeconds += cr.generateSeconds + cr.prepareSeconds;
+        coldDirectSeconds += cr.directSeconds;
+        std::cout << "  cold " << cr.name << ": generate "
+                  << cr.generateSeconds << " s + prepare "
+                  << cr.prepareSeconds << " s legacy, direct "
+                  << cr.directSeconds << " s (" << cr.speedup
+                  << "x), replay " << cr.replaySeconds << " s\n";
     }
+    const double coldSpeedup = coldDirectSeconds > 0.0
+                                   ? coldLegacySeconds / coldDirectSeconds
+                                   : 0.0;
+    std::cout << "  cold generate+prepare speedup " << coldSpeedup
+              << "x (direct single-pass over legacy two-pass)\n";
 
     std::ofstream os(opts.out);
     if (!os) {
@@ -940,19 +878,14 @@ runSweepMode(const Options &opts)
     os << "  \"bench\": \"hotpath-sweep\",\n";
     os << "  \"workloads\": " << cfgs.size() << ",\n";
     os << "  \"points\": " << points << ",\n";
-    os << "  \"raw_seconds\": " << rawSeconds << ",\n";
-    os << "  \"raw_points_per_sec\": "
-       << (rawSeconds > 0.0 ? points / rawSeconds : 0.0) << ",\n";
     os << "  \"decode_seconds\": " << decodeSeconds << ",\n";
     os << "  \"replay_seconds\": " << replaySeconds << ",\n";
     os << "  \"prepared_seconds\": " << preparedSeconds << ",\n";
     os << "  \"prepared_points_per_sec\": "
-       << (preparedSeconds > 0.0 ? preparedPoints / preparedSeconds
-                                 : 0.0)
+       << (preparedSeconds > 0.0 ? points / preparedSeconds : 0.0)
        << ",\n";
     os << "  \"repository_builds\": " << repo.buildCount() << ",\n";
     os << "  \"peak_rss_kb\": " << peakRssKb() << ",\n";
-    os << "  \"fused\": " << (opts.fused ? "true" : "false") << ",\n";
     os << "  \"schemes\": [\n";
     for (std::size_t i = 0; i < schemes.size(); ++i) {
         const SchemeResult &s = schemes[i];
@@ -960,13 +893,10 @@ runSweepMode(const Options &opts)
            << "\"refs\": " << s.refs << ", "
            << "\"seconds\": " << s.seconds << ", "
            << "\"refs_per_sec\": "
-           << static_cast<std::uint64_t>(s.refsPerSec) << ", "
-           << "\"fused\": " << (opts.fused ? "true" : "false") << "}"
+           << static_cast<std::uint64_t>(s.refsPerSec) << "}"
            << (i + 1 < schemes.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
-    os << "  \"multiConfig\": " << (multi.enabled ? "true" : "false")
-       << ",\n";
     os << "  \"multi_config\": {\"enabled\": "
        << (multi.enabled ? "true" : "false") << ", "
        << "\"lanes\": " << multi.lanes.size() << ", "
@@ -985,9 +915,7 @@ runSweepMode(const Options &opts)
        << "\"independent_seconds\": " << multi.independentSeconds
        << ", "
        << "\"speedup\": " << multi.speedup << "},\n";
-    os << "  \"cold\": {\"enabled\": "
-       << (opts.directGen ? "true" : "false") << ", "
-       << "\"legacy_seconds\": " << coldLegacySeconds << ", "
+    os << "  \"cold\": {\"legacy_seconds\": " << coldLegacySeconds << ", "
        << "\"direct_seconds\": " << coldDirectSeconds << ", "
        << "\"speedup\": " << coldSpeedup << ", "
        << "\"workloads\": [";
@@ -1002,20 +930,10 @@ runSweepMode(const Options &opts)
            << "\"replay_seconds\": " << cr.replaySeconds << ", "
            << "\"speedup\": " << cr.speedup << "}";
     }
-    os << "]},\n";
-    os << "  \"speedup\": " << speedup << "\n";
+    os << "]}\n";
     os << "}\n";
     std::cout << "  wrote " << opts.out << "\n";
 
-    if (opts.floor > 0.0) {
-        if (speedup < opts.floor) {
-            std::cerr << "FAIL: prepared-over-raw speedup " << speedup
-                      << "x below floor " << opts.floor << "x\n";
-            return 1;
-        }
-        std::cout << "  floor check passed (" << speedup
-                  << "x >= " << opts.floor << "x)\n";
-    }
     if (opts.multiFloor > 0.0) {
         if (!multi.enabled) {
             std::cerr << "FAIL: --multi-floor set but the "
@@ -1031,11 +949,6 @@ runSweepMode(const Options &opts)
                   << "x >= " << opts.multiFloor << "x)\n";
     }
     if (opts.coldFloor > 0.0) {
-        if (!opts.directGen) {
-            std::cerr << "FAIL: --cold-floor set but --no-direct-gen "
-                         "disabled the cold attribution pass\n";
-            return 1;
-        }
         if (coldSpeedup < opts.coldFloor) {
             std::cerr << "FAIL: cold generate+prepare speedup "
                       << coldSpeedup << "x below floor "
@@ -1057,11 +970,6 @@ int
 main(int argc, char **argv)
 {
     const Options opts = parseOptions(argc, argv);
-    if (!opts.directGen)
-        sim::TraceRepository::global().setDirectGen(false);
-    if (opts.genChunkRefs != 0)
-        sim::TraceRepository::global().setDirectGenChunkRefs(
-            opts.genChunkRefs);
     if (!opts.traceCacheDir.empty()) {
         sim::DiskCacheConfig disk;
         disk.dir = opts.traceCacheDir;
@@ -1070,10 +978,6 @@ main(int argc, char **argv)
         sim::TraceRepository::global().setDiskCache(disk);
         analysis::setDefaultStreamReplay(true);
     }
-    if (!opts.fused)
-        analysis::setDefaultFusedReplay(false);
-    if (!opts.multi)
-        analysis::setDefaultMultiConfig(false);
     if (opts.sweep)
         return runSweepMode(opts);
 
@@ -1081,9 +985,7 @@ main(int argc, char **argv)
     workload.totalRefs = opts.refs;
     const unsigned units = workload.space.nProcesses;
 
-    sim::SimConfig simCfg;
-    if (!opts.fused)
-        simCfg.replayStripRefs = 0; // Whole-span prepared replay.
+    const sim::SimConfig simCfg;
 
     std::cout << "bench_hotpath: workload=" << workload.name
               << " refs=" << opts.refs << " reps=" << opts.reps

@@ -6,12 +6,13 @@
  * directory, so the whole paper can be regenerated (and plotted) with
  * a single command.
  *
- * Usage: reproduce_paper [outdir] [--full] [--jobs N]
+ * Usage: reproduce_paper [outdir] [--full] [--jobs N] [flags below]
  *   outdir   defaults to ./results
  *   --full   full-size (~3.2M reference) traces
  *   --jobs N fan simulation sweeps out over N worker threads
- *            (0 = one per hardware thread; default 1 = serial);
- *            parallel runs are bit-identical to serial ones
+ *            (0 = one per hardware thread; default 1 = one job on
+ *            the calling thread); every job count gives
+ *            bit-identical exhibits
  *   --trace-cache-dir PATH    persist prepared traces as out-of-core
  *            store files under PATH and replay them streamed; a
  *            second run (even in another process) reuses the files
@@ -21,22 +22,12 @@
  *            1048576; smaller = lower replay RSS)
  *   --repo-stats   print trace-repository hit/miss/spill counters
  *            at the end of the run
- *   --no-fused     replay each scheme in its own sequential pass
- *            instead of the fused multi-scheme column walk (A/B
- *            hatch; exhibits are bit-identical either way)
- *   --no-multi     run each DiriNB configuration in its own
- *            LimitedEngine instead of collapsing a sweep's pointer
- *            counts into one shared-table MultiLimitedEngine (A/B
- *            hatch; exhibits are bit-identical either way)
  *   --schemes CSV  restrict the Section 6 DiriNB pointer sweep to
  *            the named configurations (dir1nb..dir8nb, in the order
  *            given); an unknown name is a hard error
- *   --no-direct-gen  build prepared traces through the legacy
- *            generateTrace + two-phase decode instead of the
- *            single-pass direct generate-prepare pipeline (A/B
- *            hatch; exhibits are bit-identical either way)
- *   --gen-chunk-refs N  data references per direct-pipeline pack
- *            chunk (default 65536)
+ *
+ * Any other flag, or a second output directory, is a usage error
+ * (exit 2) before any work starts.
  */
 
 #include <chrono>
@@ -92,6 +83,16 @@ main(int argc, char **argv)
     // --schemes replaces the list from the dirXnb vocabulary.
     std::vector<unsigned> sweepPointers = {1, 2, 3, 4};
     outDir = "results";
+    bool outDirGiven = false;
+    const auto usage = [](const std::string &error) {
+        std::cerr << "error: " << error << "\n"
+                  << "usage: reproduce_paper [outdir] [--full] "
+                     "[--jobs N] [--trace-cache-dir PATH] "
+                     "[--trace-cache-budget MiB] "
+                     "[--stream-chunk-refs N] [--repo-stats] "
+                     "[--schemes CSV]\n";
+        std::exit(2);
+    };
     const auto want = [&](int &a, const char *flag) -> const char * {
         if (a + 1 >= argc) {
             std::cerr << "error: " << flag << " requires a value\n";
@@ -119,26 +120,6 @@ main(int argc, char **argv)
                 1, 1u << 31);
         } else if (std::strcmp(argv[a], "--repo-stats") == 0) {
             repoStats = true;
-        } else if (std::strcmp(argv[a], "--no-fused") == 0) {
-            // A/B escape hatch: sequential whole-stream replay per
-            // engine instead of the fused multi-scheme column walk.
-            // Results are bit-identical either way.
-            analysis::setDefaultFusedReplay(false);
-        } else if (std::strcmp(argv[a], "--no-multi") == 0) {
-            // A/B escape hatch: independent LimitedEngines instead of
-            // the shared-table multi-configuration collapse.  Results
-            // are bit-identical either way.
-            analysis::setDefaultMultiConfig(false);
-        } else if (std::strcmp(argv[a], "--no-direct-gen") == 0) {
-            // A/B escape hatch: the legacy two-pass cold path instead
-            // of the single-pass direct generate-prepare pipeline.
-            // Results are bit-identical either way.
-            sim::TraceRepository::global().setDirectGen(false);
-        } else if (std::strcmp(argv[a], "--gen-chunk-refs") == 0) {
-            sim::TraceRepository::global().setDirectGenChunkRefs(
-                cli::parseUnsignedInRange(want(a, "--gen-chunk-refs"),
-                                          "--gen-chunk-refs", 1,
-                                          1u << 31));
         } else if (std::strcmp(argv[a], "--schemes") == 0) {
             const std::vector<std::string> allowed = {
                 "dir1nb", "dir2nb", "dir3nb", "dir4nb",
@@ -148,8 +129,15 @@ main(int argc, char **argv)
                      want(a, "--schemes"), "--schemes", allowed))
                 sweepPointers.push_back(
                     static_cast<unsigned>(name[3] - '0'));
+        } else if (argv[a][0] == '-') {
+            usage(std::string("unknown flag '") + argv[a] + "'");
+        } else if (outDirGiven) {
+            usage(std::string("unexpected argument '") + argv[a] +
+                  "' (output directory already given as '" +
+                  outDir.string() + "')");
         } else {
             outDir = argv[a];
+            outDirGiven = true;
         }
     }
     // Every evaluation below (including the ones inside the extension

@@ -4,18 +4,11 @@
 #include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
 #include "coherence/limited_engine.hh"
-#include "coherence/multi_limited_engine.hh"
 #include "gen/workload.hh"
 #include "sim/sweep.hh"
-#include "sim/thread_pool.hh"
 #include "sim/trace_repo.hh"
-#include "trace/filter.hh"
 #include "trace/prepared.hh"
-#include "trace/trace.hh"
-
-#include <algorithm>
-#include <exception>
-#include <mutex>
+#include "trace/store.hh"
 
 namespace dirsim::analysis
 {
@@ -25,8 +18,6 @@ namespace
 
 unsigned defaultJobs = 1;
 bool defaultStream = false;
-bool defaultFused = true;
-bool defaultMulti = true;
 
 } // namespace
 
@@ -54,30 +45,6 @@ defaultStreamReplay()
     return defaultStream;
 }
 
-void
-setDefaultFusedReplay(bool fused)
-{
-    defaultFused = fused;
-}
-
-bool
-defaultFusedReplay()
-{
-    return defaultFused;
-}
-
-void
-setDefaultMultiConfig(bool multi)
-{
-    defaultMulti = multi;
-}
-
-bool
-defaultMultiConfig()
-{
-    return defaultMulti;
-}
-
 namespace
 {
 
@@ -91,35 +58,6 @@ unitsFor(const gen::WorkloadConfig &cfg, const EvalOptions &opts)
                : cfg.space.nCpus;
 }
 
-/** Per-run SimConfig: the caller's options (engines are sized from
- *  each trace's numBlocks(), so nothing is derived per workload). */
-sim::SimConfig
-simConfigFor(const EvalOptions &opts)
-{
-    sim::SimConfig sc = opts.sim;
-    // The A/B hatch: sequential whole-stream passes per engine.
-    if (!opts.fusedReplay)
-        sc.replayStripRefs = 0;
-    return sc;
-}
-
-/**
- * Run @p build-provided engines over one workload, optionally with the
- * lock-test filter, and return the simulator for result harvesting.
- */
-void
-runWorkload(const gen::WorkloadConfig &cfg, const EvalOptions &opts,
-            sim::Simulator &simulator)
-{
-    gen::WorkloadSource source(cfg);
-    if (opts.dropLockTests) {
-        trace::FilteredSource filtered = trace::dropLockTests(source);
-        simulator.run(filtered);
-    } else {
-        simulator.run(source);
-    }
-}
-
 /** Builds one engine for a given unit count. */
 using EngineFactory =
     std::function<std::unique_ptr<coherence::CoherenceEngine>(unsigned)>;
@@ -128,45 +66,17 @@ using EngineFactory =
  * One cell of the workload×engine matrix: the factory that builds
  * its engine, plus the multi-configuration collapse hint.  A nonzero
  * limitedPointers marks the cell as a plain DiriNB run (no directory
- * cache) with that pointer count — runMatrix may then run it as one
- * lane of a shared coherence::MultiLimitedEngine instead of invoking
- * the factory, one lookup per reference for the whole pointer-count
- * row.  The factory stays the fallback (and the only path when
- * opts.multiConfig is off or the run has fewer than two such cells).
+ * cache) with that pointer count — runMatrix then runs it as one lane
+ * of a shared coherence::MultiLimitedEngine instead of invoking the
+ * factory, one lookup per reference for the whole pointer-count row.
+ * The factory stays the fallback when the run has fewer than two
+ * such cells.
  */
 struct EngineSpec
 {
     EngineFactory make;
     unsigned limitedPointers = 0;
 };
-
-/** Replays a shared trace, re-applying the lock-test filter. */
-class ReplaySource : public trace::RefSource
-{
-  public:
-    explicit ReplaySource(const trace::MemoryTrace &trace)
-        : _base(trace), _filtered(trace::dropLockTests(_base))
-    {
-    }
-
-    bool next(trace::TraceRecord &rec) override
-    {
-        return _filtered.next(rec);
-    }
-    void rewind() override { _filtered.rewind(); }
-
-  private:
-    trace::MemoryTraceSource _base;
-    trace::FilteredSource _filtered;
-};
-
-std::unique_ptr<trace::RefSource>
-replaySource(const trace::MemoryTrace &trace, bool dropLockTests)
-{
-    if (!dropLockTests)
-        return std::make_unique<trace::MemoryTraceSource>(trace);
-    return std::make_unique<ReplaySource>(trace);
-}
 
 /** Decode parameters matching this run's options: the lock-test
  *  filter folds into the decode, so the prepared stream replays with
@@ -181,24 +91,27 @@ prepareOptionsFor(const EvalOptions &opts)
     return prep;
 }
 
+/** One workload's shared trace: in-memory columns, or a stored file
+ *  replayed through windowed cursors (opts.streamReplay). */
+struct WorkloadTrace
+{
+    std::shared_ptr<const trace::PreparedTrace> prepared;
+    std::shared_ptr<const trace::StoredTrace> stored;
+};
+
 /**
  * Run a workload×engine matrix and harvest every engine's results.
  *
- * This is the one place serial and parallel evaluation meet.  With
- * opts.jobs == 1 each workload streams once through a Simulator
- * carrying all the engines (the paper's one-pass-per-trace shape).
- * With more jobs the matrix fans out over a SweepRunner: phase one
- * materialises each workload into an immutable MemoryTrace (in
- * parallel, one job per workload), phase two runs one job per
- * (workload, engine) cell, each replaying the shared trace zero-copy.
- * Both paths visit identical reference streams in identical order per
- * engine, so their results are bit-identical.
- *
- * With opts.multiConfig (the default), the DiriNB cells of a run
- * (EngineSpec::limitedPointers) collapse into one shared
- * coherence::MultiLimitedEngine — serially within each workload's
- * Simulator, in parallel within each workload's fused sweep group —
- * and each cell harvests its own lane.  Bit-identical either way.
+ * Every evaluation, serial or parallel, runs here.  Phase one fetches
+ * each workload's trace from sim::TraceRepository::global(), one job
+ * per workload.  Phase two hands the matrix to a sim::SweepRunner:
+ * all of a workload's cells share one fuse key, so each workload is
+ * replayed once, fused, through every engine of the run, and its
+ * DiriNB cells (EngineSpec::limitedPointers) collapse into the lanes
+ * of one shared coherence::MultiLimitedEngine.  Both phases collect
+ * through sim::runOrdered, which at opts.jobs == 1 runs them in order
+ * on the calling thread; more jobs change only the order in which
+ * cells complete, so results are bit-identical at every job count.
  *
  * @return results[workload][spec].
  */
@@ -207,139 +120,34 @@ runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
           const EvalOptions &opts,
           const std::vector<EngineSpec> &specs)
 {
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    // The pointer counts that collapse into shared lanes (needs at
-    // least two to be worth one extra engine); identical for every
-    // workload, so planned once.
-    std::vector<unsigned> lanePointers;
-    if (opts.multiConfig) {
-        for (const EngineSpec &spec : specs)
-            if (spec.limitedPointers != 0)
-                lanePointers.push_back(spec.limitedPointers);
+    // Phase 1: fetch each workload once.  The traces are immutable
+    // from here on and shared read-only by every cell.
+    const trace::PrepareOptions prep = prepareOptionsFor(opts);
+    std::vector<std::function<WorkloadTrace()>> fetches;
+    fetches.reserve(cfgs.size());
+    for (const gen::WorkloadConfig &cfg : cfgs) {
+        fetches.push_back([&cfg, &prep, stream = opts.streamReplay] {
+            sim::TraceRepository &repo = sim::TraceRepository::global();
+            if (stream)
+                return WorkloadTrace{nullptr, repo.getStored(cfg, prep)};
+            return WorkloadTrace{repo.get(cfg, prep), nullptr};
+        });
     }
-    const bool collapse = lanePointers.size() >= 2;
-
-    std::vector<std::vector<coherence::EngineResults>> results(
-        cfgs.size());
-    const unsigned jobs = sim::ThreadPool::resolveThreads(opts.jobs);
-    if (jobs <= 1 || cfgs.empty() || specs.empty()) {
-        for (std::size_t c = 0; c < cfgs.size(); ++c) {
-            const unsigned units = unitsFor(cfgs[c], opts);
-            sim::Simulator simulator(simConfigFor(opts));
-            coherence::MultiLimitedEngine *multi = nullptr;
-            std::vector<std::size_t> lane(specs.size(), kNone);
-            std::vector<std::size_t> slot(specs.size(), kNone);
-            std::size_t nextSlot = 0;
-            std::size_t nextLane = 0;
-            for (std::size_t f = 0; f < specs.size(); ++f) {
-                if (collapse && specs[f].limitedPointers != 0) {
-                    if (!multi) {
-                        auto engine = std::make_unique<
-                            coherence::MultiLimitedEngine>(
-                            units, lanePointers);
-                        multi = engine.get();
-                        simulator.addEngine(std::move(engine));
-                        ++nextSlot;
-                    }
-                    lane[f] = nextLane++;
-                    continue;
-                }
-                simulator.addEngine(specs[f].make(units));
-                slot[f] = nextSlot++;
-            }
-            if (opts.usePreparedTraces && opts.streamReplay) {
-                // Out-of-core: one chunk window resident per replay.
-                const auto stored =
-                    sim::TraceRepository::global().getStored(
-                        cfgs[c], prepareOptionsFor(opts));
-                const auto spans = stored->spanCursor();
-                simulator.run(*spans);
-            } else if (opts.usePreparedTraces) {
-                simulator.run(*sim::TraceRepository::global().get(
-                    cfgs[c], prepareOptionsFor(opts)));
-            } else {
-                runWorkload(cfgs[c], opts, simulator);
-            }
-            for (std::size_t f = 0; f < specs.size(); ++f)
-                results[c].push_back(
-                    lane[f] != kNone
-                        ? multi->laneResults(lane[f])
-                        : simulator.engine(slot[f]).results());
-        }
-        return results;
-    }
-
-    // Phase 1: materialise each workload once.  The traces are
-    // immutable from here on and shared read-only by every engine
-    // job.  On the prepared path the repository supplies decode-once
-    // SoA traces (already cached across runs); the raw path
-    // materialises throwaway MemoryTraces as before.
-    const bool stream = opts.usePreparedTraces && opts.streamReplay;
-    std::vector<std::shared_ptr<const trace::PreparedTrace>> prepared(
-        cfgs.size());
-    std::vector<std::shared_ptr<const trace::StoredTrace>> stored(
-        cfgs.size());
-    std::vector<trace::MemoryTrace> traces(
-        opts.usePreparedTraces ? 0 : cfgs.size());
-    {
-        std::mutex collect;
-        std::exception_ptr firstError;
-        sim::ThreadPool pool(static_cast<unsigned>(
-            std::min<std::size_t>(jobs, cfgs.size())));
-        for (std::size_t c = 0; c < cfgs.size(); ++c) {
-            pool.submit([&, c] {
-                try {
-                    if (stream) {
-                        auto ptr =
-                            sim::TraceRepository::global().getStored(
-                                cfgs[c], prepareOptionsFor(opts));
-                        std::lock_guard<std::mutex> lock(collect);
-                        stored[c] = std::move(ptr);
-                    } else if (opts.usePreparedTraces) {
-                        auto ptr = sim::TraceRepository::global().get(
-                            cfgs[c], prepareOptionsFor(opts));
-                        std::lock_guard<std::mutex> lock(collect);
-                        prepared[c] = std::move(ptr);
-                    } else {
-                        trace::MemoryTrace trace =
-                            gen::generateTrace(cfgs[c]);
-                        std::lock_guard<std::mutex> lock(collect);
-                        traces[c] = std::move(trace);
-                    }
-                } catch (...) {
-                    std::lock_guard<std::mutex> lock(collect);
-                    if (!firstError)
-                        firstError = std::current_exception();
-                }
-            });
-        }
-        pool.wait();
-        if (firstError)
-            std::rethrow_exception(firstError);
-    }
+    const std::vector<WorkloadTrace> traces =
+        sim::runOrdered<WorkloadTrace>(opts.jobs, fetches);
 
     // Phase 2: one sweep point per (workload, engine) cell.
-    sim::SweepRunner runner(jobs);
+    sim::SweepRunner runner(opts.jobs);
     for (std::size_t c = 0; c < cfgs.size(); ++c) {
         const unsigned units = unitsFor(cfgs[c], opts);
         for (const EngineSpec &spec : specs) {
             sim::SweepPoint point;
             point.name = cfgs[c].name;
-            point.sim = simConfigFor(opts);
-            // Fuse the scheme axis: all of a workload's cells carry
-            // one key (unique per index — names can repeat), so the
-            // runner collapses them into a single fused column pass.
-            if (opts.fusedReplay)
-                point.fuseKey = "workload#" + std::to_string(c);
-            // Multi-configuration hint: the runner collapses the
-            // fused group's DiriNB cells into one shared-table
-            // engine (sim/sweep.hh).  Without fusion the cells stay
-            // standalone jobs, where the hint has nothing to pair
-            // with — the factory below is always the fallback.
-            if (opts.multiConfig) {
-                point.multiPointers = spec.limitedPointers;
-                point.multiUnits = units;
-            }
+            point.sim = opts.sim;
+            // One key per workload index (names can repeat).
+            point.fuseKey = "workload#" + std::to_string(c);
+            point.multiPointers = spec.limitedPointers;
+            point.multiUnits = units;
             point.engines = [&factory = spec.make, units] {
                 std::vector<
                     std::unique_ptr<coherence::CoherenceEngine>>
@@ -347,25 +155,22 @@ runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
                 engines.push_back(factory(units));
                 return engines;
             };
-            if (stream) {
+            if (traces[c].stored) {
                 // Each job builds its own windowed cursor over the
                 // shared store; concurrent cells replay the same file
                 // with one chunk resident per job.
-                point.spans = [st = stored[c]] {
+                point.spans = [st = traces[c].stored] {
                     return st->spanCursor();
                 };
-            } else if (opts.usePreparedTraces) {
-                point.prepared = prepared[c];
             } else {
-                point.source = [trace = &traces[c],
-                                drop = opts.dropLockTests] {
-                    return replaySource(*trace, drop);
-                };
+                point.prepared = traces[c].prepared;
             }
             runner.add(std::move(point));
         }
     }
     std::vector<sim::SweepPointResult> points = runner.run();
+    std::vector<std::vector<coherence::EngineResults>> results(
+        cfgs.size());
     for (std::size_t c = 0; c < cfgs.size(); ++c) {
         for (std::size_t f = 0; f < specs.size(); ++f) {
             results[c].push_back(std::move(

@@ -80,31 +80,6 @@ void setDefaultStreamReplay(bool stream);
 bool defaultStreamReplay();
 /** @} */
 
-/**
- * @name Process-wide default for EvalOptions::fusedReplay.
- *
- * Same pattern again: the A/B escape hatch (--no-fused on the
- * drivers) flips this once to make every defaulted evaluation replay
- * engines sequentially, pre-fusion style, for comparison runs.
- * @{
- */
-void setDefaultFusedReplay(bool fused);
-bool defaultFusedReplay();
-/** @} */
-
-/**
- * @name Process-wide default for EvalOptions::multiConfig.
- *
- * Same pattern again: the multi-configuration A/B hatch (--no-multi
- * on the drivers) flips this once to make every defaulted evaluation
- * run its DiriNB cells as independent LimitedEngines, pre-collapse
- * style, for comparison runs.
- * @{
- */
-void setDefaultMultiConfig(bool multi);
-bool defaultMultiConfig();
-/** @} */
-
 /** Options for evaluation runs. */
 struct EvalOptions
 {
@@ -114,27 +89,21 @@ struct EvalOptions
     /** Units for the engines; 0 = use each workload's process count. */
     unsigned nUnits = 0;
     /**
-     * Worker threads for the run.  1 (the default) streams every
-     * workload serially through one Simulator, exactly as the paper's
-     * single simulation pass does.  >1 fans the workload×engine
-     * matrix out over a sim::SweepRunner: each workload is
-     * materialised once into an immutable MemoryTrace, shared
-     * zero-copy across per-engine jobs.  0 means one thread per
-     * hardware thread.  Parallel runs are bit-identical to serial
-     * ones (the test suite enforces this).
+     * Jobs for the run.  Every evaluation replays each workload's
+     * prepared trace from the process-wide sim::TraceRepository once,
+     * fused through all of the run's engines (sim/fused_replay.hh),
+     * with its DiriNB cells collapsed into one
+     * coherence::MultiLimitedEngine unless a finite directory cache
+     * makes their state per-configuration.  1 (the default) runs that
+     * as one job on the calling thread; more fan the workloads out
+     * over a sim::SweepRunner; 0 means one thread per hardware
+     * thread.  Results are bit-identical at every job count (the
+     * test suite enforces this).
      *
      * Initialised from defaultEvalJobs() (1 unless a driver raised
      * it).
      */
     unsigned jobs = defaultEvalJobs();
-    /**
-     * Replay decode-once prepared traces from the process-wide
-     * sim::TraceRepository instead of re-generating and re-decoding
-     * each workload per run.  Results are bit-identical either way
-     * (the golden suite enforces it); the flag exists so benches can
-     * A/B the raw path.
-     */
-    bool usePreparedTraces = true;
     /**
      * Replay each workload as an out-of-core StoredTrace via the
      * repository's disk tier (sim::TraceRepository::getStored)
@@ -142,36 +111,10 @@ struct EvalOptions
      * replay is one chunk window, and warm cache files carry the
      * generate+decode work across processes.  Results are
      * bit-identical to the in-memory prepared path (golden suite).
-     * Only meaningful with usePreparedTraces; requires the global
-     * repository's disk cache to be configured.  Initialised from
-     * defaultStreamReplay().
+     * Requires the global repository's disk cache to be configured.
+     * Initialised from defaultStreamReplay().
      */
     bool streamReplay = defaultStreamReplay();
-    /**
-     * Fused multi-scheme replay (sim/fused_replay.hh): one strip-
-     * mined pass over each workload's prepared columns drives every
-     * engine of the run, and parallel runs group the scheme axis by
-     * workload so each SweepRunner job fuses all of a workload's
-     * engines.  Bit-identical to sequential replay (golden suite);
-     * the flag exists as the A/B escape hatch.  Initialised from
-     * defaultFusedReplay() (true unless a driver lowered it).
-     */
-    bool fusedReplay = defaultFusedReplay();
-    /**
-     * Collapse a run's DiriNB cells into one
-     * coherence::MultiLimitedEngine: one shared block table whose
-     * entries hold every pointer count's state side by side, so the
-     * Dir1NB…Dir8NB axis costs one lookup + k lane updates per
-     * reference instead of k lookups.  Applies wherever a run (serial)
-     * or a fused sweep group (parallel) carries at least two DiriNB
-     * cells; results are bit-identical to independent engines (golden
-     * + differential suites).  Automatically falls back to
-     * independent LimitedEngines when a finite directory cache is
-     * configured — eviction state is per-configuration, which would
-     * undo the sharing.  Initialised from defaultMultiConfig() (true
-     * unless a driver lowered it via --no-multi).
-     */
-    bool multiConfig = defaultMultiConfig();
     /**
      * Finite directory-entry cache applied to the directory-based
      * engines (inval and DiriNB; the snoopy engines have no directory

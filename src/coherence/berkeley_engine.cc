@@ -66,15 +66,6 @@ BerkeleyEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 }
 
 void
-BerkeleyEngine::accessBatch(const BlockAccess *accs, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        _blocks.cover(accs[i].block);
-        step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
-    }
-}
-
-void
 BerkeleyEngine::accessPrepared(const PreparedSlice &slice)
 {
     forEachPreparedRef(

@@ -28,7 +28,6 @@ class DragonEngine final : public CoherenceEngine
 
     Outcome access(unsigned unit, trace::RefType type,
                    mem::BlockId block) override;
-    void accessBatch(const BlockAccess *accs, std::size_t n) override;
     void accessPrepared(const PreparedSlice &slice) override;
     void recordInstrs(std::uint64_t n) override;
     const EngineResults &results() const override { return _results; }

@@ -24,17 +24,6 @@
 namespace dirsim::coherence
 {
 
-/** One decoded reference, ready for engine consumption. */
-struct BlockAccess
-{
-    unsigned unit;
-    trace::RefType type;
-    mem::BlockId block;
-};
-
-static_assert(std::is_trivially_copyable_v<BlockAccess>,
-              "BlockAccess must be memcpy-safe for batched replay");
-
 /**
  * A view over prepared-trace SoA columns (see trace/prepared.hh):
  * @p n data references as parallel arrays of 32-bit dense block id,
@@ -50,7 +39,12 @@ struct PreparedSlice
     std::size_t n;
 };
 
-/** Abstract trace-driven coherence state engine. */
+/**
+ * Abstract trace-driven coherence state engine.  Two entry points:
+ * access() prices one reference through its Outcome (the timed bus,
+ * the model checkers), accessPrepared() replays prepared slices in
+ * bulk (every static replay path).
+ */
 class CoherenceEngine
 {
   public:
@@ -74,46 +68,23 @@ class CoherenceEngine
                            mem::BlockId block) = 0;
 
     /**
-     * Process @p n decoded references in order.  Semantically exactly
-     * n access() calls; concrete engines override it with an internal
-     * loop so the per-reference virtual dispatch disappears (the
-     * engine classes are final, letting the compiler devirtualise and
-     * inline the body).
+     * Process a prepared SoA slice in order: the bulk-replay entry
+     * point every static replay path (sim::Simulator, FusedReplay)
+     * drives.  Semantically exactly slice.n access() calls with the
+     * unpacked columns; engines implement it with an internal loop
+     * (coherence/prepared_loop.hh), so the per-reference virtual
+     * dispatch disappears (the engine classes are final, letting the
+     * compiler devirtualise and inline the body).
      */
-    virtual void
-    accessBatch(const BlockAccess *accs, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            access(accs[i].unit, accs[i].type, accs[i].block);
-    }
-
-    /**
-     * Process a prepared SoA slice in order.  Semantically exactly
-     * slice.n access() calls with the unpacked columns; concrete
-     * engines override it with an internal loop, exactly like
-     * accessBatch(), so the whole scan devirtualises.
-     */
-    virtual void
-    accessPrepared(const PreparedSlice &slice)
-    {
-        for (std::size_t i = 0; i < slice.n; ++i)
-            access(slice.unit[i],
-                   trace::packedRefType(slice.typeFlags[i]),
-                   slice.block[i]);
-    }
+    virtual void accessPrepared(const PreparedSlice &slice) = 0;
 
     /**
      * Count @p n instruction fetches.  Equivalent to n access() calls
      * with RefType::Instr: no engine changes coherence state on an
-     * instruction fetch, so the driver may strip them from batches
-     * and report them in bulk.
+     * instruction fetch, so the replay loops strip them from the slices
+     * and reports them in bulk.
      */
-    virtual void
-    recordInstrs(std::uint64_t n)
-    {
-        for (std::uint64_t i = 0; i < n; ++i)
-            access(0, trace::RefType::Instr, 0);
-    }
+    virtual void recordInstrs(std::uint64_t n) = 0;
 
     /** Accumulated statistics. */
     virtual const EngineResults &results() const = 0;

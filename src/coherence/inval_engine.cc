@@ -211,15 +211,6 @@ InvalEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 }
 
 void
-InvalEngine::accessBatch(const BlockAccess *accs, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        _blocks.cover(accs[i].block);
-        step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
-    }
-}
-
-void
 InvalEngine::accessPrepared(const PreparedSlice &slice)
 {
     forEachPreparedRef(

@@ -69,15 +69,6 @@ LimitedEngine::step(unsigned unit, trace::RefType type,
 }
 
 void
-LimitedEngine::accessBatch(const BlockAccess *accs, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        _blocks.cover(accs[i].block);
-        step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
-    }
-}
-
-void
 LimitedEngine::accessPrepared(const PreparedSlice &slice)
 {
     forEachPreparedRef(

@@ -144,15 +144,6 @@ MultiLimitedEngine::step(unsigned unit, trace::RefType type,
 }
 
 void
-MultiLimitedEngine::accessBatch(const BlockAccess *accs, std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        cover(accs[i].block);
-        step<NoOutcome>(accs[i].unit, accs[i].type, accs[i].block);
-    }
-}
-
-void
 MultiLimitedEngine::accessPrepared(const PreparedSlice &slice)
 {
     forEachPreparedRef(

@@ -61,7 +61,6 @@ class MultiLimitedEngine final : public CoherenceEngine
     /** Returns lane 0's outcome, as results() reports lane 0. */
     Outcome access(unsigned unit, trace::RefType type,
                    mem::BlockId block) override;
-    void accessBatch(const BlockAccess *accs, std::size_t n) override;
     void accessPrepared(const PreparedSlice &slice) override;
     void recordInstrs(std::uint64_t n) override;
     /** Lane 0's results — harvest per lane via laneResults(). */

@@ -17,10 +17,10 @@
  * engines build it with register operations and return it in one
  * register; a struct of byte fields would be assembled on the stack
  * with byte stores and reloaded whole, a store-forwarding stall on
- * every reference.  The static replay loops (accessBatch,
- * accessPrepared) discard the outcome, so engines instantiate their
- * handlers for them with NoOutcome, whose setters do nothing: that
- * path compiles to the counting alone.
+ * every reference.  The bulk replay loop (accessPrepared) discards
+ * the outcome, so engines instantiate their handlers for it with
+ * NoOutcome, whose setters do nothing: that path compiles to the
+ * counting alone.
  */
 
 #ifndef DIRSIM_COHERENCE_OUTCOME_HH

@@ -24,19 +24,6 @@ constexpr std::uint64_t maxBlockIndex = 0xffffffffULL;
 /** Dense indices the 8-bit unit column can hold. */
 constexpr unsigned maxDenseUnits = 256;
 
-/** First-seen dense numbering (same discipline as sim::UnitMapper and
- *  PreparedTraceBuilder's planning scan). */
-unsigned
-mapDense(std::vector<std::int32_t> &table, unsigned key, unsigned &seen)
-{
-    if (key >= table.size())
-        table.resize(key + 1, -1);
-    std::int32_t &slot = table[key];
-    if (slot < 0)
-        slot = static_cast<std::int32_t>(seen++);
-    return static_cast<unsigned>(slot);
-}
-
 /**
  * One generation chunk, nearly in final column form: the generator's
  * order-dependent work is done (the filter, the dense unit numbers,
@@ -194,8 +181,9 @@ streamChunks(WorkloadSource &source, const trace::PrepareOptions &opts,
                 if (opts.dropLockTests && rec.isLockTest())
                     continue;
                 const unsigned unit =
-                    mapDense(unitOf, sim::unitKey(rec, opts.domain),
-                             totals.nUnits);
+                    sim::mapDense(unitOf,
+                                  sim::unitKey(rec, opts.domain),
+                                  totals.nUnits);
                 if (!cpuSeen[rec.cpu]) {
                     cpuSeen[rec.cpu] = true;
                     ++totals.nCpus;

@@ -63,7 +63,7 @@ struct DirectGenConfig
     std::uint64_t chunkRefs = 64 * 1024;
     /**
      * Overlap column packing with generation on one pool worker.
-     * Off = pack inline on the generator thread (A/B hatch and the
+     * Off = pack inline on the generator thread (the
      * deterministic-by-inspection reference the tests compare
      * against; columns are bit-identical either way).
      */

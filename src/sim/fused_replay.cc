@@ -59,21 +59,14 @@ FusedReplay::run(
     while (spans.nextSpan(span)) {
         if (span.n == 0)
             continue;
-        if (_opts.stripRefs == 0) {
-            // Escape hatch: whole-span dispatch, the pre-fusion shape.
+        for (std::size_t base = 0; base < span.n;
+             base += kDefaultReplayStripRefs) {
+            const std::size_t n =
+                std::min(kDefaultReplayStripRefs, span.n - base);
             const coherence::PreparedSlice slice{
-                span.block, span.unit, span.typeFlags, span.n};
+                span.block + base, span.unit + base,
+                span.typeFlags + base, n};
             dispatchStrip(slice, engines, timing);
-        } else {
-            for (std::size_t base = 0; base < span.n;
-                 base += _opts.stripRefs) {
-                const std::size_t n =
-                    std::min(_opts.stripRefs, span.n - base);
-                const coherence::PreparedSlice slice{
-                    span.block + base, span.unit + base,
-                    span.typeFlags + base, n};
-                dispatchStrip(slice, engines, timing);
-            }
         }
         data += span.n;
     }

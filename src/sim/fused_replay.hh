@@ -39,7 +39,7 @@ namespace dirsim::sim
 {
 
 /**
- * Default references per strip (SimConfig::replayStripRefs).
+ * References per strip.
  *
  * 64K references is ~384 KiB of column data — LLC-resident, well
  * clear of L2.  Measured on the standard campaign, smaller
@@ -55,14 +55,6 @@ constexpr std::size_t kDefaultReplayStripRefs = 65536;
 /** FusedReplay knobs. */
 struct FusedReplayOptions
 {
-    /**
-     * References per strip; every strip visits all engines before
-     * the walk advances.  0 disables strip-mining: each span goes to
-     * each engine whole (the pre-fusion replay shape, kept as the
-     * A/B escape hatch).
-     */
-    std::size_t stripRefs = kDefaultReplayStripRefs;
-
     /**
      * Accumulate per-engine wall-clock seconds across the run (the
      * bench's per-scheme attribution).  Costs two clock reads per
@@ -102,8 +94,8 @@ class FusedReplay
      * engine of @p engines: each engine is sized from the stream's
      * numBlocks() and bound to its blockNames() for the replay, bulk
      * instruction counts go up front (order-independent — they change
-     * no coherence state), then the span walk, strip-mined per
-     * FusedReplayOptions::stripRefs.
+     * no coherence state), then the span walk, strip-mined at
+     * kDefaultReplayStripRefs.
      *
      * @throws std::runtime_error if the source yields a different
      *         number of data references than its summary declares.

@@ -34,20 +34,20 @@ Simulator::run(trace::RefSource &source)
 {
     // The capacity shared by every engine; a unit index at or beyond
     // it can reach no engine, so it is checked while mapping units —
-    // before the batch is dispatched anywhere.
-    unsigned capacity = std::numeric_limits<unsigned>::max();
-    const coherence::CoherenceEngine *smallest = nullptr;
-    for (const auto &engine : _engines) {
-        if (engine->numUnits() < capacity) {
-            capacity = engine->numUnits();
-            smallest = engine.get();
-        }
-    }
+    // before the batch is dispatched anywhere.  Engines hold at most
+    // 64 units, so every unit that passes fits the 8-bit column.
+    const coherence::CoherenceEngine *smallest = smallestEngine();
+    const unsigned capacity = smallest != nullptr
+                                  ? smallest->numUnits()
+                                  : std::numeric_limits<unsigned>::max();
 
     std::uint64_t processed = 0;
     const mem::BlockMapper toBlock(_cfg.blockBytes);
     std::vector<trace::TraceRecord> records(batchRecords);
-    std::vector<coherence::BlockAccess> batch(batchRecords);
+    // The batch's data references in the prepared column layout.
+    util::AlignedVector<std::uint32_t> block(batchRecords);
+    util::AlignedVector<std::uint8_t> unit(batchRecords);
+    util::AlignedVector<std::uint8_t> typeFlags(batchRecords);
     const std::vector<coherence::CoherenceEngine *> engines =
         enginePointers();
     // A failed run leaves no partially-accumulated state behind.
@@ -71,8 +71,8 @@ Simulator::run(trace::RefSource &source)
         std::size_t nData = 0;
         for (std::size_t i = 0; i < n; ++i) {
             const trace::TraceRecord &rec = records[i];
-            const unsigned unit = _unitMap.map(rec);
-            if (unit >= capacity)
+            const unsigned u = _unitMap.map(rec);
+            if (u >= capacity)
                 fail("trace uses more sharing units than engine '" +
                      smallest->results().name + "' supports");
             if (rec.type == trace::RefType::Instr)
@@ -82,18 +82,22 @@ Simulator::run(trace::RefSource &source)
                 fail("address " + std::to_string(rec.addr) +
                      " exceeds the 32-bit block index at block size " +
                      std::to_string(_cfg.blockBytes));
-            batch[nData++] = {unit, rec.type,
-                              _blocks.number(std::uint32_t(raw))};
+            block[nData] = _blocks.number(std::uint32_t(raw));
+            unit[nData] = static_cast<std::uint8_t>(u);
+            typeFlags[nData] = trace::packTypeFlags(rec.type, rec.flags);
+            ++nData;
         }
         const std::uint64_t nInstr = n - nData;
         // The names table grows (and may move) as blocks are
         // numbered, so the engines are bound afresh for every batch.
         const coherence::BlockNamesBinding names(engines,
                                                  _blocks.names());
+        const coherence::PreparedSlice slice{
+            block.data(), unit.data(), typeFlags.data(), nData};
         for (coherence::CoherenceEngine *engine : engines) {
             if (nInstr != 0)
                 engine->recordInstrs(nInstr);
-            engine->accessBatch(batch.data(), nData);
+            engine->accessPrepared(slice);
         }
         processed += n;
     }
@@ -103,37 +107,8 @@ Simulator::run(trace::RefSource &source)
 std::uint64_t
 Simulator::run(const trace::PreparedTrace &prepared)
 {
-    const trace::PrepareOptions &opts = prepared.options();
-    if (opts.blockBytes != _cfg.blockBytes ||
-        opts.domain != _cfg.domain)
-        throw std::invalid_argument(
-            "Simulator: prepared trace '" + prepared.name() +
-            "' was decoded for a different block size or sharing "
-            "domain than this simulator");
-
-    // Unlike the streaming path, the unit count is known up front, so
-    // the capacity check happens before any engine sees anything — a
-    // failed run mutates nothing.
-    unsigned capacity = std::numeric_limits<unsigned>::max();
-    const coherence::CoherenceEngine *smallest = nullptr;
-    for (const auto &engine : _engines) {
-        if (engine->numUnits() < capacity) {
-            capacity = engine->numUnits();
-            smallest = engine.get();
-        }
-    }
-    if (prepared.numUnits() > capacity)
-        throw std::runtime_error(
-            "Simulator: trace uses more sharing units than engine '" +
-            smallest->results().name + "' supports");
-
-    if (prepared.numUnits() > _preparedUnits)
-        _preparedUnits = prepared.numUnits();
-
     trace::PreparedTraceSpans spans(prepared);
-    FusedReplay replay(
-        FusedReplayOptions{.stripRefs = _cfg.replayStripRefs});
-    return replay.run(spans, enginePointers()).totalRefs();
+    return run(spans);
 }
 
 std::uint64_t
@@ -147,15 +122,11 @@ Simulator::run(trace::PreparedSpanSource &spans)
             "' was decoded for a different block size or sharing "
             "domain than this simulator");
 
-    unsigned capacity = std::numeric_limits<unsigned>::max();
-    const coherence::CoherenceEngine *smallest = nullptr;
-    for (const auto &engine : _engines) {
-        if (engine->numUnits() < capacity) {
-            capacity = engine->numUnits();
-            smallest = engine.get();
-        }
-    }
-    if (spans.numUnits() > capacity)
+    // Unlike the streaming path, the unit count is known up front, so
+    // the capacity check happens before any engine sees anything — a
+    // failed run mutates nothing.
+    const coherence::CoherenceEngine *smallest = smallestEngine();
+    if (smallest != nullptr && spans.numUnits() > smallest->numUnits())
         throw std::runtime_error(
             "Simulator: trace uses more sharing units than engine '" +
             smallest->results().name + "' supports");
@@ -163,9 +134,7 @@ Simulator::run(trace::PreparedSpanSource &spans)
     if (spans.numUnits() > _preparedUnits)
         _preparedUnits = spans.numUnits();
 
-    FusedReplay replay(
-        FusedReplayOptions{.stripRefs = _cfg.replayStripRefs});
-    return replay.run(spans, enginePointers()).totalRefs();
+    return FusedReplay().run(spans, enginePointers()).totalRefs();
 }
 
 std::vector<coherence::CoherenceEngine *>
@@ -176,6 +145,17 @@ Simulator::enginePointers() const
     for (const auto &engine : _engines)
         engines.push_back(engine.get());
     return engines;
+}
+
+const coherence::CoherenceEngine *
+Simulator::smallestEngine() const
+{
+    const coherence::CoherenceEngine *smallest = nullptr;
+    for (const auto &engine : _engines)
+        if (smallest == nullptr ||
+            engine->numUnits() < smallest->numUnits())
+            smallest = engine.get();
+    return smallest;
 }
 
 } // namespace dirsim::sim

@@ -45,17 +45,6 @@ struct SimConfig
      * a benchmark change.
      */
     std::uint64_t expectedBlocks = 0;
-    /**
-     * References per fused-replay strip for the prepared paths (see
-     * sim/fused_replay.hh): every strip visits all engines before the
-     * column walk advances, so the columns are read from memory once
-     * per run instead of once per engine.  0 restores the pre-fusion
-     * shape (each engine scans the whole stream in turn) — the A/B
-     * escape hatch.  Either way the replay is bit-identical: strip
-     * boundaries are invisible to the coherence model, exactly like
-     * span boundaries.
-     */
-    std::size_t replayStripRefs = kDefaultReplayStripRefs;
 
     bool operator==(const SimConfig &) const = default;
 };
@@ -77,8 +66,10 @@ class Simulator
     /**
      * Stream @p source to exhaustion through every engine.
      *
-     * Records are fetched in batches and each engine consumes the
-     * whole batch in its own inner loop, so the per-record virtual
+     * Records are fetched in batches and lowered to the prepared SoA
+     * columns (dense block id, dense unit, packed type+flags byte),
+     * which each engine consumes through accessPrepared() — the same
+     * entry point prepared replay drives — so the per-record virtual
      * dispatch of RefSource::next() is amortised and engine state
      * stays hot in cache.  Blocks are numbered on the fly with the
      * prepared builders' first-touch numbering (kept across calls,
@@ -99,13 +90,14 @@ class Simulator
 
     /**
      * Replay an already-decoded trace through every engine: one bulk
-     * instruction count plus one dense SoA scan per engine, with no
-     * per-record decode at all.  Bit-identical to streaming the raw
-     * trace through run(RefSource&) — the prepared decode froze the
-     * same unit numbering and block numbering this driver would
-     * compute.  Block ids are dense per trace, so engine state carries
-     * over only between replays of the same trace; reset() the
-     * engines before replaying a different one.
+     * instruction count plus one fused strip walk over the SoA
+     * columns (sim/fused_replay.hh), with no per-record decode at
+     * all.  Bit-identical to streaming the raw trace through
+     * run(RefSource&) — the prepared decode froze the same unit
+     * numbering and block numbering this simulator would compute.  Block
+     * ids are dense per trace, so engine state carries over only
+     * between replays of the same trace; reset() the engines before
+     * replaying a different one.
      *
      * @return Number of references processed (instr + data).
      * @throws std::invalid_argument if @p prepared was decoded for a
@@ -156,11 +148,14 @@ class Simulator
   private:
     /** Non-owning engine list in registration order (FusedReplay). */
     std::vector<coherence::CoherenceEngine *> enginePointers() const;
+    /** The engine with the fewest units (null without engines): its
+     *  unit count bounds the units a trace may use. */
+    const coherence::CoherenceEngine *smallestEngine() const;
 
     SimConfig _cfg;
     std::vector<std::unique_ptr<coherence::CoherenceEngine>> _engines;
     UnitMapper _unitMap;
-    /** The raw path's first-touch block numbering. */
+    /** The RefSource path's first-touch block numbering. */
     trace::BlockNumbering _blocks;
     /** Units covered by prepared replays (they bypass _unitMap). */
     unsigned _preparedUnits = 0;

@@ -1,12 +1,9 @@
 #include "sim/sweep.hh"
 
 #include <cstddef>
-#include <exception>
-#include <mutex>
 #include <stdexcept>
 
 #include "coherence/multi_limited_engine.hh"
-#include "sim/thread_pool.hh"
 
 namespace dirsim::sim
 {
@@ -56,7 +53,7 @@ planCollapse(const std::vector<SweepPoint> &points, std::size_t begin,
 } // namespace
 
 SweepRunner::SweepRunner(unsigned jobs)
-    : _jobs(ThreadPool::resolveThreads(jobs))
+    : _jobs(util::ThreadPool::resolveThreads(jobs))
 {
 }
 
@@ -113,9 +110,8 @@ SweepRunner::run()
     // deterministic submission-ordered collection, so a parallel
     // sweep is bit-identical to a serial one.  A group's Simulator
     // owns every member's engines and replays the lead point's
-    // stream once for all of them (fused per SimConfig's strip
-    // size); ungrouped points are just groups of one, which makes
-    // this exactly the old per-point behaviour.
+    // stream once for all of them, in one fused strip walk;
+    // ungrouped points are just groups of one.
     const std::vector<std::size_t> sizes = plannedGroupSizes();
     std::vector<std::function<std::vector<SweepPointResult>()>> tasks;
     tasks.reserve(sizes.size());

@@ -7,10 +7,9 @@
  * (Section 4.1), so a full reproduction — four protocols × three
  * workloads × the sensitivity sweeps — fans out across threads with
  * no coupling at all.  A SweepPoint describes one such run: a factory
- * for the engines it owns and a factory for its reference source.
- * The source factory either replays a shared immutable MemoryTrace
- * (read-only, so zero-copy across threads) or regenerates a
- * deterministic WorkloadSource from its seed.
+ * for the engines it owns and its reference stream — a shared
+ * immutable PreparedTrace (read-only, so zero-copy across threads), a
+ * span-cursor factory over a stored trace, or a RefSource factory.
  *
  * Results are collected under a mutex and returned in submission
  * order, so a parallel sweep is bit-identical to running the same
@@ -20,6 +19,7 @@
 #ifndef DIRSIM_SIM_SWEEP_HH
 #define DIRSIM_SIM_SWEEP_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -30,25 +30,29 @@
 
 #include "coherence/engine.hh"
 #include "sim/simulator.hh"
-#include "sim/thread_pool.hh"
 #include "trace/ref_source.hh"
+#include "util/thread_pool.hh"
 
 namespace dirsim::sim
 {
 
 /**
- * Run independent tasks on a ThreadPool and return their results in
- * submission order.
+ * Run independent tasks on a util::ThreadPool and return their
+ * results in submission order.
  *
- * This is the deterministic-collection core shared by SweepRunner and
- * timing::runTimedSweep: result slots are pre-sized so completion
- * order cannot reorder output, every write lands under one mutex, and
- * if tasks throw, the earliest-submitted failure is rethrown after
- * all tasks have completed.  @p Result must be default-constructible
- * and movable.
+ * This is the deterministic-collection core shared by SweepRunner,
+ * the analysis layer's trace fetch and timing::runTimedSweep: result
+ * slots are pre-sized so completion order cannot reorder output,
+ * every write lands under one mutex, and if tasks throw, the
+ * earliest-submitted failure is rethrown after all tasks have
+ * completed.  With one job (or at most one task) the tasks run in
+ * order on the calling thread, with the same collection and rethrow:
+ * no worker thread, so a serial run allocates from the caller's
+ * malloc arena like any other serial code.  @p Result must be
+ * default-constructible and movable.
  *
- * @param jobs Worker threads as given to ThreadPool (0 = one per
- *             hardware thread).
+ * @param jobs Worker threads as given to util::ThreadPool (0 = one
+ *             per hardware thread); never more than one per task.
  */
 template <typename Result>
 std::vector<Result>
@@ -58,23 +62,29 @@ runOrdered(unsigned jobs,
     std::vector<Result> results(tasks.size());
     std::vector<std::exception_ptr> errors(tasks.size());
     std::mutex collect;
-
-    {
-        ThreadPool pool(jobs);
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            pool.submit([&results, &errors, &collect, &tasks, i] {
-                Result res{};
-                std::exception_ptr error;
-                try {
-                    res = tasks[i]();
-                } catch (...) {
-                    error = std::current_exception();
-                }
-                std::lock_guard<std::mutex> lock(collect);
-                results[i] = std::move(res);
-                errors[i] = error;
-            });
+    const auto runTask = [&results, &errors, &collect, &tasks](
+                             std::size_t i) {
+        Result res{};
+        std::exception_ptr error;
+        try {
+            res = tasks[i]();
+        } catch (...) {
+            error = std::current_exception();
         }
+        std::lock_guard<std::mutex> lock(collect);
+        results[i] = std::move(res);
+        errors[i] = error;
+    };
+
+    const std::size_t threads = std::min<std::size_t>(
+        util::ThreadPool::resolveThreads(jobs), tasks.size());
+    if (threads <= 1) {
+        for (std::size_t i = 0; i < tasks.size(); ++i)
+            runTask(i);
+    } else {
+        util::ThreadPool pool(static_cast<unsigned>(threads));
+        for (std::size_t i = 0; i < tasks.size(); ++i)
+            pool.submit([&runTask, i] { runTask(i); });
         pool.wait();
     }
 

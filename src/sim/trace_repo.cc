@@ -11,8 +11,9 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/thread_pool.hh"
+#include "gen/direct_prepare.hh"
 #include "util/hash.hh"
+#include "util/thread_pool.hh"
 
 namespace dirsim::sim
 {
@@ -155,7 +156,7 @@ RepoStats::summary() const
 }
 
 TraceRepository::TraceRepository(unsigned jobs, std::size_t maxBytes)
-    : _jobs(ThreadPool::resolveThreads(jobs)), _maxBytes(maxBytes)
+    : _jobs(util::ThreadPool::resolveThreads(jobs)), _maxBytes(maxBytes)
 {
 }
 
@@ -173,27 +174,6 @@ TraceRepository::diskCacheEnabled() const
 {
     std::lock_guard<std::mutex> lock(_mutex);
     return !_disk.dir.empty();
-}
-
-void
-TraceRepository::setDirectGen(bool enabled)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _directGen = enabled;
-}
-
-bool
-TraceRepository::directGenEnabled() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _directGen;
-}
-
-void
-TraceRepository::setDirectGenChunkRefs(std::uint64_t chunkRefs)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    _directCfg.chunkRefs = chunkRefs > 0 ? chunkRefs : 1;
 }
 
 RepoStats
@@ -352,24 +332,19 @@ TraceRepository::Ptr
 TraceRepository::build(const gen::WorkloadConfig &cfg,
                        const trace::PrepareOptions &opts) const
 {
-    bool direct;
-    gen::DirectGenConfig dg;
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        direct = _directGen;
-        dg = _directCfg;
-    }
-    if (direct && !opts.timedStreams) {
+    if (!opts.timedStreams) {
         // Single-pass cold path: generate straight into the prepared
         // columns, with per-chunk packing overlapped on a pool
-        // worker.  Bit-identical to the legacy path below — the
+        // worker.  Bit-identical to the two-phase path below — the
         // differential suite and the golden digests enforce it.
         return std::make_shared<const trace::PreparedTrace>(
-            gen::generatePrepared(cfg, opts, dg));
+            gen::generatePrepared(cfg, opts));
     }
 
-    // Generation is serial by design: the reference interleaving is a
-    // pure function of one RNG stream and the shared lock state.
+    // Timed builds need per-CPU streams, which only
+    // PreparedTraceBuilder writes.  Generation is serial by design:
+    // the reference interleaving is a pure function of one RNG stream
+    // and the shared lock state.
     const trace::MemoryTrace raw = gen::generateTrace(cfg);
 
     // The decode parallelises: the builder's planning scan froze all
@@ -378,7 +353,7 @@ TraceRepository::build(const gen::WorkloadConfig &cfg,
     trace::PreparedTraceBuilder builder(raw, opts);
     const std::size_t chunks = builder.numChunks();
     if (_jobs > 1 && chunks > 1) {
-        ThreadPool pool(_jobs);
+        util::ThreadPool pool(_jobs);
         for (std::size_t c = 0; c < chunks; ++c)
             pool.submit([&builder, c] { builder.decodeChunk(c); });
         pool.wait();
@@ -514,23 +489,10 @@ TraceRepository::getStored(const gen::WorkloadConfig &cfg,
                     store.chunkRefs = _disk.chunkRefs;
                 }
                 store.configFingerprint = hashKey(key, kPrintSeed);
-                bool direct;
-                gen::DirectGenConfig dg;
-                {
-                    std::lock_guard<std::mutex> lock(_mutex);
-                    direct = _directGen;
-                    dg = _directCfg;
-                }
-                if (direct) {
-                    // spillPrepared handles the timedStreams
-                    // fallback internally; the file is byte-
-                    // identical to spillFromSource either way.
-                    gen::spillPrepared(cfg, opts, tmp, store, dg);
-                } else {
-                    gen::WorkloadSource source(cfg);
-                    trace::spillFromSource(source, cfg.name, opts,
-                                           tmp, store);
-                }
+                // spillPrepared handles the timedStreams fallback
+                // internally; the file is byte-identical to
+                // spillFromSource either way.
+                gen::spillPrepared(cfg, opts, tmp, store);
                 if (::rename(tmp.c_str(), path.c_str()) != 0) {
                     ::unlink(tmp.c_str());
                     throw std::runtime_error(

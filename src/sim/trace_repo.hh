@@ -47,7 +47,6 @@
 #include <mutex>
 #include <string>
 
-#include "gen/direct_prepare.hh"
 #include "gen/workload.hh"
 #include "trace/prepared.hh"
 #include "trace/store.hh"
@@ -129,21 +128,6 @@ class TraceRepository
      */
     void setDiskCache(const DiskCacheConfig &cfg);
 
-    /**
-     * Route cold builds through the single-pass direct generate→
-     * prepare pipeline (gen/direct_prepare.hh) instead of the legacy
-     * generateTrace + two-phase decode.  On by default; the columns
-     * are bit-identical either way (--no-direct-gen is the A/B
-     * hatch).  timedStreams builds always use the two-phase path.
-     */
-    void setDirectGen(bool enabled);
-
-    /** Direct generate→prepare pipeline currently enabled. */
-    bool directGenEnabled() const;
-
-    /** Pack-chunk size for the direct pipeline (0 = clamp to 1). */
-    void setDirectGenChunkRefs(std::uint64_t chunkRefs);
-
     /** Disk tier currently configured. */
     bool diskCacheEnabled() const;
 
@@ -214,8 +198,6 @@ class TraceRepository
 
     unsigned _jobs;
     std::size_t _maxBytes;
-    bool _directGen = true;
-    gen::DirectGenConfig _directCfg;
     mutable std::mutex _mutex;
     std::map<std::string, Entry> _entries;
     std::map<std::string, StoredEntry> _stored;

@@ -38,6 +38,24 @@ unitKey(const trace::TraceRecord &rec, SharingDomain domain)
 }
 
 /**
+ * First-seen dense numbering of small integer keys: the index held
+ * for @p key in @p table (-1 marks an unseen key), assigning @p seen
+ * (then incrementing it) on first sight.  The one numbering
+ * discipline behind UnitMapper and every prepared producer's unit
+ * and CPU columns, so they agree by construction.
+ */
+inline unsigned
+mapDense(std::vector<std::int32_t> &table, unsigned key, unsigned &seen)
+{
+    if (key >= table.size())
+        table.resize(key + 1, -1);
+    std::int32_t &slot = table[key];
+    if (slot < 0)
+        slot = static_cast<std::int32_t>(seen++);
+    return static_cast<unsigned>(slot);
+}
+
+/**
  * First-seen-order dense numbering of sharing units.
  *
  * Keys are TraceRecord pids (16 bits) or CPU ids (8 bits), so the
@@ -56,13 +74,7 @@ class UnitMapper
     unsigned
     map(const trace::TraceRecord &rec)
     {
-        const unsigned key = unitKey(rec, _domain);
-        if (key >= _units.size())
-            _units.resize(key + 1, -1);
-        std::int32_t &unit = _units[key];
-        if (unit < 0)
-            unit = static_cast<std::int32_t>(_seen++);
-        return static_cast<unsigned>(unit);
+        return mapDense(_units, unitKey(rec, _domain), _seen);
     }
 
     /** Distinct units seen so far. */

@@ -31,8 +31,7 @@ runTimedSweep(const std::vector<TimedSweepPoint> &points, unsigned jobs)
             return run;
         });
     }
-    return sim::runOrdered<TimedRun>(
-        sim::ThreadPool::resolveThreads(jobs), tasks);
+    return sim::runOrdered<TimedRun>(jobs, tasks);
 }
 
 } // namespace dirsim::timing

@@ -12,9 +12,9 @@
  *
  * Every producer — PreparedTraceBuilder's planning scan, the direct
  * generate→prepare pipeline's pack worker, spillFromSource, and the
- * raw Simulator/TimedBusSim entry points — numbers through this one
- * class over the same filtered stream order, so their columns and
- * names are identical by construction.
+ * streaming RefSource entry points of Simulator and TimedBusSim —
+ * numbers through this one class over the same filtered stream
+ * order, so their columns and names are identical by construction.
  */
 
 #ifndef DIRSIM_TRACE_BLOCK_NUMBERING_HH

@@ -22,24 +22,6 @@ constexpr std::uint64_t maxBlockIndex = 0xffffffffULL;
 /** Dense indices the 8-bit unit column can hold. */
 constexpr unsigned maxDenseUnits = 256;
 
-/**
- * First-seen dense numbering over a direct-index table — the same
- * discipline as sim::UnitMapper::map(), reimplemented here so the
- * planning scan can freeze the finished table for the (possibly
- * concurrent) decode workers to read.
- */
-unsigned
-mapDense(std::vector<std::int32_t> &table, unsigned key,
-         unsigned &seen)
-{
-    if (key >= table.size())
-        table.resize(key + 1, -1);
-    std::int32_t &slot = table[key];
-    if (slot < 0)
-        slot = static_cast<std::int32_t>(seen++);
-    return static_cast<unsigned>(slot);
-}
-
 } // namespace
 
 PreparedTraceBuilder::PreparedTraceBuilder(const MemoryTrace &trace,
@@ -80,9 +62,10 @@ PreparedTraceBuilder::PreparedTraceBuilder(const MemoryTrace &trace,
             const TraceRecord &rec = records[i];
             if (opts.dropLockTests && rec.isLockTest())
                 continue;
-            mapDense(_unitOf, sim::unitKey(rec, opts.domain),
-                     unitsSeen);
-            const unsigned cpu = mapDense(_cpuOf, rec.cpu, cpusSeen);
+            sim::mapDense(_unitOf, sim::unitKey(rec, opts.domain),
+                          unitsSeen);
+            const unsigned cpu =
+                sim::mapDense(_cpuOf, rec.cpu, cpusSeen);
             if (rec.addr > maxAddr)
                 maxAddr = rec.addr;
             if (rec.isInstr()) {

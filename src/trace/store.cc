@@ -868,19 +868,6 @@ fileSizeOf(const std::string &path)
                                           : 0;
 }
 
-/** First-seen dense numbering (same discipline as sim::UnitMapper and
- *  PreparedTraceBuilder's planning scan). */
-unsigned
-mapDense(std::vector<std::int32_t> &table, unsigned key, unsigned &seen)
-{
-    if (key >= table.size())
-        table.resize(key + 1, -1);
-    std::int32_t &slot = table[key];
-    if (slot < 0)
-        slot = static_cast<std::int32_t>(seen++);
-    return static_cast<unsigned>(slot);
-}
-
 } // namespace
 
 StoredTraceInfo
@@ -905,9 +892,9 @@ spillFromSource(RefSource &source, const std::string &name,
     while (source.next(rec)) {
         if (opts.dropLockTests && rec.isLockTest())
             continue;
-        const unsigned unit =
-            mapDense(unitOf, sim::unitKey(rec, opts.domain), unitsSeen);
-        const unsigned cpu = mapDense(cpuOf, rec.cpu, cpusSeen);
+        const unsigned unit = sim::mapDense(
+            unitOf, sim::unitKey(rec, opts.domain), unitsSeen);
+        const unsigned cpu = sim::mapDense(cpuOf, rec.cpu, cpusSeen);
         if (unitsSeen > 256 || cpusSeen > 256)
             throw std::invalid_argument(
                 "spillFromSource: trace '" + name +

@@ -169,44 +169,4 @@ TEST(ParseDoubleDeathTest, RangeEnforced)
                 ::testing::ExitedWithCode(2), "--floor must be in");
 }
 
-/*
- * --gen-chunk-refs (reproduce_paper and bench_hotpath) parses through
- * the same strict helper and range as --stream-chunk-refs: boundaries
- * round-trip, everything outside exits 2 with the flag named.
- */
-TEST(DirectGenKnobs, GenChunkRefsBoundariesRoundTrip)
-{
-    EXPECT_EQ(cli::parseUnsignedInRange("1", "--gen-chunk-refs", 1,
-                                        1u << 31),
-              1u);
-    EXPECT_EQ(cli::parseUnsignedInRange("65536", "--gen-chunk-refs", 1,
-                                        1u << 31),
-              65536u);
-    EXPECT_EQ(cli::parseUnsignedInRange("2147483648",
-                                        "--gen-chunk-refs", 1,
-                                        1u << 31),
-              2147483648u);
-}
-
-TEST(DirectGenKnobsDeathTest, GenChunkRefsRejectsBadInput)
-{
-    EXPECT_EXIT(cli::parseUnsignedInRange("0", "--gen-chunk-refs", 1,
-                                          1u << 31),
-                ::testing::ExitedWithCode(2),
-                "--gen-chunk-refs must be in");
-    EXPECT_EXIT(cli::parseUnsignedInRange("2147483649",
-                                          "--gen-chunk-refs", 1,
-                                          1u << 31),
-                ::testing::ExitedWithCode(2),
-                "--gen-chunk-refs must be in");
-    EXPECT_EXIT(cli::parseUnsignedInRange("-1", "--gen-chunk-refs", 1,
-                                          1u << 31),
-                ::testing::ExitedWithCode(2),
-                "invalid --gen-chunk-refs");
-    EXPECT_EXIT(cli::parseUnsignedInRange("64K", "--gen-chunk-refs", 1,
-                                          1u << 31),
-                ::testing::ExitedWithCode(2),
-                "invalid --gen-chunk-refs");
-}
-
 } // namespace

@@ -253,27 +253,12 @@ TEST(DirectGen, EveryProducerNumbersBlocksIdentically)
     }
 }
 
+/** The repository's cold builds go through the direct pipeline and
+ *  land on the legacy columns. */
 TEST(DirectGen, RepositoryRoutesThroughDirectByDefault)
 {
     sim::TraceRepository repo(1);
-    EXPECT_TRUE(repo.directGenEnabled());
-
     const auto cfg = smallWorkloads(20000)[0];
-    const auto viaDirect = repo.get(cfg);
-
-    sim::TraceRepository legacyRepo(1);
-    legacyRepo.setDirectGen(false);
-    EXPECT_FALSE(legacyRepo.directGenEnabled());
-    const auto viaLegacy = legacyRepo.get(cfg);
-
-    expectSameColumns(*viaDirect, *viaLegacy);
-}
-
-TEST(DirectGen, RepositoryChunkOverrideStaysIdentical)
-{
-    sim::TraceRepository repo(1);
-    repo.setDirectGenChunkRefs(777);
-    const auto cfg = smallWorkloads(20000)[1];
     expectSameColumns(*repo.get(cfg), legacyPrepared(cfg, {}));
 }
 

@@ -6,8 +6,8 @@
  * prepared columns.  The claim that strip interleaving is invisible
  * to the coherence models is load-bearing for the whole sweep path,
  * so this suite pins it from every angle against the seed golden
- * digests (golden_data.hh): sequential whole-span replay (the
- * --no-fused hatch), adversarial strip sizes, fused groups through a
+ * digests (golden_data.hh): each scheme replayed alone, adversarial
+ * span sizes (which bound the strips), fused groups through a
  * parallel SweepRunner, and fused groups over streamed store spans.
  */
 
@@ -41,31 +41,10 @@ using golden::kGolden;
 using golden::kNumSchemes;
 using golden::kSchemes;
 
-/** All 14 schemes over one prepared workload at a given strip size. */
-std::vector<std::uint64_t>
-runPreparedWithStrip(const gen::WorkloadConfig &cfg,
-                     std::size_t stripRefs)
-{
-    const std::shared_ptr<const trace::PreparedTrace> prepared =
-        sim::TraceRepository::global().get(cfg);
-    sim::SimConfig sc;
-    sc.replayStripRefs = stripRefs;
-    sim::Simulator simulator(sc);
-    for (const golden::Scheme &scheme : kSchemes)
-        simulator.addEngine(
-            scheme.make(cfg.space.nProcesses, nullptr));
-    simulator.run(*prepared);
-
-    std::vector<std::uint64_t> digests;
-    for (std::size_t e = 0; e < simulator.numEngines(); ++e)
-        digests.push_back(digest(simulator.engine(e).results()));
-    return digests;
-}
-
 /**
- * The --no-fused escape hatch (replayStripRefs = 0: each span handed
- * to each engine whole, the pre-fusion shape) must land on the same
- * seed digests as the default fused path for every scheme × workload.
+ * Each scheme replayed alone — one engine per simulator, so nothing
+ * is interleaved with it — lands on its seed digest for every
+ * scheme × workload, the baseline the fused groups below must match.
  */
 TEST(FusedReplayEquivalence, SequentialWholeSpanMatchesGolden)
 {
@@ -73,35 +52,47 @@ TEST(FusedReplayEquivalence, SequentialWholeSpanMatchesGolden)
         gen::standardWorkloads();
     ASSERT_EQ(workloads.size(), 3u);
     for (std::size_t w = 0; w < workloads.size(); ++w) {
-        const std::vector<std::uint64_t> digests =
-            runPreparedWithStrip(workloads[w], 0);
-        ASSERT_EQ(digests.size(), kNumSchemes);
+        const std::shared_ptr<const trace::PreparedTrace> prepared =
+            sim::TraceRepository::global().get(workloads[w]);
         for (std::size_t s = 0; s < kNumSchemes; ++s) {
-            EXPECT_EQ(digests[s], kGolden[w][s])
+            sim::Simulator simulator;
+            simulator.addEngine(kSchemes[s].make(
+                workloads[w].space.nProcesses, nullptr));
+            simulator.run(*prepared);
+            EXPECT_EQ(digest(simulator.engine(0).results()),
+                      kGolden[w][s])
                 << "scheme '" << kSchemes[s].label << "' on workload '"
-                << workloads[w].name
-                << "' diverged under sequential whole-span replay";
+                << workloads[w].name << "' diverged replayed alone";
         }
     }
 }
 
 /**
- * Strip size must never be observable: one-reference strips (maximum
- * engine interleaving), a prime size that never divides the span, and
- * a size far below the default all reproduce the seed digests.
+ * Strip size must never be observable.  A strip never crosses a span,
+ * so spans of one reference (maximum engine interleaving), a prime
+ * size whose boundaries never line up with the 4K type-decode strips,
+ * and a size far below the strip length all drive every scheme fused
+ * onto its seed digest.
  */
 TEST(FusedReplayEquivalence, AdversarialStripSizesMatchGolden)
 {
     const gen::WorkloadConfig cfg = gen::standardWorkloads()[0];
-    for (const std::size_t strip : {std::size_t(1), std::size_t(7),
-                                    std::size_t(1000)}) {
-        const std::vector<std::uint64_t> digests =
-            runPreparedWithStrip(cfg, strip);
-        ASSERT_EQ(digests.size(), kNumSchemes);
+    const std::shared_ptr<const trace::PreparedTrace> prepared =
+        sim::TraceRepository::global().get(cfg);
+    for (const std::size_t spanRefs : {std::size_t(1), std::size_t(7),
+                                       std::size_t(1000)}) {
+        sim::Simulator simulator;
+        for (const golden::Scheme &scheme : kSchemes)
+            simulator.addEngine(
+                scheme.make(cfg.space.nProcesses, nullptr));
+        trace::PreparedTraceSpans spans(*prepared, spanRefs);
+        simulator.run(spans);
+        ASSERT_EQ(simulator.numEngines(), kNumSchemes);
         for (std::size_t s = 0; s < kNumSchemes; ++s) {
-            EXPECT_EQ(digests[s], kGolden[0][s])
+            EXPECT_EQ(digest(simulator.engine(s).results()),
+                      kGolden[0][s])
                 << "scheme '" << kSchemes[s].label << "' diverged at "
-                << strip << "-ref strips";
+                << spanRefs << "-ref spans";
         }
     }
 }

@@ -8,10 +8,10 @@
  * to that with full EngineResults equality (every counter and
  * histogram, not just a digest) on randomized workloads the golden
  * tables have never seen: co-resident multi + independent engines at
- * adversarial strip sizes, collapsed fused groups through a 4-worker
+ * adversarial span sizes, collapsed fused groups through a 4-worker
  * SweepRunner, collapsed groups over streamed store spans, and the
- * analysis layer's multiConfig on/off and finite-dir-cache fallback
- * paths.
+ * analysis layer's collapsed sweep and finite-dir-cache fallback,
+ * serial and parallel.
  */
 
 #include <gtest/gtest.h>
@@ -97,10 +97,11 @@ independentBaseline(const gen::WorkloadConfig &cfg,
 }
 
 /**
- * Multi + independents co-resident in one simulator at strip sizes 1
- * (maximum interleaving), 7 (never divides a span) and 64K (the
- * default): every lane's EngineResults must equal its independent
- * twin's, field for field.
+ * Multi + independents co-resident in one simulator over spans (and
+ * so strips) of 1 reference (maximum interleaving), 7 (a prime, so no
+ * boundary lines up with the 4K type-decode strips) and 64K (the
+ * strip length): every lane's EngineResults must equal its
+ * independent twin's, field for field.
  */
 TEST(MultiConfigDifferential, RandomWorkloadsAcrossStripSizes)
 {
@@ -108,9 +109,7 @@ TEST(MultiConfigDifferential, RandomWorkloadsAcrossStripSizes)
         const auto prepared = prepare(cfg);
         for (const std::size_t strip :
              {std::size_t(1), std::size_t(7), std::size_t(64 * 1024)}) {
-            sim::SimConfig sc;
-            sc.replayStripRefs = strip;
-            sim::Simulator simulator(sc);
+            sim::Simulator simulator;
             simulator.addEngine(
                 std::make_unique<coherence::MultiLimitedEngine>(
                     cfg.space.nProcesses, kLanes));
@@ -118,7 +117,8 @@ TEST(MultiConfigDifferential, RandomWorkloadsAcrossStripSizes)
                 simulator.addEngine(
                     std::make_unique<coherence::LimitedEngine>(
                         cfg.space.nProcesses, p));
-            simulator.run(*prepared);
+            trace::PreparedTraceSpans spans(*prepared, strip);
+            simulator.run(spans);
             const auto &multi =
                 static_cast<const coherence::MultiLimitedEngine &>(
                     simulator.engine(0));
@@ -276,70 +276,79 @@ TEST(MultiConfigDifferential, StreamedStoreSpansMatch)
 }
 
 /**
- * The analysis layer's A/B hatch: limitedSweep with multiConfig on
- * (the default, collapsed) equals multiConfig off (independent
- * engines), serial and through a 4-job parallel sweep.
+ * One workload's merged DiriNB results from independent
+ * LimitedEngines over the repository's prepared trace — what
+ * analysis::limitedSweep must reproduce whether it collapses the
+ * pointer counts into lanes or not.
+ */
+std::vector<coherence::EngineResults>
+independentSweep(const gen::WorkloadConfig &cfg,
+                 const directory::DirCacheConfig &dirCache = {})
+{
+    sim::Simulator simulator;
+    for (const unsigned p : kLanes)
+        simulator.addEngine(std::make_unique<coherence::LimitedEngine>(
+            cfg.space.nProcesses, p, dirCache));
+    simulator.run(*sim::TraceRepository::global().get(cfg));
+    std::vector<coherence::EngineResults> merged(kLanes.size());
+    for (std::size_t l = 0; l < kLanes.size(); ++l) {
+        merged[l].name = simulator.engine(l).results().name;
+        merged[l].merge(simulator.engine(l).results());
+    }
+    return merged;
+}
+
+/**
+ * The analysis layer's collapse: limitedSweep runs the pointer counts
+ * as lanes of one shared-table engine, serially and through a 4-job
+ * parallel sweep, and both equal independent engines.
  */
 TEST(MultiConfigDifferential, AnalysisMultiConfigOnOffIdentical)
 {
-    std::vector<gen::WorkloadConfig> cfgs = {randomWorkloads()[0]};
-
-    analysis::EvalOptions off;
-    off.multiConfig = false;
-    const auto independent =
-        analysis::limitedSweep(cfgs, kLanes, off);
-
-    analysis::EvalOptions on;
-    on.multiConfig = true;
-    const auto collapsed = analysis::limitedSweep(cfgs, kLanes, on);
-
-    analysis::EvalOptions parallel;
-    parallel.multiConfig = true;
-    parallel.jobs = 4;
-    const auto collapsedParallel =
-        analysis::limitedSweep(cfgs, kLanes, parallel);
-
+    const std::vector<gen::WorkloadConfig> cfgs = {randomWorkloads()[0]};
+    const auto independent = independentSweep(cfgs[0]);
     ASSERT_EQ(independent.size(), kLanes.size());
-    ASSERT_EQ(collapsed.size(), kLanes.size());
-    ASSERT_EQ(collapsedParallel.size(), kLanes.size());
-    for (std::size_t l = 0; l < kLanes.size(); ++l) {
-        EXPECT_TRUE(collapsed[l] == independent[l])
-            << "serial collapse diverged at dir" << kLanes[l] << "nb";
-        EXPECT_TRUE(collapsedParallel[l] == independent[l])
-            << "parallel collapse diverged at dir" << kLanes[l]
-            << "nb";
+    for (const unsigned jobs : {1u, 4u}) {
+        analysis::EvalOptions opts;
+        opts.jobs = jobs;
+        const auto collapsed = analysis::limitedSweep(cfgs, kLanes, opts);
+        ASSERT_EQ(collapsed.size(), kLanes.size());
+        for (std::size_t l = 0; l < kLanes.size(); ++l) {
+            EXPECT_TRUE(collapsed[l] == independent[l])
+                << "collapse at " << jobs << " jobs diverged at dir"
+                << kLanes[l] << "nb";
+        }
     }
 }
 
 /**
  * Finite directory caches force the fallback (eviction state is
- * per-configuration): with a DirCacheConfig set, multiConfig on and
- * off must be identical because the collapse never engages.
+ * per-configuration): with a DirCacheConfig set, limitedSweep must
+ * equal independent LimitedEngines behind the same cache, serial and
+ * parallel, because the collapse never engages.
  */
 TEST(MultiConfigDifferential, DirCacheFallsBackIdentically)
 {
-    std::vector<gen::WorkloadConfig> cfgs = {randomWorkloads()[1]};
+    const std::vector<gen::WorkloadConfig> cfgs = {randomWorkloads()[1]};
     directory::DirCacheConfig dc;
     dc.enabled = true;
     dc.entries = 256;
     dc.associativity = 4;
-
-    analysis::EvalOptions on;
-    on.multiConfig = true;
-    on.dirCache = dc;
-    analysis::EvalOptions off;
-    off.multiConfig = false;
-    off.dirCache = dc;
-
-    const auto a = analysis::limitedSweep(cfgs, kLanes, on);
-    const auto b = analysis::limitedSweep(cfgs, kLanes, off);
-    ASSERT_EQ(a.size(), kLanes.size());
-    for (std::size_t l = 0; l < kLanes.size(); ++l) {
-        EXPECT_TRUE(a[l] == b[l])
-            << "dir-cache fallback diverged at dir" << kLanes[l]
-            << "nb";
-        EXPECT_GT(a[l].dirCacheEvictions + a[l].events.totalRefs(),
-                  0u);
+    const auto independent = independentSweep(cfgs[0], dc);
+    ASSERT_EQ(independent.size(), kLanes.size());
+    for (const unsigned jobs : {1u, 4u}) {
+        analysis::EvalOptions opts;
+        opts.jobs = jobs;
+        opts.dirCache = dc;
+        const auto a = analysis::limitedSweep(cfgs, kLanes, opts);
+        ASSERT_EQ(a.size(), kLanes.size());
+        for (std::size_t l = 0; l < kLanes.size(); ++l) {
+            EXPECT_TRUE(a[l] == independent[l])
+                << "dir-cache fallback at " << jobs
+                << " jobs diverged at dir" << kLanes[l] << "nb";
+            EXPECT_GT(a[l].dirCacheEvictions, 0u)
+                << "dir" << kLanes[l] << "nb never evicted";
+        }
     }
 }
 

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "analysis/evaluation.hh"
 #include "coherence/berkeley_engine.hh"
@@ -24,7 +26,7 @@
 #include "gen/workloads.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
-#include "sim/thread_pool.hh"
+#include "util/thread_pool.hh"
 #include "trace/io.hh"
 #include "trace/trace.hh"
 
@@ -68,7 +70,7 @@ smallWorkloads()
 
 TEST(ThreadPoolTest, RunsEveryTask)
 {
-    sim::ThreadPool pool(4);
+    util::ThreadPool pool(4);
     EXPECT_EQ(pool.numThreads(), 4u);
     std::atomic<int> counter{0};
     for (int i = 0; i < 100; ++i)
@@ -86,7 +88,7 @@ TEST(ThreadPoolDeathTest, ThrowingTaskAbortsWithMessage)
 {
     EXPECT_DEATH(
         {
-            sim::ThreadPool pool(1);
+            util::ThreadPool pool(1);
             pool.submit(
                 [] { throw std::runtime_error("boom"); });
             pool.wait();
@@ -96,7 +98,7 @@ TEST(ThreadPoolDeathTest, ThrowingTaskAbortsWithMessage)
 
 TEST(ThreadPoolTest, WaitIsReusable)
 {
-    sim::ThreadPool pool(2);
+    util::ThreadPool pool(2);
     std::atomic<int> counter{0};
     pool.submit([&counter] { ++counter; });
     pool.wait();
@@ -156,6 +158,51 @@ TEST(RunOrderedTest, RethrowsEarliestSubmittedFailure)
         EXPECT_STREQ(err.what(), "first failure");
     }
     EXPECT_EQ(ran.load(), 4);
+}
+
+/**
+ * One job runs the batch in submission order on the calling thread —
+ * no worker thread at all — and keeps the pool path's contract: every
+ * task runs, and the earliest-submitted failure is rethrown.
+ */
+TEST(RunOrdered, SingleJobRunsInlineAndRethrowsEarliest)
+{
+    const std::thread::id caller = std::this_thread::get_id();
+    std::mutex mutex;
+    std::vector<int> order;
+    std::vector<std::thread::id> threads;
+    const auto record = [&](int i) {
+        std::lock_guard<std::mutex> lock(mutex);
+        order.push_back(i);
+        threads.push_back(std::this_thread::get_id());
+    };
+    std::vector<std::function<int()>> tasks;
+    tasks.push_back([&record] {
+        record(0);
+        return 0;
+    });
+    tasks.push_back([&record]() -> int {
+        record(1);
+        throw std::runtime_error("first failure");
+    });
+    tasks.push_back([&record]() -> int {
+        record(2);
+        throw std::logic_error("second failure");
+    });
+    tasks.push_back([&record] {
+        record(3);
+        return 3;
+    });
+    try {
+        sim::runOrdered<int>(1, tasks);
+        FAIL() << "expected the earliest failure to be rethrown";
+    } catch (const std::runtime_error &err) {
+        EXPECT_STREQ(err.what(), "first failure");
+    }
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+    ASSERT_EQ(threads.size(), 4u);
+    for (const std::thread::id id : threads)
+        EXPECT_EQ(id, caller);
 }
 
 /**
