@@ -25,8 +25,7 @@
  * the fig2/fig3-style evaluation (standard engines, DiriNB pointer
  * sweep, Berkeley) runs through the sim::TraceRepository from a cold
  * start, and BENCH_sweep.json records the decode-vs-replay split,
- * per-scheme replay attribution, the multi-configuration row and the
- * cold-path breakdown.
+ * per-scheme replay attribution and the multi-configuration row.
  *
  * Flags:
  *   --refs N       trace length (default 2,000,000; ignored by --sweep,
@@ -45,10 +44,6 @@
  *   --schemes CSV  restrict the sweep's per-scheme attribution (and
  *                  the multi-config lanes) to the named schemes;
  *                  unknown names are a hard error (sweep mode)
- *   --cold-floor R  fail (exit 1) if the cold generate+prepare
- *                  speedup of the direct pipeline over the legacy
- *                  two-pass path falls below R (sweep mode; default
- *                  0 = disabled)
  *   --trace-cache-dir PATH    persistent trace cache directory; the
  *                  prepared pass streams from warm store files and
  *                  spills on cold misses (sweep mode)
@@ -69,7 +64,6 @@
 #include <iostream>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -84,14 +78,12 @@
 #include "directory/full_map.hh"
 #include "gen/workload.hh"
 #include "gen/workloads.hh"
-#include "gen/direct_prepare.hh"
 #include "sim/fused_replay.hh"
 #include "sim/simulator.hh"
 #include "sim/trace_repo.hh"
 #include "timing/timed_bus.hh"
 #include "trace/prepared.hh"
 #include "trace/trace.hh"
-#include "util/thread_pool.hh"
 
 #include "bench_common.hh"
 
@@ -112,7 +104,6 @@ struct Options
     std::uint64_t streamChunkRefs = trace::kDefaultChunkRefs;
     bool repoStats = false;
     double multiFloor = 0.0;
-    double coldFloor = 0.0;
     std::vector<std::string> schemes; //!< Empty = all.
 };
 
@@ -173,10 +164,6 @@ parseOptions(int argc, char **argv)
             opts.multiFloor = cli::parseDoubleInRange(
                 want("--multi-floor"), "--multi-floor", 0.0,
                 std::numeric_limits<double>::max());
-        } else if (std::strcmp(argv[a], "--cold-floor") == 0) {
-            opts.coldFloor = cli::parseDoubleInRange(
-                want("--cold-floor"), "--cold-floor", 0.0,
-                std::numeric_limits<double>::max());
         } else if (std::strcmp(argv[a], "--schemes") == 0) {
             opts.schemes = cli::parseNameList(
                 want("--schemes"), "--schemes", kSweepSchemes);
@@ -185,7 +172,7 @@ parseOptions(int argc, char **argv)
                       << "usage: bench_hotpath [--refs N] [--reps N] "
                          "[--out PATH] [--floor R] [--sweep] "
                          "[--schemes CSV] "
-                         "[--multi-floor R] [--cold-floor R] "
+                         "[--multi-floor R] "
                          "[--trace-cache-dir PATH] "
                          "[--trace-cache-budget MiB] "
                          "[--stream-chunk-refs N] [--repo-stats]\n";
@@ -203,10 +190,6 @@ parseOptions(int argc, char **argv)
     }
     if (opts.multiFloor > 0.0 && !opts.sweep) {
         std::cerr << "error: --multi-floor only applies to --sweep\n";
-        std::exit(2);
-    }
-    if (opts.coldFloor > 0.0 && !opts.sweep) {
-        std::cerr << "error: --cold-floor only applies to --sweep\n";
         std::exit(2);
     }
     if (opts.out.empty())
@@ -643,135 +626,6 @@ runMultiAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
     return mr;
 }
 
-/** Cold-path phase breakdown for one workload (sweep JSON). */
-struct ColdResult
-{
-    std::string name;
-    double generateSeconds = 0.0; //!< Legacy raw-trace generation.
-    double prepareSeconds = 0.0;  //!< Legacy two-phase decode.
-    double directSeconds = 0.0;   //!< Single-pass direct pipeline.
-    double replaySeconds = 0.0;   //!< One fused campaign replay.
-    std::uint64_t refs = 0;       //!< Kept refs in the prepared trace.
-    double speedup = 0.0; //!< (generate + prepare) / direct.
-};
-
-/**
- * Time the cold generate+prepare cost both ways, per workload: the
- * legacy two-pass path (generateTrace, then the two-phase builder
- * decoding on a thread pool — the exact shape the repository ran
- * before the direct pipeline), and the single-pass direct pipeline.
- * The two results are compared column-for-column — a divergence is a
- * hard failure, not a statistic — and one fused replay of the full
- * campaign engine set is timed alongside so the JSON shows where a
- * cold campaign actually spends its wall clock.
- */
-std::vector<ColdResult>
-runColdAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
-                   const trace::PrepareOptions &prep, unsigned reps)
-{
-    std::vector<ColdResult> cold;
-    for (const gen::WorkloadConfig &cfg : cfgs) {
-        ColdResult cr;
-        cr.name = cfg.name;
-
-        std::optional<trace::PreparedTrace> legacy;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            bench::WallTimer genTimer;
-            const trace::MemoryTrace raw = gen::generateTrace(cfg);
-            const double genS = genTimer.seconds();
-            bench::WallTimer prepTimer;
-            trace::PreparedTraceBuilder builder(raw, prep);
-            const std::size_t chunks = builder.numChunks();
-            const unsigned jobs = util::ThreadPool::resolveThreads(0);
-            if (jobs > 1 && chunks > 1) {
-                util::ThreadPool pool(jobs);
-                for (std::size_t c = 0; c < chunks; ++c)
-                    pool.submit(
-                        [&builder, c] { builder.decodeChunk(c); });
-                pool.wait();
-            } else {
-                for (std::size_t c = 0; c < chunks; ++c)
-                    builder.decodeChunk(c);
-            }
-            trace::PreparedTrace p = builder.finish();
-            const double prepS = prepTimer.seconds();
-            if (rep == 0 || genS + prepS < cr.generateSeconds +
-                                               cr.prepareSeconds) {
-                cr.generateSeconds = genS;
-                cr.prepareSeconds = prepS;
-            }
-            if (rep == 0)
-                legacy = std::move(p);
-        }
-
-        std::optional<trace::PreparedTrace> direct;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            bench::WallTimer timer;
-            trace::PreparedTrace p = gen::generatePrepared(cfg, prep);
-            const double s = timer.seconds();
-            if (rep == 0 || s < cr.directSeconds)
-                cr.directSeconds = s;
-            if (rep == 0)
-                direct = std::move(p);
-        }
-
-        // Self-check: the two paths must agree byte-for-byte — a
-        // timing harness silently comparing different workloads
-        // would gate nothing.
-        const trace::PreparedTrace &a = *legacy;
-        const trace::PreparedTrace &b = *direct;
-        const bool same =
-            a.dataRefs() == b.dataRefs() &&
-            a.instrRefs() == b.instrRefs() &&
-            a.numUnits() == b.numUnits() &&
-            a.numCpus() == b.numCpus() &&
-            std::ranges::equal(a.blockNames(), b.blockNames()) &&
-            (a.dataRefs() == 0 ||
-             (std::memcmp(a.blockData(), b.blockData(),
-                          a.dataRefs() * sizeof(std::uint32_t)) == 0 &&
-              std::memcmp(a.unitData(), b.unitData(),
-                          a.dataRefs()) == 0 &&
-              std::memcmp(a.typeFlagsData(), b.typeFlagsData(),
-                          a.dataRefs()) == 0));
-        if (!same) {
-            std::cerr << "FAIL: direct generate-prepare diverges "
-                         "from the legacy path on workload '"
-                      << cfg.name << "'\n";
-            std::exit(1);
-        }
-
-        const unsigned units = cfg.space.nProcesses;
-        for (unsigned rep = 0; rep < reps; ++rep) {
-            std::vector<std::unique_ptr<coherence::CoherenceEngine>>
-                engines;
-            std::vector<coherence::CoherenceEngine *> ptrs;
-            for (const auto &[name, make] : campaignEngines(units, {})) {
-                engines.push_back(make());
-                ptrs.push_back(engines.back().get());
-            }
-            trace::PreparedTraceSpans spans(*direct);
-            sim::FusedReplayOptions fr;
-            bench::WallTimer timer;
-            const sim::FusedReplayRun run =
-                sim::FusedReplay(fr).run(spans, ptrs);
-            const double s = timer.seconds();
-            if (run.totalRefs() == 0)
-                std::cerr << "warning: empty cold replay\n";
-            if (rep == 0 || s < cr.replaySeconds)
-                cr.replaySeconds = s;
-        }
-
-        cr.refs = direct->totalRefs();
-        cr.speedup =
-            cr.directSeconds > 0.0
-                ? (cr.generateSeconds + cr.prepareSeconds) /
-                      cr.directSeconds
-                : 0.0;
-        cold.push_back(std::move(cr));
-    }
-    return cold;
-}
-
 int
 runSweepMode(const Options &opts)
 {
@@ -846,29 +700,6 @@ runSweepMode(const Options &opts)
                   << " independent engines\n";
     }
 
-    // Cold-path attribution: where a cold campaign's wall clock goes
-    // (generate vs prepare vs replay), and the direct pipeline's
-    // speedup over the legacy two-pass cold path — the --cold-floor
-    // gate.
-    const std::vector<ColdResult> cold =
-        runColdAttribution(cfgs, prep, opts.reps);
-    double coldLegacySeconds = 0.0;
-    double coldDirectSeconds = 0.0;
-    for (const ColdResult &cr : cold) {
-        coldLegacySeconds += cr.generateSeconds + cr.prepareSeconds;
-        coldDirectSeconds += cr.directSeconds;
-        std::cout << "  cold " << cr.name << ": generate "
-                  << cr.generateSeconds << " s + prepare "
-                  << cr.prepareSeconds << " s legacy, direct "
-                  << cr.directSeconds << " s (" << cr.speedup
-                  << "x), replay " << cr.replaySeconds << " s\n";
-    }
-    const double coldSpeedup = coldDirectSeconds > 0.0
-                                   ? coldLegacySeconds / coldDirectSeconds
-                                   : 0.0;
-    std::cout << "  cold generate+prepare speedup " << coldSpeedup
-              << "x (direct single-pass over legacy two-pass)\n";
-
     std::ofstream os(opts.out);
     if (!os) {
         std::cerr << "error: cannot write '" << opts.out << "'\n";
@@ -914,23 +745,7 @@ runSweepMode(const Options &opts)
        << ", "
        << "\"independent_seconds\": " << multi.independentSeconds
        << ", "
-       << "\"speedup\": " << multi.speedup << "},\n";
-    os << "  \"cold\": {\"legacy_seconds\": " << coldLegacySeconds << ", "
-       << "\"direct_seconds\": " << coldDirectSeconds << ", "
-       << "\"speedup\": " << coldSpeedup << ", "
-       << "\"workloads\": [";
-    for (std::size_t i = 0; i < cold.size(); ++i) {
-        const ColdResult &cr = cold[i];
-        os << (i ? ",\n    " : "\n    ")
-           << "{\"name\": \"" << cr.name << "\", "
-           << "\"refs\": " << cr.refs << ", "
-           << "\"generate_seconds\": " << cr.generateSeconds << ", "
-           << "\"prepare_seconds\": " << cr.prepareSeconds << ", "
-           << "\"direct_seconds\": " << cr.directSeconds << ", "
-           << "\"replay_seconds\": " << cr.replaySeconds << ", "
-           << "\"speedup\": " << cr.speedup << "}";
-    }
-    os << "]}\n";
+       << "\"speedup\": " << multi.speedup << "}\n";
     os << "}\n";
     std::cout << "  wrote " << opts.out << "\n";
 
@@ -947,16 +762,6 @@ runSweepMode(const Options &opts)
         }
         std::cout << "  multi floor check passed (" << multi.speedup
                   << "x >= " << opts.multiFloor << "x)\n";
-    }
-    if (opts.coldFloor > 0.0) {
-        if (coldSpeedup < opts.coldFloor) {
-            std::cerr << "FAIL: cold generate+prepare speedup "
-                      << coldSpeedup << "x below floor "
-                      << opts.coldFloor << "x\n";
-            return 1;
-        }
-        std::cout << "  cold floor check passed (" << coldSpeedup
-                  << "x >= " << opts.coldFloor << "x)\n";
     }
     if (opts.repoStats)
         std::cout << "  repo-stats: " << repo.stats().summary()

@@ -82,11 +82,12 @@ class AddressSpace
 
     const AddressSpaceConfig &config() const { return _cfg; }
 
-    /** Instruction address for code offset @p block of @p pid. */
+    /** Instruction address for code offset @p block of @p pid;
+     *  @p block must be below codeBlocks() (the fetch walker wraps
+     *  itself, so no modulo is paid per fetch). */
     std::uint64_t codeAddr(unsigned pid, std::uint64_t block) const
     {
-        return codeBase + pid * perProcStride +
-               (block % _cfg.codeBlocksPerProc) * _cfg.blockBytes;
+        return codeBase + pid * perProcStride + block * _cfg.blockBytes;
     }
     /** Number of code blocks per process. */
     std::uint64_t codeBlocks() const { return _cfg.codeBlocksPerProc; }

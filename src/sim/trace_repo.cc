@@ -13,7 +13,6 @@
 
 #include "gen/direct_prepare.hh"
 #include "util/hash.hh"
-#include "util/thread_pool.hh"
 
 namespace dirsim::sim
 {
@@ -155,8 +154,8 @@ RepoStats::summary() const
     return buf;
 }
 
-TraceRepository::TraceRepository(unsigned jobs, std::size_t maxBytes)
-    : _jobs(util::ThreadPool::resolveThreads(jobs)), _maxBytes(maxBytes)
+TraceRepository::TraceRepository(unsigned, std::size_t maxBytes)
+    : _maxBytes(maxBytes)
 {
 }
 
@@ -332,37 +331,9 @@ TraceRepository::Ptr
 TraceRepository::build(const gen::WorkloadConfig &cfg,
                        const trace::PrepareOptions &opts) const
 {
-    if (!opts.timedStreams) {
-        // Single-pass cold path: generate straight into the prepared
-        // columns, with per-chunk packing overlapped on a pool
-        // worker.  Bit-identical to the two-phase path below — the
-        // differential suite and the golden digests enforce it.
-        return std::make_shared<const trace::PreparedTrace>(
-            gen::generatePrepared(cfg, opts));
-    }
-
-    // Timed builds need per-CPU streams, which only
-    // PreparedTraceBuilder writes.  Generation is serial by design:
-    // the reference interleaving is a pure function of one RNG stream
-    // and the shared lock state.
-    const trace::MemoryTrace raw = gen::generateTrace(cfg);
-
-    // The decode parallelises: the builder's planning scan froze all
-    // write offsets, so chunks land in disjoint ranges whatever order
-    // the workers run them in.
-    trace::PreparedTraceBuilder builder(raw, opts);
-    const std::size_t chunks = builder.numChunks();
-    if (_jobs > 1 && chunks > 1) {
-        util::ThreadPool pool(_jobs);
-        for (std::size_t c = 0; c < chunks; ++c)
-            pool.submit([&builder, c] { builder.decodeChunk(c); });
-        pool.wait();
-    } else {
-        for (std::size_t c = 0; c < chunks; ++c)
-            builder.decodeChunk(c);
-    }
+    // One pass on the calling thread, timed streams or not.
     return std::make_shared<const trace::PreparedTrace>(
-        builder.finish());
+        gen::generatePrepared(cfg, opts));
 }
 
 std::shared_ptr<const trace::PreparedTrace>
@@ -489,9 +460,6 @@ TraceRepository::getStored(const gen::WorkloadConfig &cfg,
                     store.chunkRefs = _disk.chunkRefs;
                 }
                 store.configFingerprint = hashKey(key, kPrintSeed);
-                // spillPrepared handles the timedStreams fallback
-                // internally; the file is byte-identical to
-                // spillFromSource either way.
                 gen::spillPrepared(cfg, opts, tmp, store);
                 if (::rename(tmp.c_str(), path.c_str()) != 0) {
                     ::unlink(tmp.c_str());

@@ -16,11 +16,12 @@
  * PreparedTrace is immutable and shared; it stays alive as long as
  * any caller holds the pointer, even if the repository evicts it.
  *
- * Generation itself is inherently serial (one RNG stream and shared
- * lock state define the interleaving), but the decode parallelises:
- * the builder's planning scan freezes all write offsets, after which
- * chunk decoding fans out across a thread pool with a merge that is
- * deterministic by construction.
+ * A build is one pass on the calling thread (gen::generatePrepared):
+ * generation is inherently serial (one RNG stream and shared lock
+ * state define the interleaving), and lowering each generated batch
+ * into the columns costs less than generating it, so there is
+ * nothing left worth a second thread.  Concurrent get()s of distinct
+ * keys still build in parallel.
  *
  * Disk tier: setDiskCache() adds a persistent second tier under a
  * cache directory, so the build survives the *process*.  Cache files
@@ -91,8 +92,8 @@ class TraceRepository
 {
   public:
     /**
-     * @param jobs Decode worker threads per build; 0 = one per
-     *        hardware thread.
+     * @param jobs Ignored: builds run on the calling thread.  Kept so
+     *        existing callers (the benchmark runner passes 1) compile.
      * @param maxBytes Soft budget for cached column bytes; least-
      *        recently-used entries are dropped past it (handed-out
      *        pointers keep their data alive regardless).
@@ -196,7 +197,6 @@ class TraceRepository
         caller just wrote, if any) is never a victim. */
     void evictDisk(const std::string &spare = std::string());
 
-    unsigned _jobs;
     std::size_t _maxBytes;
     mutable std::mutex _mutex;
     std::map<std::string, Entry> _entries;

@@ -13,6 +13,7 @@
 
 #include "mem/block.hh"
 #include "trace/block_numbering.hh"
+#include "trace/lowering.hh"
 #include "util/hash.hh"
 #include "util/simd.hh"
 
@@ -875,57 +876,34 @@ spillFromSource(RefSource &source, const std::string &name,
                 const PrepareOptions &opts, const std::string &path,
                 const StoreWriteOptions &store)
 {
-    // One serial pass in record order: the identical filter, numbering
-    // and block mapping as PreparedTraceBuilder's planning scan, so
-    // the spilled columns are bit-identical to an in-memory prepare of
-    // the same stream.
-    std::vector<std::int32_t> unitOf;
-    std::vector<std::int32_t> cpuOf;
-    unsigned unitsSeen = 0;
-    unsigned cpusSeen = 0;
-    BlockNumbering blocks;
-    const mem::BlockMapper toBlock(opts.blockBytes);
-    constexpr std::uint64_t maxBlockIndex = 0xffffffffULL;
-
     PreparedTraceWriter writer(path, name, opts, store);
-    TraceRecord rec;
-    while (source.next(rec)) {
-        if (opts.dropLockTests && rec.isLockTest())
+    StreamLowering lower(name, opts);
+    while (lower.next(source)) {
+        if (!opts.timedStreams) {
+            writer.appendDataBulk(lower.block(), lower.unit(),
+                                  lower.typeFlags(), lower.dataRefs());
             continue;
-        const unsigned unit = sim::mapDense(
-            unitOf, sim::unitKey(rec, opts.domain), unitsSeen);
-        const unsigned cpu = sim::mapDense(cpuOf, rec.cpu, cpusSeen);
-        if (unitsSeen > 256 || cpusSeen > 256)
-            throw std::invalid_argument(
-                "spillFromSource: trace '" + name +
-                "' uses more than 256 sharing units or CPUs; the "
-                "prepared 8-bit unit column cannot hold it");
-        const std::uint64_t blockIdx = toBlock(rec.addr);
-        if (blockIdx > maxBlockIndex)
-            throw std::invalid_argument(
-                "spillFromSource: address " + std::to_string(rec.addr) +
-                " exceeds the 32-bit block index at block size " +
-                std::to_string(opts.blockBytes));
-        const std::uint8_t tf = packTypeFlags(rec.type, rec.flags);
-        // Instruction entries (timed streams only) carry block 0.
-        std::uint32_t id = 0;
-        if (rec.isInstr()) {
-            writer.addInstrRefs(1);
-        } else {
-            id = blocks.number(std::uint32_t(blockIdx));
-            writer.appendData(id, std::uint8_t(unit), tf);
         }
-        if (opts.timedStreams)
-            writer.appendCpu(cpu, id, std::uint8_t(unit), tf);
+        // Record by record, data column first: chunks then flush in
+        // the order the file layout has always had.
+        for (std::size_t i = 0; i < lower.keptRefs(); ++i) {
+            const std::uint32_t block = lower.keptBlock()[i];
+            const std::uint8_t unit = lower.keptUnit()[i];
+            const std::uint8_t tf = lower.keptTypeFlags()[i];
+            if (packedRefType(tf) != RefType::Instr)
+                writer.appendData(block, unit, tf);
+            writer.appendCpu(lower.keptCpu()[i], block, unit, tf);
+        }
     }
-    writer.setUnits(unitsSeen, cpusSeen);
-    writer.setBlockNames(blocks.takeNames());
+    writer.addInstrRefs(lower.instrRefs());
+    writer.setUnits(lower.numUnits(), lower.numCpus());
+    writer.setBlockNames(lower.takeNames());
 
     StoredTraceInfo info;
     info.instrRefs = writer.instrRefs();
     info.dataRefs = writer.dataRefs();
-    info.nUnits = unitsSeen;
-    info.nCpus = cpusSeen;
+    info.nUnits = lower.numUnits();
+    info.nCpus = lower.numCpus();
     writer.finish();
     info.fileBytes = fileSizeOf(path);
     return info;

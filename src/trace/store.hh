@@ -134,8 +134,8 @@ class PreparedTraceWriter
      * Append @p n data references from parallel column arrays.
      * Equivalent to n appendData() calls: the chunk buffer fills to
      * the same flush boundaries, so the produced file is byte-
-     * identical whatever the caller's batching — the direct pipeline
-     * hands over generation-sized chunks, writeStored() whole traces.
+     * identical whatever the caller's batching — spillFromSource hands
+     * over lowering batches, writeStored() whole traces.
      */
     void
     appendDataBulk(const std::uint32_t *block, const std::uint8_t *unit,
@@ -362,18 +362,16 @@ struct StoredTraceInfo
 };
 
 /**
- * The O(chunk) build pipeline: stream @p source once, decode each
- * record with the same first-seen unit numbering, first-touch block
- * numbering, block mapping and lock-test filter as
- * PreparedTraceBuilder (bit-identical columns and names by
- * construction — the builder's planning scan visits records in this
- * exact order), and spill chunks to @p path as they fill.  Nothing but
- * the block numbering is ever fully materialised: peak memory is one
- * chunk buffer (plus one per CPU when opts.timedStreams) and
+ * The O(chunk) build pipeline: stream @p source once through the same
+ * lowering as PreparedTrace::build (trace/lowering.hh), so the
+ * spilled columns and names are bit-identical to an in-memory build
+ * of the stream, and spill chunks to @p path as they fill.  Nothing
+ * but the block numbering is ever fully materialised: peak memory is
+ * one chunk buffer (plus one per CPU when opts.timedStreams) and
  * O(numBlocks) for the names.
  *
  * @throws std::invalid_argument when the stream does not fit the
- *         prepared widths (same limits as PreparedTraceBuilder);
+ *         prepared widths (same limits as PreparedTrace::build);
  *         std::runtime_error on I/O failure.  Either way the partial
  *         file is removed.
  */

@@ -9,13 +9,23 @@ namespace dirsim::trace
 std::size_t
 MemoryTrace::fillFrom(RefSource &source, std::size_t limit)
 {
+    // One virtual call per batch; a batching source fills each batch
+    // in its own tight loop.
+    constexpr std::size_t batchRecords = 4096;
+    std::vector<TraceRecord> batch(batchRecords);
     std::size_t added = 0;
-    TraceRecord record;
-    while ((limit == 0 || added < limit) && source.next(record)) {
-        _records.push_back(record);
-        ++added;
+    for (;;) {
+        const std::size_t want =
+            limit == 0 ? batchRecords
+                       : std::min(batchRecords, limit - added);
+        const std::size_t got =
+            want == 0 ? 0 : source.nextBatch(batch.data(), want);
+        if (got == 0)
+            return added;
+        _records.insert(_records.end(), batch.begin(),
+                        batch.begin() + static_cast<std::ptrdiff_t>(got));
+        added += got;
     }
-    return added;
 }
 
 bool

@@ -541,6 +541,33 @@ TEST(ContentionTest, PreparedRunRejectsMismatchedDecode)
     EXPECT_THROW(sim.run(*wrongBlock), std::invalid_argument);
 }
 
+/**
+ * run(RefSource&) checks the engine's unit capacity on the decoded
+ * trace, before the engine sees any reference: four processes on a
+ * two-unit engine, and a trace past the prepared 8-bit unit column,
+ * both throw std::runtime_error.
+ */
+TEST(ContentionTest, SourceRunRejectsUnitsPastEngineCapacity)
+{
+    const auto workload = fourCpuWorkload();
+    const auto cfg =
+        timedConfig(sim::Scheme::Dir0B, timing::timedPipelinedBus());
+    timing::TimedBusSim sim(cfg, engineFor(sim::Scheme::Dir0B, 2, 2));
+    gen::WorkloadSource source(workload);
+    EXPECT_THROW(sim.run(source), std::runtime_error);
+
+    trace::MemoryTrace wide;
+    for (unsigned pid = 0; pid < 257; ++pid) {
+        trace::TraceRecord rec;
+        rec.pid = static_cast<std::uint16_t>(pid);
+        rec.type = trace::RefType::Read;
+        rec.addr = 0x100;
+        wide.append(rec);
+    }
+    trace::MemoryTraceSource wideSource(wide);
+    EXPECT_THROW(sim.run(wideSource), std::runtime_error);
+}
+
 // --- Timed golden ----------------------------------------------------
 
 /**
