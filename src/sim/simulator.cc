@@ -8,19 +8,7 @@
 namespace dirsim::sim
 {
 
-namespace
-{
-
-/** Records fetched per batch; large enough to amortise the virtual
- *  nextBatch() call, small enough to stay in L1/L2. */
-constexpr std::size_t batchRecords = 4096;
-
-} // namespace
-
-Simulator::Simulator(const SimConfig &cfg)
-    : _cfg(cfg), _unitMap(cfg.domain)
-{
-}
+Simulator::Simulator(const SimConfig &cfg) : _cfg(cfg) {}
 
 coherence::CoherenceEngine &
 Simulator::addEngine(std::unique_ptr<coherence::CoherenceEngine> engine)
@@ -32,74 +20,59 @@ Simulator::addEngine(std::unique_ptr<coherence::CoherenceEngine> engine)
 std::uint64_t
 Simulator::run(trace::RefSource &source)
 {
-    // The capacity shared by every engine; a unit index at or beyond
-    // it can reach no engine, so it is checked while mapping units —
-    // before the batch is dispatched anywhere.  Engines hold at most
-    // 64 units, so every unit that passes fits the 8-bit column.
+    // The capacity shared by every engine.  The lowering numbers a
+    // whole batch before handing any of it out, so a batch that takes
+    // the units past it is rejected before any engine sees it, and
+    // resetting the engines undoes the earlier batches.
     const coherence::CoherenceEngine *smallest = smallestEngine();
     const unsigned capacity = smallest != nullptr
                                   ? smallest->numUnits()
                                   : std::numeric_limits<unsigned>::max();
-
-    std::uint64_t processed = 0;
-    const mem::BlockMapper toBlock(_cfg.blockBytes);
-    std::vector<trace::TraceRecord> records(batchRecords);
-    // The batch's data references in the prepared column layout.
-    util::AlignedVector<std::uint32_t> block(batchRecords);
-    util::AlignedVector<std::uint8_t> unit(batchRecords);
-    util::AlignedVector<std::uint8_t> typeFlags(batchRecords);
     const std::vector<coherence::CoherenceEngine *> engines =
         enginePointers();
+    if (!_lowering) {
+        trace::PrepareOptions opts;
+        opts.blockBytes = _cfg.blockBytes;
+        opts.domain = _cfg.domain;
+        _lowering.emplace("", opts);
+    }
+    trace::StreamLowering &lowering = *_lowering;
     // A failed run leaves no partially-accumulated state behind.
     const auto fail = [this](const std::string &what) {
         for (auto &engine : _engines)
             engine->reset();
-        _unitMap.clear();
-        _blocks.clear();
+        _lowering.reset();
         throw std::runtime_error("Simulator: " + what);
     };
-    std::size_t n;
-    while ((n = source.nextBatch(records.data(), batchRecords)) != 0) {
-        // Map (and validate) the whole batch first: if the trace
-        // overflows the smallest engine, no engine has seen any part
-        // of this batch yet, and resetting them undoes the prefix.
-        // Instruction fetches change no engine state, so they are
-        // stripped here and reported in bulk — the unit map still
-        // sees every record, keeping first-seen numbering intact.
-        // Data blocks are numbered in first-touch order, exactly as
-        // the prepared builders number them.
-        std::size_t nData = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-            const trace::TraceRecord &rec = records[i];
-            const unsigned u = _unitMap.map(rec);
-            if (u >= capacity)
-                fail("trace uses more sharing units than engine '" +
-                     smallest->results().name + "' supports");
-            if (rec.type == trace::RefType::Instr)
-                continue;
-            const mem::BlockId raw = toBlock(rec.addr);
-            if (raw > 0xffffffffULL)
-                fail("address " + std::to_string(rec.addr) +
-                     " exceeds the 32-bit block index at block size " +
-                     std::to_string(_cfg.blockBytes));
-            block[nData] = _blocks.number(std::uint32_t(raw));
-            unit[nData] = static_cast<std::uint8_t>(u);
-            typeFlags[nData] = trace::packTypeFlags(rec.type, rec.flags);
-            ++nData;
+
+    std::uint64_t processed = 0;
+    for (;;) {
+        const std::uint64_t instrBefore = lowering.instrRefs();
+        try {
+            if (!lowering.next(source))
+                break;
+        } catch (const std::invalid_argument &err) {
+            // Past 256 units (more than any engine holds) or a block
+            // index past 32 bits.
+            fail(err.what());
         }
-        const std::uint64_t nInstr = n - nData;
+        if (lowering.numUnits() > capacity)
+            fail("trace uses more sharing units than engine '" +
+                 smallest->results().name + "' supports");
+        const std::uint64_t nInstr = lowering.instrRefs() - instrBefore;
         // The names table grows (and may move) as blocks are
         // numbered, so the engines are bound afresh for every batch.
         const coherence::BlockNamesBinding names(engines,
-                                                 _blocks.names());
+                                                 lowering.names());
         const coherence::PreparedSlice slice{
-            block.data(), unit.data(), typeFlags.data(), nData};
+            lowering.block(), lowering.unit(), lowering.typeFlags(),
+            lowering.dataRefs()};
         for (coherence::CoherenceEngine *engine : engines) {
             if (nInstr != 0)
                 engine->recordInstrs(nInstr);
             engine->accessPrepared(slice);
         }
-        processed += n;
+        processed += nInstr + lowering.dataRefs();
     }
     return processed;
 }

@@ -19,12 +19,13 @@
 #define DIRSIM_SIM_SIMULATOR_HH
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "coherence/engine.hh"
 #include "sim/fused_replay.hh"
 #include "sim/unit_map.hh"
-#include "trace/block_numbering.hh"
+#include "trace/lowering.hh"
 #include "trace/prepared.hh"
 #include "trace/ref_source.hh"
 
@@ -66,25 +67,25 @@ class Simulator
     /**
      * Stream @p source to exhaustion through every engine.
      *
-     * Records are fetched in batches and lowered to the prepared SoA
-     * columns (dense block id, dense unit, packed type+flags byte),
-     * which each engine consumes through accessPrepared() — the same
+     * Records are pulled in batches through the lowering every
+     * prepared trace comes out of (trace::StreamLowering), and each
+     * batch's SoA columns (dense block id, dense unit, packed
+     * type+flags byte) go to every engine's accessPrepared() — the
      * entry point prepared replay drives — so the per-record virtual
      * dispatch of RefSource::next() is amortised and engine state
-     * stays hot in cache.  Blocks are numbered on the fly with the
-     * prepared builders' first-touch numbering (kept across calls,
-     * like the unit map), and the engines are bound to the growing
-     * names table afresh for every batch.
+     * stays hot in cache.  The lowering's unit and first-touch block
+     * numbering is kept across calls, and the engines are bound to
+     * the growing names table afresh for every batch.
      *
      * @return Number of references processed.
      * @throws std::runtime_error if the trace contains more sharing
-     *         units than an engine supports, or an address whose block
+     *         units than an engine supports (or than the prepared
+     *         8-bit unit column holds), or an address whose block
      *         index exceeds 32 bits (the width of the names table, as
      *         in the prepared formats).  Both are checked before a
      *         batch reaches any engine, and on failure every engine is
-     *         reset() and the unit map and block numbering cleared, so
-     *         a failed run leaves no partially-accumulated state
-     *         behind.
+     *         reset() and the numbering cleared, so a failed run
+     *         leaves no partially-accumulated state behind.
      */
     std::uint64_t run(trace::RefSource &source);
 
@@ -141,8 +142,8 @@ class Simulator
     unsigned
     unitsSeen() const
     {
-        return _unitMap.size() > _preparedUnits ? _unitMap.size()
-                                                : _preparedUnits;
+        const unsigned streamed = _lowering ? _lowering->numUnits() : 0;
+        return streamed > _preparedUnits ? streamed : _preparedUnits;
     }
 
   private:
@@ -154,10 +155,10 @@ class Simulator
 
     SimConfig _cfg;
     std::vector<std::unique_ptr<coherence::CoherenceEngine>> _engines;
-    UnitMapper _unitMap;
-    /** The RefSource path's first-touch block numbering. */
-    trace::BlockNumbering _blocks;
-    /** Units covered by prepared replays (they bypass _unitMap). */
+    /** The RefSource path's unit and block numbering; made on the
+     *  first such run, dropped when one fails. */
+    std::optional<trace::StreamLowering> _lowering;
+    /** Units covered by prepared replays (they bypass _lowering). */
     unsigned _preparedUnits = 0;
 };
 

@@ -452,6 +452,47 @@ TEST(SimulatorTest, FailedRunMutatesNothing)
     EXPECT_EQ(small.results().events.totalRefs(), 4u);
 }
 
+/**
+ * An address past the 32-bit block index, two batches into the
+ * stream, fails the same way: the engines drop the first batch they
+ * already replayed, and the next run numbers blocks from scratch.
+ */
+TEST(SimulatorTest, WideAddressFailsCleanAfterEarlierBatches)
+{
+    trace::MemoryTrace trace;
+    for (unsigned i = 0; i < 5000; ++i) {
+        trace::TraceRecord rec;
+        rec.addr = 0x1000 + 16 * (i % 64);
+        rec.pid = static_cast<std::uint16_t>(i % 2);
+        rec.type = i % 3 == 0 ? trace::RefType::Instr
+                              : trace::RefType::Read;
+        trace.append(rec);
+    }
+    trace::TraceRecord wide;
+    wide.addr = std::uint64_t{1} << 40;
+    wide.type = trace::RefType::Write;
+    trace.append(wide);
+
+    sim::Simulator simulator;
+    auto &engine = simulator.addEngine(makeEngine("inval", 2));
+    trace::MemoryTraceSource source(trace);
+    EXPECT_THROW(simulator.run(source), std::runtime_error);
+    EXPECT_EQ(engine.results().events.totalRefs(), 0u);
+    EXPECT_EQ(simulator.unitsSeen(), 0u);
+
+    trace::MemoryTrace fits;
+    trace::TraceRecord rec;
+    rec.addr = 0x2000;
+    rec.pid = 1;
+    rec.type = trace::RefType::Write;
+    fits.append(rec);
+    trace::MemoryTraceSource retry(fits);
+    EXPECT_EQ(simulator.run(retry), 1u);
+    EXPECT_EQ(simulator.unitsSeen(), 1u);
+    EXPECT_EQ(engine.results().events.totalRefs(), 1u);
+    EXPECT_EQ(engine.blocksTracked(), 1u);
+}
+
 /** Regression: readText must reject values wider than record fields. */
 TEST(TraceIoTest, ReadTextRejectsOutOfRangeFields)
 {
