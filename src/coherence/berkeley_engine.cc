@@ -66,10 +66,10 @@ BerkeleyEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 }
 
 void
-BerkeleyEngine::accessPrepared(const PreparedSlice &slice)
+BerkeleyEngine::accessPrepared(const trace::PreparedSpan &span)
 {
     forEachPreparedRef(
-        slice, [this](mem::BlockId last) { _blocks.cover(last); },
+        span, [this](mem::BlockId last) { _blocks.cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

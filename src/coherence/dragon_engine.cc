@@ -48,10 +48,10 @@ DragonEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 }
 
 void
-DragonEngine::accessPrepared(const PreparedSlice &slice)
+DragonEngine::accessPrepared(const trace::PreparedSpan &span)
 {
     forEachPreparedRef(
-        slice, [this](mem::BlockId last) { _blocks.cover(last); },
+        span, [this](mem::BlockId last) { _blocks.cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

@@ -20,30 +20,16 @@
 #include "coherence/results.hh"
 #include "mem/block.hh"
 #include "trace/record.hh"
+#include "trace/span.hh"
 
 namespace dirsim::coherence
 {
 
 /**
- * A view over prepared-trace SoA columns (see trace/prepared.hh):
- * @p n data references as parallel arrays of 32-bit dense block id,
- * 8-bit dense unit index, and packed type+flags byte (decode with
- * trace::packedRefType / trace::packedFlags).  Instruction fetches
- * never appear in a slice — they are reported via recordInstrs().
- */
-struct PreparedSlice
-{
-    const std::uint32_t *block;
-    const std::uint8_t *unit;
-    const std::uint8_t *typeFlags;
-    std::size_t n;
-};
-
-/**
  * Abstract trace-driven coherence state engine.  Two entry points:
  * access() prices one reference through its Outcome (the timed bus,
- * the model checkers), accessPrepared() replays prepared slices in
- * bulk (every static replay path).
+ * the model checkers), accessPrepared() replays prepared spans of data
+ * references in bulk (every static replay path).
  */
 class CoherenceEngine
 {
@@ -68,21 +54,22 @@ class CoherenceEngine
                            mem::BlockId block) = 0;
 
     /**
-     * Process a prepared SoA slice in order: the bulk-replay entry
-     * point every static replay path (sim::Simulator, FusedReplay)
-     * drives.  Semantically exactly slice.n access() calls with the
-     * unpacked columns; engines implement it with an internal loop
-     * (coherence/prepared_loop.hh), so the per-reference virtual
-     * dispatch disappears (the engine classes are final, letting the
-     * compiler devirtualise and inline the body).
+     * Process a span of prepared data references (trace/span.hh) in
+     * order: the bulk-replay entry point every static replay path
+     * (sim::Simulator, FusedReplay) drives.  Semantically exactly
+     * span.n access() calls with the unpacked columns; engines
+     * implement it with an internal loop (coherence/prepared_loop.hh),
+     * so the per-reference virtual dispatch disappears (the engine
+     * classes are final, letting the compiler devirtualise and inline
+     * the body).
      */
-    virtual void accessPrepared(const PreparedSlice &slice) = 0;
+    virtual void accessPrepared(const trace::PreparedSpan &span) = 0;
 
     /**
      * Count @p n instruction fetches.  Equivalent to n access() calls
      * with RefType::Instr: no engine changes coherence state on an
-     * instruction fetch, so the replay loops strip them from the slices
-     * and reports them in bulk.
+     * instruction fetch, so the replay loops strip them from the spans
+     * and report them in bulk.
      */
     virtual void recordInstrs(std::uint64_t n) = 0;
 

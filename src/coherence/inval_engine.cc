@@ -211,10 +211,10 @@ InvalEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 }
 
 void
-InvalEngine::accessPrepared(const PreparedSlice &slice)
+InvalEngine::accessPrepared(const trace::PreparedSpan &span)
 {
     forEachPreparedRef(
-        slice, [this](mem::BlockId last) { _blocks.cover(last); },
+        span, [this](mem::BlockId last) { _blocks.cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

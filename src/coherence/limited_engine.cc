@@ -69,10 +69,10 @@ LimitedEngine::step(unsigned unit, trace::RefType type,
 }
 
 void
-LimitedEngine::accessPrepared(const PreparedSlice &slice)
+LimitedEngine::accessPrepared(const trace::PreparedSpan &span)
 {
     forEachPreparedRef(
-        slice, [this](mem::BlockId last) { _blocks.cover(last); },
+        span, [this](mem::BlockId last) { _blocks.cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

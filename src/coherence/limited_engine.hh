@@ -48,7 +48,7 @@ class LimitedEngine final : public CoherenceEngine
 
     Outcome access(unsigned unit, trace::RefType type,
                    mem::BlockId block) override;
-    void accessPrepared(const PreparedSlice &slice) override;
+    void accessPrepared(const trace::PreparedSpan &span) override;
     void recordInstrs(std::uint64_t n) override;
     const EngineResults &results() const override { return _results; }
     unsigned numUnits() const override { return _nUnits; }

@@ -144,10 +144,10 @@ MultiLimitedEngine::step(unsigned unit, trace::RefType type,
 }
 
 void
-MultiLimitedEngine::accessPrepared(const PreparedSlice &slice)
+MultiLimitedEngine::accessPrepared(const trace::PreparedSpan &span)
 {
     forEachPreparedRef(
-        slice, [this](mem::BlockId last) { cover(last); },
+        span, [this](mem::BlockId last) { cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

@@ -14,14 +14,14 @@
  *
  * The strip (util::kClassifyStripRefs) is sized so the decoded type
  * lane plus the column bytes it shadows stay L1-resident.  Dispatch
- * order is exactly slice order — the strip structure is invisible to
+ * order is exactly span order — the strip structure is invisible to
  * the coherence model, like span boundaries (trace/prepared.hh).
  *
  * Usage, from inside an engine member function (the lambdas capture
  * `this`, so private members stay private):
  *
  *   forEachPreparedRef(
- *       slice, [this](mem::BlockId last) { _blocks.cover(last); },
+ *       span, [this](mem::BlockId last) { _blocks.cover(last); },
  *       [this](unsigned u, trace::RefType t, mem::BlockId b) {
  *           step<NoOutcome>(u, t, b);
  *       });
@@ -40,31 +40,32 @@
 
 #include "coherence/engine.hh"
 #include "trace/record.hh"
+#include "trace/span.hh"
 #include "util/simd.hh"
 
 namespace dirsim::coherence
 {
 
 /**
- * Dispatch every reference of @p slice, in order, to @p access
+ * Dispatch every reference of @p span, in order, to @p access
  * (unit, type, block), with the packed byte pre-decoded per strip and
  * @p cover (largest block id of the strip) called before each strip
  * is dispatched.
  */
 template <typename CoverFn, typename AccessFn>
 inline void
-forEachPreparedRef(const PreparedSlice &slice, CoverFn &&cover,
+forEachPreparedRef(const trace::PreparedSpan &span, CoverFn &&cover,
                    AccessFn &&access)
 {
     alignas(util::kCacheLineBytes)
         std::uint8_t types[util::kClassifyStripRefs];
-    for (std::size_t base = 0; base < slice.n;
+    for (std::size_t base = 0; base < span.n;
          base += util::kClassifyStripRefs) {
         const std::size_t n =
-            std::min(util::kClassifyStripRefs, slice.n - base);
-        util::decodeTypes(slice.typeFlags + base, types, n);
-        const std::uint32_t *block = slice.block + base;
-        const std::uint8_t *unit = slice.unit + base;
+            std::min(util::kClassifyStripRefs, span.n - base);
+        util::decodeTypes(span.typeFlags + base, types, n);
+        const std::uint32_t *block = span.block + base;
+        const std::uint8_t *unit = span.unit + base;
         std::uint32_t last = 0;
         for (std::size_t i = 0; i < n; ++i)
             last = std::max(last, block[i]);

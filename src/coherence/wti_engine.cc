@@ -60,10 +60,10 @@ WtiEngine::step(unsigned unit, trace::RefType type, mem::BlockId block)
 }
 
 void
-WtiEngine::accessPrepared(const PreparedSlice &slice)
+WtiEngine::accessPrepared(const trace::PreparedSpan &span)
 {
     forEachPreparedRef(
-        slice, [this](mem::BlockId last) { _blocks.cover(last); },
+        span, [this](mem::BlockId last) { _blocks.cover(last); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

@@ -1,6 +1,5 @@
 #include "sim/fused_replay.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <stdexcept>
 #include <string>
@@ -13,20 +12,20 @@ namespace
 
 using Clock = std::chrono::steady_clock;
 
-/** Hand @p slice to every engine, timing each when asked. */
+/** Hand @p span to every engine, timing each when asked. */
 inline void
-dispatchStrip(const coherence::PreparedSlice &slice,
-              const std::vector<coherence::CoherenceEngine *> &engines,
-              std::vector<double> *seconds)
+dispatchSpan(const trace::PreparedSpan &span,
+             const std::vector<coherence::CoherenceEngine *> &engines,
+             std::vector<double> *seconds)
 {
     if (seconds == nullptr) {
         for (coherence::CoherenceEngine *engine : engines)
-            engine->accessPrepared(slice);
+            engine->accessPrepared(span);
         return;
     }
     for (std::size_t e = 0; e < engines.size(); ++e) {
         const auto t0 = Clock::now();
-        engines[e]->accessPrepared(slice);
+        engines[e]->accessPrepared(span);
         (*seconds)[e] +=
             std::chrono::duration<double>(Clock::now() - t0).count();
     }
@@ -59,15 +58,7 @@ FusedReplay::run(
     while (spans.nextSpan(span)) {
         if (span.n == 0)
             continue;
-        for (std::size_t base = 0; base < span.n;
-             base += kDefaultReplayStripRefs) {
-            const std::size_t n =
-                std::min(kDefaultReplayStripRefs, span.n - base);
-            const coherence::PreparedSlice slice{
-                span.block + base, span.unit + base,
-                span.typeFlags + base, n};
-            dispatchStrip(slice, engines, timing);
-        }
+        dispatchSpan(span, engines, timing);
         data += span.n;
     }
     if (data != spans.dataRefs())

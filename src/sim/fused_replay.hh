@@ -4,26 +4,26 @@
  *
  * The paper replays one interleaved reference stream through every
  * protocol (Section 4.1); the sweep matrix is therefore N engines ×
- * one stream per workload.  Replaying the engines one after another
- * re-reads the same SoA columns N times from memory.  FusedReplay
- * inverts the loop nest: it walks the columns once, in cache-sized
- * strips, and hands each strip to every engine in turn — the strip's
- * block/unit/typeFlags bytes stay L1/L2-resident across all N
- * engines, so the column bandwidth is paid once per workload instead
- * of once per scheme.
+ * one stream per workload.  FusedReplay drives one stream through a
+ * set of engines: it pulls each span of the stream once and hands the
+ * whole span to every engine in turn.  An in-memory trace is one
+ * span; a stored trace's spans are its chunk windows, so each window
+ * is read, and its digest checked, once for all N engines.
+ *
+ * Whole spans keep each engine's block table resident for its whole
+ * pass.  The tables are what outgrows the caches: at 64 CPUs each
+ * engine's table is several MB, larger than L2, while the columns are
+ * a sequential 6 bytes per reference that the prefetcher streams.
+ * Interleaving the engines over 64K-reference strips instead, the
+ * earlier design, evicted every engine's table at each switch: on the
+ * 8–64 CPU machine sweep that fused pass took 1.3× as long as the
+ * same engines run one after another.
  *
  * Correctness rests on the PreparedSpanSource contract: engines are
  * stateful across spans and span boundaries are invisible to the
- * coherence model, so slicing a span into strips and interleaving the
- * engines per strip is bit-identical to N sequential full passes —
- * each engine still sees exactly the stream, in order.  The golden
- * digest suite pins this for every scheme × workload.
- *
- * Strip size trade-off: smaller strips keep the columns hotter but
- * pay the engine-switch overhead (virtual accessPrepared call,
- * block-table re-warm) more often; larger strips amortise the switch
- * but give up column locality once traces outgrow the LLC.  See
- * kDefaultReplayStripRefs for the measured default.
+ * coherence model, so the fused pass is bit-identical to N sequential
+ * full passes — each engine still sees exactly the stream, in order.
+ * The golden digest suite pins this for every scheme × workload.
  */
 
 #ifndef DIRSIM_SIM_FUSED_REPLAY_HH
@@ -38,27 +38,13 @@
 namespace dirsim::sim
 {
 
-/**
- * References per strip.
- *
- * 64K references is ~384 KiB of column data — LLC-resident, well
- * clear of L2.  Measured on the standard campaign, smaller
- * (L2-sized) strips lose: every engine switch refaults that engine's
- * hot block-table subset, and with quarter-size workloads whose
- * columns already fit in LLC the fusion win is the amortised walk,
- * not DRAM bandwidth.  64K strips sit within ~5% of whole-span
- * replay while keeping the strip path — the shape that matters once
- * traces outgrow the LLC — exercised by default everywhere.
- */
-constexpr std::size_t kDefaultReplayStripRefs = 65536;
-
 /** FusedReplay knobs. */
 struct FusedReplayOptions
 {
     /**
      * Accumulate per-engine wall-clock seconds across the run (the
      * bench's per-scheme attribution).  Costs two clock reads per
-     * engine per strip, so leave it off outside benchmarks.
+     * engine per span, so leave it off outside benchmarks.
      */
     bool timeEngines = false;
 };
@@ -70,7 +56,7 @@ struct FusedReplayRun
     std::uint64_t dataRefs = 0;
     std::uint64_t totalRefs() const { return instrRefs + dataRefs; }
 
-    /** Seconds each engine spent consuming strips, in engine order;
+    /** Seconds each engine spent consuming spans, in engine order;
      *  empty unless FusedReplayOptions::timeEngines. */
     std::vector<double> engineSeconds;
 };
@@ -94,8 +80,8 @@ class FusedReplay
      * engine of @p engines: each engine is sized from the stream's
      * numBlocks() and bound to its blockNames() for the replay, bulk
      * instruction counts go up front (order-independent — they change
-     * no coherence state), then the span walk, strip-mined at
-     * kDefaultReplayStripRefs.
+     * no coherence state), then each span goes to every engine in
+     * turn.
      *
      * @throws std::runtime_error if the source yields a different
      *         number of data references than its summary declares.

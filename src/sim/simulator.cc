@@ -64,15 +64,13 @@ Simulator::run(trace::RefSource &source)
         // numbered, so the engines are bound afresh for every batch.
         const coherence::BlockNamesBinding names(engines,
                                                  lowering.names());
-        const coherence::PreparedSlice slice{
-            lowering.block(), lowering.unit(), lowering.typeFlags(),
-            lowering.dataRefs()};
+        const trace::PreparedSpan data = lowering.data();
         for (coherence::CoherenceEngine *engine : engines) {
             if (nInstr != 0)
                 engine->recordInstrs(nInstr);
-            engine->accessPrepared(slice);
+            engine->accessPrepared(data);
         }
-        processed += nInstr + lowering.dataRefs();
+        processed += nInstr + data.n;
     }
     return processed;
 }

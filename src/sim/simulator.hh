@@ -91,14 +91,14 @@ class Simulator
 
     /**
      * Replay an already-decoded trace through every engine: one bulk
-     * instruction count plus one fused strip walk over the SoA
-     * columns (sim/fused_replay.hh), with no per-record decode at
-     * all.  Bit-identical to streaming the raw trace through
-     * run(RefSource&) — the prepared decode froze the same unit
-     * numbering and block numbering this simulator would compute.  Block
-     * ids are dense per trace, so engine state carries over only
-     * between replays of the same trace; reset() the engines before
-     * replaying a different one.
+     * instruction count plus one fused pass that hands each span of
+     * the SoA columns to every engine (sim/fused_replay.hh), with no
+     * per-record decode at all.  Bit-identical to streaming the raw
+     * trace through run(RefSource&) — the prepared decode froze the
+     * same unit numbering and block numbering this simulator would
+     * compute.  Block ids are dense per trace, so engine state
+     * carries over only between replays of the same trace; reset()
+     * the engines before replaying a different one.
      *
      * @return Number of references processed (instr + data).
      * @throws std::invalid_argument if @p prepared was decoded for a

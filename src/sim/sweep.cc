@@ -110,7 +110,7 @@ SweepRunner::run()
     // deterministic submission-ordered collection, so a parallel
     // sweep is bit-identical to a serial one.  A group's Simulator
     // owns every member's engines and replays the lead point's
-    // stream once for all of them, in one fused strip walk;
+    // stream once for all of them, in one fused pass;
     // ungrouped points are just groups of one.
     const std::vector<std::size_t> sizes = plannedGroupSizes();
     std::vector<std::function<std::vector<SweepPointResult>()>> tasks;

@@ -146,7 +146,7 @@ struct SweepPoint
      * sweep collapses into one column pass per workload.  Results are
      * still one SweepPointResult per point, in submission order,
      * bit-identical to unfused execution (engines are independent
-     * state models; strip interleaving is invisible to them).
+     * state models; span interleaving is invisible to them).
      *
      * Contract: every point of a group must describe the same
      * reference stream — the runner replays the FIRST member's

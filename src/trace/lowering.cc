@@ -34,6 +34,7 @@ StreamLowering::StreamLowering(std::string name,
         _keptBlock.resize(kBatchRecords);
         _keptUnit.resize(kBatchRecords);
         _keptTypeFlags.resize(kBatchRecords);
+        _keptOfData.resize(kBatchRecords);
     }
 }
 
@@ -45,6 +46,12 @@ StreamLowering::next(RefSource &source)
         lower<true>(n);
     else
         lower<false>(n);
+    return n != 0;
+}
+
+void
+StreamLowering::checkWidths() const
+{
     if (_nUnits > maxDenseUnits)
         throw std::invalid_argument(
             "PreparedTrace: trace '" + _name + "' uses " +
@@ -56,7 +63,6 @@ StreamLowering::next(RefSource &source)
             "PreparedTrace: address " + std::to_string(_maxAddr) +
             " exceeds the 32-bit block index at block size " +
             std::to_string(_opts.blockBytes));
-    return n != 0;
 }
 
 template <bool Timed>
@@ -76,6 +82,7 @@ StreamLowering::lower(std::size_t n)
     std::uint32_t *const keptBlock = _keptBlock.data();
     std::uint8_t *const keptUnit = _keptUnit.data();
     std::uint8_t *const keptTypeFlags = _keptTypeFlags.data();
+    std::uint32_t *const keptOfData = _keptOfData.data();
     const bool dropLockTests = _opts.dropLockTests;
     const sim::SharingDomain domain = _opts.domain;
     const mem::BlockMapper toBlock = _toBlock;
@@ -85,6 +92,9 @@ StreamLowering::lower(std::size_t n)
     std::uint64_t instrRefs = _instrRefs;
     std::size_t nData = 0;
     std::size_t nKept = 0;
+    // First pass: everything but the block numbering.  Every kept
+    // record writes at the data cursor and only a data reference
+    // advances it, so the type is not branched on.
     for (std::size_t i = 0; i < n; ++i) {
         const TraceRecord &rec = records[i];
         if (dropLockTests && rec.isLockTest())
@@ -92,34 +102,29 @@ StreamLowering::lower(std::size_t n)
         std::int32_t &unitSlot = unitOf[sim::unitKey(rec, domain)];
         if (unitSlot < 0)
             unitSlot = static_cast<std::int32_t>(nUnits++);
-        const unsigned unit = static_cast<unsigned>(unitSlot);
+        const auto unit = static_cast<std::uint8_t>(unitSlot);
         std::int32_t &cpuSlot = cpuOf[rec.cpu];
         if (cpuSlot < 0)
             cpuSlot = static_cast<std::int32_t>(nCpus++);
-        const unsigned cpu = static_cast<unsigned>(cpuSlot);
         if (rec.addr > maxAddr)
             maxAddr = rec.addr;
         const std::uint8_t tf = packTypeFlags(rec.type, rec.flags);
-        std::uint32_t id = 0;
-        if (rec.isInstr()) {
-            ++instrRefs;
-        } else {
-            // Truncation past 32 bits is harmless: next() rejects the
-            // batch before anyone reads it.
-            id = _blocks.number(
-                static_cast<std::uint32_t>(toBlock(rec.addr)));
-            block[nData] = id;
-            unitOut[nData] = static_cast<std::uint8_t>(unit);
-            typeFlags[nData] = tf;
-            ++nData;
-        }
+        const bool isData = !rec.isInstr();
+        // Truncation past 32 bits is harmless: checkWidths() rejects
+        // the batch before anything is numbered.
+        block[nData] = static_cast<std::uint32_t>(toBlock(rec.addr));
+        unitOut[nData] = unit;
+        typeFlags[nData] = tf;
         if constexpr (Timed) {
-            keptCpu[nKept] = static_cast<std::uint8_t>(cpu);
-            keptBlock[nKept] = id;
-            keptUnit[nKept] = static_cast<std::uint8_t>(unit);
+            keptOfData[nData] = static_cast<std::uint32_t>(nKept);
+            keptCpu[nKept] = static_cast<std::uint8_t>(cpuSlot);
+            keptBlock[nKept] = 0;
+            keptUnit[nKept] = unit;
             keptTypeFlags[nKept] = tf;
             ++nKept;
         }
+        nData += isData;
+        instrRefs += !isData;
     }
     _nUnits = nUnits;
     _nCpus = nCpus;
@@ -127,6 +132,16 @@ StreamLowering::lower(std::size_t n)
     _instrRefs = instrRefs;
     _nData = nData;
     _nKept = nKept;
+    checkWidths();
+
+    // Second pass: first-touch ids in stream order, in place.
+    BlockNumbering &blocks = _blocks;
+    for (std::size_t j = 0; j < nData; ++j) {
+        const std::uint32_t id = blocks.number(block[j]);
+        block[j] = id;
+        if constexpr (Timed)
+            keptBlock[keptOfData[j]] = id;
+    }
 }
 
 void

@@ -9,21 +9,28 @@
  * they read: timing::TimedBusSim::run(RefSource&) the per-CPU streams
  * (appendToCpuStreams), sim::Simulator::run(RefSource&) each batch's
  * columns, handed straight to its engines.  It pulls a RefSource in
- * batches on the calling thread and lowers each batch in one pass, in
- * stream order:
+ * batches on the calling thread and lowers each batch in two passes,
+ * each in stream order.  The first walks the records:
  *
  *  - drops spin-lock test reads when PrepareOptions::dropLockTests
  *    (before anything is numbered);
  *  - numbers sharing units and CPUs densely in first-seen order;
- *  - numbers data blocks in first-touch order (BlockNumbering);
  *  - strips instruction fetches into a count and packs each data
- *    reference's type and flags into one byte.
+ *    reference's type and flags into one byte;
+ *  - writes each data reference's raw block index into the block
+ *    column (and, for timed streams, the kept arrays).
+ *
+ * The second numbers the batch's raw block indices in first-touch
+ * order (BlockNumbering), in place, and patches the kept block ids.
+ * Splitting them keeps the numbering's table, which outgrows L2 on
+ * large machines, the only large table the second loop touches.
  *
  * A batch that takes the stream past the prepared widths (more than
- * 256 sharing units, a block index past 32 bits) throws before any of
- * it is handed out, so no caller ever sees a truncated column.  The
- * output is a pure function of the record sequence: batch boundaries,
- * and so the source's batching, are invisible.
+ * 256 sharing units, a block index past 32 bits, 2^32 - 1 blocks)
+ * throws before any of it is handed out, so no caller ever sees a
+ * truncated column.  The output is a pure function of the record
+ * sequence: batch boundaries, and so the source's batching, are
+ * invisible.
  */
 
 #ifndef DIRSIM_TRACE_LOWERING_HH
@@ -37,6 +44,7 @@
 #include "trace/block_numbering.hh"
 #include "trace/prepared.hh"
 #include "trace/ref_source.hh"
+#include "trace/span.hh"
 
 namespace dirsim::trace
 {
@@ -59,13 +67,12 @@ class StreamLowering
      */
     bool next(RefSource &source);
 
-    /** @name The batch's data references in column form. */
-    /** @{ */
-    std::size_t dataRefs() const { return _nData; }
-    const std::uint32_t *block() const { return _block.data(); }
-    const std::uint8_t *unit() const { return _unit.data(); }
-    const std::uint8_t *typeFlags() const { return _typeFlags.data(); }
-    /** @} */
+    /** The batch's data references in column form. */
+    PreparedSpan
+    data() const
+    {
+        return {_block.data(), _unit.data(), _typeFlags.data(), _nData};
+    }
 
     /**
      * @name Every kept reference of the batch, in stream order, with
@@ -103,6 +110,7 @@ class StreamLowering
   private:
     template <bool Timed>
     void lower(std::size_t n);
+    void checkWidths() const;
 
     std::string _name;
     PrepareOptions _opts;
@@ -120,6 +128,8 @@ class StreamLowering
 
     std::vector<TraceRecord> _records;
     std::size_t _nData = 0;
+    /** Raw block indices after the first pass, dense ids after the
+     *  second. */
     std::vector<std::uint32_t> _block;
     std::vector<std::uint8_t> _unit;
     std::vector<std::uint8_t> _typeFlags;
@@ -128,6 +138,9 @@ class StreamLowering
     std::vector<std::uint32_t> _keptBlock;
     std::vector<std::uint8_t> _keptUnit;
     std::vector<std::uint8_t> _keptTypeFlags;
+    /** Kept index of each data reference (timed streams only): where
+     *  the second pass patches its block id. */
+    std::vector<std::uint32_t> _keptOfData;
 };
 
 } // namespace dirsim::trace

@@ -26,20 +26,26 @@ PreparedTrace::build(RefSource &source, std::string name,
     PreparedTrace out;
     out._name = std::move(name);
     out._opts = opts;
-    StreamLowering lower(out._name, opts);
-    while (lower.next(source)) {
-        const std::size_t n = lower.dataRefs();
-        append(out._block, lower.block(), n);
-        append(out._unit, lower.unit(), n);
-        append(out._typeFlags, lower.typeFlags(), n);
-        if (opts.timedStreams)
-            lower.appendToCpuStreams(out._cpuStreams);
+    // Release the lowering (its batch arrays and the numbering's slot
+    // table) before the trims below, so their exact-size copies can
+    // reuse that memory instead of growing the heap.
+    {
+        StreamLowering lower(out._name, opts);
+        while (lower.next(source)) {
+            const PreparedSpan data = lower.data();
+            append(out._block, data.block, data.n);
+            append(out._unit, data.unit, data.n);
+            append(out._typeFlags, data.typeFlags, data.n);
+            if (opts.timedStreams)
+                lower.appendToCpuStreams(out._cpuStreams);
+        }
+        out._instrRefs = lower.instrRefs();
+        out._nUnits = lower.numUnits();
+        out._nCpus = lower.numCpus();
+        out._names = lower.takeNames();
     }
-    out._instrRefs = lower.instrRefs();
-    out._nUnits = lower.numUnits();
-    out._nCpus = lower.numCpus();
-    out._names = lower.takeNames();
     // Exact capacity: byteSize() feeds the repository's LRU budget.
+    out._names.shrink_to_fit();
     out._block.shrink_to_fit();
     out._unit.shrink_to_fit();
     out._typeFlags.shrink_to_fit();

@@ -46,6 +46,7 @@
 #include "sim/unit_map.hh"
 #include "trace/record.hh"
 #include "trace/ref_source.hh"
+#include "trace/span.hh"
 #include "trace/trace.hh"
 #include "util/simd.hh"
 
@@ -99,28 +100,12 @@ static_assert(packedTypeMask == util::kTypeLaneMask,
 class StoredTrace;
 
 /**
- * One contiguous window of prepared reference columns: parallel
- * arrays of dense block id, dense unit index and packed type+flags
- * byte.
- * The chunk-iterator replay path (sim::Simulator over a
- * PreparedSpanSource) consumes a *sequence* of these instead of one
- * trace-length slice, so the backing storage only ever needs to keep
- * one window resident — the out-of-core store (trace/store.hh) serves
- * spans straight out of a windowed file mapping.  A CpuRefCursor
- * hands out windows of one CPU's timed stream in the same shape
- * (instruction fetches included there).
- */
-struct PreparedSpan
-{
-    const std::uint32_t *block = nullptr;
-    const std::uint8_t *unit = nullptr;
-    const std::uint8_t *typeFlags = nullptr;
-    std::size_t n = 0;
-};
-
-/**
- * A forward iterator over the spans of one prepared reference stream,
- * plus the stream-level summary replay drivers validate against.
+ * A forward iterator over the spans (trace/span.hh) of one prepared
+ * reference stream, plus the stream-level summary replay drivers
+ * validate against.  Replay consumes a *sequence* of spans instead
+ * of one trace-length slice, so the backing storage only ever needs
+ * to keep one window resident: the out-of-core store (trace/store.hh)
+ * serves spans straight out of a windowed file mapping.
  *
  * Contract: the concatenation of the spans nextSpan() yields, in
  * order, is exactly the stream's data-reference columns; a span's

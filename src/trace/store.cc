@@ -880,8 +880,9 @@ spillFromSource(RefSource &source, const std::string &name,
     StreamLowering lower(name, opts);
     while (lower.next(source)) {
         if (!opts.timedStreams) {
-            writer.appendDataBulk(lower.block(), lower.unit(),
-                                  lower.typeFlags(), lower.dataRefs());
+            const PreparedSpan data = lower.data();
+            writer.appendDataBulk(data.block, data.unit, data.typeFlags,
+                                  data.n);
             continue;
         }
         // Record by record, data column first: chunks then flush in

@@ -3,18 +3,21 @@
  * Open-addressing hash map for per-block lookups off the replay path.
  *
  * Engines index per-block state by dense block id
- * (coherence/block_table.hh); the hashing happens once per data
- * reference when a trace is prepared, in the first-touch block
- * numbering (trace/block_numbering.hh), and in trace::characterize.
+ * (coherence/block_table.hh), and the first-touch numbering that
+ * assigns the ids keeps its own one-word-slot table
+ * (trace/block_numbering.hh).  FlatMap's one user is
+ * trace::characterize, which keeps a record per raw block; mix64
+ * below also spreads the set indices of the finite tag stores and the
+ * directory caches.
+ *
  * std::unordered_map is node-based: one heap allocation per block and
  * two dependent pointer loads per lookup.  FlatMap stores keys in one
  * contiguous array probed linearly (values in a parallel array touched
  * only on a hit), with power-of-two capacity, tombstone deletion, and
- * clear()-without-free so a numbering can be reset without giving the
+ * clear()-without-free so a table can be reset without giving the
  * memory back.
  *
- * Contract differences from std::unordered_map, deliberate for the hot
- * path:
+ * Contract differences from std::unordered_map:
  *  - K and V must be default-constructible and assignable.
  *  - References returned by find()/tryEmplace()/operator[] are
  *    invalidated by any later *new-key* insertion (which may rehash).

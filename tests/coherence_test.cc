@@ -964,8 +964,8 @@ TEST(BlockNames, SetIndicesAndHomesComeFromRawIds)
         typeFlags.push_back(dirsim::trace::packTypeFlags(ref.type, 0));
     }
     ASSERT_EQ(numbering.size(), distinct);
-    const PreparedSlice slice{block.data(), unit.data(),
-                              typeFlags.data(), block.size()};
+    const dirsim::trace::PreparedSpan span{block.data(), unit.data(),
+                                           typeFlags.data(), block.size()};
 
     std::vector<EngineResults> results;
     for (const auto &[label, make] : configs) {
@@ -975,7 +975,7 @@ TEST(BlockNames, SetIndicesAndHomesComeFromRawIds)
         const auto dense = make();
         dense->reserveBlocks(numbering.size());
         dense->bindBlockNames(numbering.names());
-        dense->accessPrepared(slice);
+        dense->accessPrepared(span);
         EXPECT_TRUE(sparse->results() == dense->results()) << label;
         EXPECT_EQ(dense->blocksTracked(), distinct) << label;
         results.push_back(dense->results());

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -296,6 +297,78 @@ TEST(DirectGen, SourceBatchSizeIsInvisible)
         std::filesystem::remove(path);
     }
     std::filesystem::remove(refPath);
+}
+
+/**
+ * A hand-made stream whose lowering batches (4096 records each) mix
+ * instruction fetches, data references and lock tests right across
+ * their boundaries: batch 0 is a random mix, batch 1 holds only
+ * instruction fetches and lock tests (no data reference at all once
+ * lock tests are dropped), and batch 2 opens with first touches.
+ */
+trace::MemoryTrace
+mixedBatchTrace()
+{
+    constexpr std::size_t batch = 4096;
+    std::mt19937 rng(20240611);
+    trace::MemoryTrace out;
+    for (std::size_t i = 0; i < 3 * batch + 1500; ++i) {
+        trace::TraceRecord r;
+        r.cpu = static_cast<std::uint8_t>(rng() % 5);
+        r.pid = static_cast<std::uint16_t>(rng() % 9);
+        const unsigned pick = rng() % 4;
+        const bool onlyInstrAndTests = i >= batch && i < 2 * batch;
+        if (pick == 0 || (onlyInstrAndTests && pick == 1)) {
+            r.type = trace::RefType::Instr;
+        } else if (pick == 1 || onlyInstrAndTests) {
+            r.type = trace::RefType::Read;
+            r.flags = trace::FlagLockTest;
+        } else {
+            r.type = pick == 2 ? trace::RefType::Read
+                               : trace::RefType::Write;
+        }
+        // Reuse a few hundred blocks; the first data references of
+        // batch 2 touch blocks never seen before.
+        const bool fresh = i >= 2 * batch && i < 2 * batch + 64;
+        r.addr = 16 * (fresh ? 100000 + i : rng() % 700);
+        out.append(r);
+    }
+    return out;
+}
+
+TEST(DirectGen, MixedBatchesMatchReference)
+{
+    const trace::MemoryTrace raw = mixedBatchTrace();
+    for (const bool timed : {false, true}) {
+        for (const bool drop : {false, true}) {
+            SCOPED_TRACE("timed=" + std::to_string(timed) +
+                         " drop=" + std::to_string(drop));
+            trace::PrepareOptions opts;
+            opts.timedStreams = timed;
+            opts.dropLockTests = drop;
+            expectMatchesReference(trace::PreparedTrace::build(raw, opts),
+                                   referencePrepare(raw, opts));
+        }
+    }
+}
+
+/** byteSize() feeds the repository's budget, so a built trace must
+ *  report the same bytes as that trace read back from its store file,
+ *  whose tables are exactly sized. */
+TEST(DirectGen, BuiltByteSizeEqualsLoadedByteSize)
+{
+    const auto cfg = smallWorkloads(20000)[0];
+    for (const bool timed : {false, true}) {
+        SCOPED_TRACE("timed=" + std::to_string(timed));
+        trace::PrepareOptions opts;
+        opts.timedStreams = timed;
+        const trace::PreparedTrace built = gen::generatePrepared(cfg, opts);
+        const std::string path = tmpPath("byte_size.dspt");
+        trace::writeStored(built, path);
+        EXPECT_EQ(built.byteSize(),
+                  trace::StoredTrace::open(path)->loadAll().byteSize());
+        std::filesystem::remove(path);
+    }
 }
 
 /** The repository's builds, timed or not, land on the reference, and

@@ -2,13 +2,13 @@
  * @file
  * Fused multi-scheme replay: differential equivalence suite.
  *
- * FusedReplay interleaves every engine over cache-sized strips of the
- * prepared columns.  The claim that strip interleaving is invisible
- * to the coherence models is load-bearing for the whole sweep path,
- * so this suite pins it from every angle against the seed golden
- * digests (golden_data.hh): each scheme replayed alone, adversarial
- * span sizes (which bound the strips), fused groups through a
- * parallel SweepRunner, and fused groups over streamed store spans.
+ * FusedReplay hands each span of the prepared columns to every engine
+ * in turn.  The claim that this interleaving is invisible to the
+ * coherence models is load-bearing for the whole sweep path, so this
+ * suite pins it from every angle against the seed golden digests
+ * (golden_data.hh): each scheme replayed alone, adversarial span
+ * sizes, fused groups through a parallel SweepRunner, and fused
+ * groups over streamed store spans.
  */
 
 #include <gtest/gtest.h>
@@ -68,11 +68,10 @@ TEST(FusedReplayEquivalence, SequentialWholeSpanMatchesGolden)
 }
 
 /**
- * Strip size must never be observable.  A strip never crosses a span,
- * so spans of one reference (maximum engine interleaving), a prime
- * size whose boundaries never line up with the 4K type-decode strips,
- * and a size far below the strip length all drive every scheme fused
- * onto its seed digest.
+ * Span size must never be observable: spans of one reference (maximum
+ * engine interleaving), a prime size whose boundaries never line up
+ * with the 4K type-decode strips, and 1000 references all drive every
+ * scheme fused onto its seed digest.
  */
 TEST(FusedReplayEquivalence, AdversarialStripSizesMatchGolden)
 {

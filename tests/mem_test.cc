@@ -11,7 +11,6 @@
 
 #include "gen/rng.hh"
 #include "mem/block.hh"
-#include "mem/infinite.hh"
 #include "mem/set_assoc.hh"
 
 namespace
@@ -45,45 +44,6 @@ TEST(BlockUtils, BlockIdAndBase)
     EXPECT_EQ(blockId(0xf, 16), 0u);
     EXPECT_EQ(blockId(0x10, 16), 1u);
     EXPECT_EQ(blockBase(3, 16), 0x30u);
-}
-
-TEST(InfiniteStore, MissThenHit)
-{
-    InfiniteTagStore store;
-    const TouchResult first = store.touch(42);
-    EXPECT_FALSE(first.hit);
-    EXPECT_FALSE(first.evicted);
-    const TouchResult second = store.touch(42);
-    EXPECT_TRUE(second.hit);
-    EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(InfiniteStore, NeverEvicts)
-{
-    InfiniteTagStore store;
-    for (BlockId b = 0; b < 10'000; ++b)
-        EXPECT_FALSE(store.touch(b).evicted);
-    EXPECT_EQ(store.size(), 10'000u);
-}
-
-TEST(InfiniteStore, InvalidateRemoves)
-{
-    InfiniteTagStore store;
-    store.touch(7);
-    EXPECT_TRUE(store.contains(7));
-    store.invalidate(7);
-    EXPECT_FALSE(store.contains(7));
-    EXPECT_FALSE(store.touch(7).hit);
-}
-
-TEST(InfiniteStore, ClearEmpties)
-{
-    InfiniteTagStore store;
-    store.touch(1);
-    store.touch(2);
-    store.clear();
-    EXPECT_EQ(store.size(), 0u);
-    EXPECT_FALSE(store.contains(1));
 }
 
 TEST(SetAssoc, GeometryValidation)

@@ -4,7 +4,7 @@
  *
  * MultiLimitedEngine claims each of its lanes is bit-identical to an
  * independent LimitedEngine at that pointer count — over any stream,
- * at any strip size, through every replay path.  This suite holds it
+ * at any span size, through every replay path.  This suite holds it
  * to that with full EngineResults equality (every counter and
  * histogram, not just a digest) on randomized workloads the golden
  * tables have never seen: co-resident multi + independent engines at
@@ -97,11 +97,10 @@ independentBaseline(const gen::WorkloadConfig &cfg,
 }
 
 /**
- * Multi + independents co-resident in one simulator over spans (and
- * so strips) of 1 reference (maximum interleaving), 7 (a prime, so no
- * boundary lines up with the 4K type-decode strips) and 64K (the
- * strip length): every lane's EngineResults must equal its
- * independent twin's, field for field.
+ * Multi + independents co-resident in one simulator over spans of 1
+ * reference (maximum interleaving), 7 (a prime, so no boundary lines
+ * up with the 4K type-decode strips) and 64K: every lane's
+ * EngineResults must equal its independent twin's, field for field.
  */
 TEST(MultiConfigDifferential, RandomWorkloadsAcrossStripSizes)
 {
@@ -214,8 +213,8 @@ TEST(MultiConfigDifferential, FusedParallelSweepCollapses)
 
 /**
  * Collapsed groups over the out-of-core path: small chunks force many
- * span boundaries inside every strip walk of the shared table, and
- * each lane still equals its independent in-memory baseline.
+ * span boundaries into the walk of the shared table, and each lane
+ * still equals its independent in-memory baseline.
  */
 TEST(MultiConfigDifferential, StreamedStoreSpansMatch)
 {

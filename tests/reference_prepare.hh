@@ -42,8 +42,6 @@ struct ReferencePrepared
     std::vector<std::uint32_t> block;
     std::vector<std::uint8_t> unit;
     std::vector<std::uint8_t> typeFlags;
-    /** Grown by push_back, as the real names table is, so its
-     *  capacity predicts the real byteSize(). */
     std::vector<std::uint32_t> names;
     std::vector<ReferenceStream> streams; //!< timedStreams only.
 };
@@ -137,7 +135,7 @@ expectMatchesReference(const trace::PreparedTrace &got,
     EXPECT_TRUE(std::ranges::equal(got.blockNames(), want.names))
         << "block names differ";
     std::size_t bytes = sizeof(trace::PreparedTrace) + 6 * n +
-                        4 * want.names.capacity();
+                        4 * want.names.size();
     ASSERT_EQ(got.cpuStreams().size(), want.streams.size());
     for (std::size_t c = 0; c < want.streams.size(); ++c) {
         SCOPED_TRACE("cpu " + std::to_string(c));
