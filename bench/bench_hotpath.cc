@@ -1,22 +1,12 @@
 /**
  * @file
- * Hot-path throughput harness: raw engine replay speed in refs/sec.
+ * Hot-path throughput harness and the two CI performance gates.
  *
- * The exhibit benches measure whole evaluations (workload generation
- * plus simulation); this harness isolates the per-reference hot path
- * that PR 3's flat-storage refactor targets.  It materialises one
- * workload trace up front, then replays it through each engine
- * variant and through one timed-bus point, timing only the replay.
- * Results (refs/sec, resident-block count per engine, peak RSS) land
- * in a machine-readable JSON file so CI and the PR description can
- * compare before/after numbers.
- *
- * Unlike the exhibit benches this is a plain main(): google-benchmark
- * adds nothing to a best-of-N wall-clock measurement of a
- * deterministic replay loop.
- *
- * Each engine runs twice: once from the raw MemoryTrace (per-record
- * unit/block mapping on the replay path) and once from a
+ * The default mode isolates the per-reference hot path.  It
+ * materialises one workload trace up front, then replays it through
+ * each engine variant and through one timed-bus point, timing only
+ * the replay.  Each engine runs twice: once from the raw MemoryTrace
+ * (per-record unit/block mapping on the replay path) and once from a
  * trace::PreparedTrace (decode-once SoA columns), so the decode-once
  * speedup is visible per engine.  The one-time decode cost is timed
  * and reported separately.
@@ -24,13 +14,22 @@
  * `--sweep` switches to an end-to-end campaign measurement instead:
  * the fig2/fig3-style evaluation (standard engines, DiriNB pointer
  * sweep, Berkeley) runs through the sim::TraceRepository from a cold
- * start, and BENCH_sweep.json records the decode-vs-replay split,
- * per-scheme replay attribution and the multi-configuration row.
+ * start.  Then every rep times two fused passes back to back over the
+ * warm traces: one with each campaign scheme as its own engine, one
+ * with the DiriNB row collapsed into a single MultiLimitedEngine.
+ * The multi-configuration speedup is the median of the per-rep
+ * ratios, so one noisy pass cannot move the gate.
+ *
+ * Results (refs/sec, resident-block count per engine, peak RSS) land
+ * in a machine-readable JSON file.  This is a plain main(): a
+ * best-of-N wall clock of a deterministic replay loop needs no
+ * benchmark framework.
  *
  * Flags:
  *   --refs N       trace length (default 2,000,000; ignored by --sweep,
  *                  which uses the standard quarter-size workloads)
- *   --reps N       repetitions per point, best-of (default 3)
+ *   --reps N       repetitions per point, best-of (default 3; --sweep
+ *                  runs at least 9 paired reps)
  *   --out PATH     JSON output path (default BENCH_hotpath.json, or
  *                  BENCH_sweep.json in --sweep mode)
  *   --floor R      fail (exit 1) if any reported replay point runs
@@ -38,24 +37,15 @@
  *                  disabled)
  *   --sweep        measure the end-to-end campaign instead of
  *                  single-engine replay
- *   --multi-floor R  fail (exit 1) if the multi-configuration row's
+ *   --multi-floor R  fail (exit 1) if the median multi-configuration
  *                  speedup over the independent DiriNB engines falls
  *                  below R (sweep mode; default 0 = disabled)
- *   --schemes CSV  restrict the sweep's per-scheme attribution (and
- *                  the multi-config lanes) to the named schemes;
- *                  unknown names are a hard error (sweep mode)
- *   --trace-cache-dir PATH    persistent trace cache directory; the
- *                  prepared pass streams from warm store files and
- *                  spills on cold misses (sweep mode)
- *   --trace-cache-budget MiB  disk-tier byte budget (default 4096)
- *   --stream-chunk-refs N     refs per streamed chunk (bounds replay
- *                  RSS; default 1048576)
- *   --repo-stats   print the trace-repository counters after the run
  */
 
 #include <sys/resource.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -64,6 +54,7 @@
 #include <iostream>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -85,12 +76,43 @@
 #include "trace/prepared.hh"
 #include "trace/trace.hh"
 
-#include "bench_common.hh"
-
 namespace
 {
 
 using namespace dirsim;
+
+/** Seconds elapsed on a steady clock since construction. */
+class WallTimer
+{
+  public:
+    double
+    seconds() const
+    {
+        return std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - _start)
+            .count();
+    }
+
+  private:
+    std::chrono::steady_clock::time_point _start =
+        std::chrono::steady_clock::now();
+};
+
+/** One greppable "[bench]" line per point: wall clock and refs/sec. */
+std::string
+throughputLine(const std::string &name, std::uint64_t refs,
+               double seconds)
+{
+    std::ostringstream os;
+    os << "[bench] " << name << ": " << seconds << " s wall, " << refs
+       << " refs";
+    if (seconds > 0.0 && refs > 0)
+        os << ", "
+           << static_cast<std::uint64_t>(
+                  static_cast<double>(refs) / seconds)
+           << " refs/sec";
+    return os.str();
+}
 
 struct Options
 {
@@ -99,18 +121,14 @@ struct Options
     std::string out;
     double floor = 0.0;
     bool sweep = false;
-    std::string traceCacheDir;
-    std::uint64_t traceCacheBudgetMiB = 4096;
-    std::uint64_t streamChunkRefs = trace::kDefaultChunkRefs;
-    bool repoStats = false;
     double multiFloor = 0.0;
-    std::vector<std::string> schemes; //!< Empty = all.
 };
 
-/** The sweep campaign's scheme vocabulary (attribution row order). */
-const std::vector<std::string> kSweepSchemes = {
-    "inval", "dir1nb", "dir2nb", "dir4nb",
-    "dir8nb", "dragon", "berkeley"};
+/** --sweep pairs its two passes at least this many times. */
+constexpr unsigned kMinSweepReps = 9;
+
+/** The collapsed DiriNB row's lanes, in sweep order. */
+const std::vector<unsigned> kLanes = {1, 2, 4, 8};
 
 struct PointResult
 {
@@ -147,45 +165,21 @@ parseOptions(int argc, char **argv)
                 std::numeric_limits<double>::max());
         } else if (std::strcmp(argv[a], "--sweep") == 0) {
             opts.sweep = true;
-        } else if (std::strcmp(argv[a], "--trace-cache-dir") == 0) {
-            opts.traceCacheDir = want("--trace-cache-dir");
-        } else if (std::strcmp(argv[a], "--trace-cache-budget") ==
-                   0) {
-            opts.traceCacheBudgetMiB = cli::parseUnsignedInRange(
-                want("--trace-cache-budget"), "--trace-cache-budget",
-                1, 16u * 1024 * 1024);
-        } else if (std::strcmp(argv[a], "--stream-chunk-refs") == 0) {
-            opts.streamChunkRefs = cli::parseUnsignedInRange(
-                want("--stream-chunk-refs"), "--stream-chunk-refs",
-                1, 1u << 31);
-        } else if (std::strcmp(argv[a], "--repo-stats") == 0) {
-            opts.repoStats = true;
         } else if (std::strcmp(argv[a], "--multi-floor") == 0) {
             opts.multiFloor = cli::parseDoubleInRange(
                 want("--multi-floor"), "--multi-floor", 0.0,
                 std::numeric_limits<double>::max());
-        } else if (std::strcmp(argv[a], "--schemes") == 0) {
-            opts.schemes = cli::parseNameList(
-                want("--schemes"), "--schemes", kSweepSchemes);
         } else {
             std::cerr << "error: unknown flag '" << argv[a] << "'\n"
                       << "usage: bench_hotpath [--refs N] [--reps N] "
                          "[--out PATH] [--floor R] [--sweep] "
-                         "[--schemes CSV] "
-                         "[--multi-floor R] "
-                         "[--trace-cache-dir PATH] "
-                         "[--trace-cache-budget MiB] "
-                         "[--stream-chunk-refs N] [--repo-stats]\n";
+                         "[--multi-floor R]\n";
             std::exit(2);
         }
     }
     if (opts.floor > 0.0 && opts.sweep) {
         std::cerr << "error: --floor only applies to hot-path mode, "
                      "not --sweep\n";
-        std::exit(2);
-    }
-    if (!opts.schemes.empty() && !opts.sweep) {
-        std::cerr << "error: --schemes only applies to --sweep\n";
         std::exit(2);
     }
     if (opts.multiFloor > 0.0 && !opts.sweep) {
@@ -255,7 +249,7 @@ runEnginePoint(const std::string &name, const EngineMaker &make,
         coherence::CoherenceEngine &engine =
             simulator.addEngine(make());
         trace::MemoryTraceSource source(trace);
-        bench::WallTimer timer;
+        WallTimer timer;
         const std::uint64_t refs = simulator.run(source);
         const double s = timer.seconds();
         if (rep == 0 || s < pr.seconds) {
@@ -282,7 +276,7 @@ runPreparedEnginePoint(const std::string &name, const EngineMaker &make,
         sim::Simulator simulator(simCfg);
         coherence::CoherenceEngine &engine =
             simulator.addEngine(make());
-        bench::WallTimer timer;
+        WallTimer timer;
         const std::uint64_t refs = simulator.run(prepared);
         const double s = timer.seconds();
         if (rep == 0 || s < pr.seconds) {
@@ -315,7 +309,7 @@ runTimedPoint(const trace::MemoryTrace &trace,
         timing::TimedBusSim sim(
             cfg, std::make_unique<coherence::InvalEngine>(ecfg));
         trace::MemoryTraceSource source(trace);
-        bench::WallTimer timer;
+        WallTimer timer;
         const timing::TimedRun run = sim.run(source);
         const double s = timer.seconds();
         if (rep == 0 || s < pr.seconds) {
@@ -348,7 +342,7 @@ runTimedPreparedPoint(const trace::PreparedTrace &prepared,
         ecfg.nUnits = units;
         timing::TimedBusSim sim(
             cfg, std::make_unique<coherence::InvalEngine>(ecfg));
-        bench::WallTimer timer;
+        WallTimer timer;
         const timing::TimedRun run = sim.run(prepared);
         const double s = timer.seconds();
         if (rep == 0 || s < pr.seconds) {
@@ -415,26 +409,16 @@ runCampaign(const std::vector<gen::WorkloadConfig> &cfgs,
 {
     const analysis::Evaluation eval =
         analysis::evaluateWorkloads(cfgs, opts);
-    const std::vector<unsigned> pointers = {1, 2, 4, 8};
-    const auto limited = analysis::limitedSweep(cfgs, pointers, opts);
+    const auto limited = analysis::limitedSweep(cfgs, kLanes, opts);
     const auto berkeley = analysis::berkeleyResults(cfgs, opts);
     // Keep the results alive so the optimiser cannot elide a run.
     if (eval.traces.empty() || limited.empty() ||
         berkeley.events.totalRefs() == 0)
         std::cerr << "warning: campaign produced empty results\n";
     return static_cast<unsigned>(cfgs.size() * 3 +
-                                 cfgs.size() * pointers.size() +
+                                 cfgs.size() * kLanes.size() +
                                  cfgs.size());
 }
-
-/** Per-scheme replay attribution for the sweep JSON. */
-struct SchemeResult
-{
-    std::string name;
-    double seconds = 0.0; //!< Best-of-reps replay time, all workloads.
-    std::uint64_t refs = 0;
-    double refsPerSec = 0.0;
-};
 
 /**
  * The campaign's distinct schemes, one engine each (dir1nb appears in
@@ -444,186 +428,102 @@ struct SchemeResult
  * dir8nb reports itself as dir4nb on a four-process workload.
  */
 std::vector<std::pair<std::string, EngineMaker>>
-campaignEngines(unsigned units,
-                const std::vector<std::string> &schemeFilter)
+campaignEngines(unsigned units)
 {
-    const auto wanted = [&schemeFilter](const std::string &name) {
-        return schemeFilter.empty() ||
-               std::find(schemeFilter.begin(), schemeFilter.end(),
-                         name) != schemeFilter.end();
-    };
     std::vector<std::pair<std::string, EngineMaker>> makers;
-    if (wanted("inval"))
-        makers.emplace_back("inval", [units] {
-            coherence::InvalEngineConfig cfg;
-            cfg.nUnits = units;
-            return std::make_unique<coherence::InvalEngine>(cfg);
+    makers.emplace_back("inval", [units] {
+        coherence::InvalEngineConfig cfg;
+        cfg.nUnits = units;
+        return std::make_unique<coherence::InvalEngine>(cfg);
+    });
+    for (const unsigned p : kLanes)
+        makers.emplace_back("dir" + std::to_string(p) + "nb", [units, p] {
+            return std::make_unique<coherence::LimitedEngine>(units, p);
         });
-    for (unsigned p : {1u, 2u, 4u, 8u})
-        if (wanted("dir" + std::to_string(p) + "nb"))
-            makers.emplace_back("dir" + std::to_string(p) + "nb",
-                                [units, p] {
-                                    return std::make_unique<
-                                        coherence::LimitedEngine>(
-                                        units, p);
-                                });
-    if (wanted("dragon"))
-        makers.emplace_back("dragon", [units] {
-            return std::make_unique<coherence::DragonEngine>(units);
-        });
-    if (wanted("berkeley"))
-        makers.emplace_back("berkeley", [units] {
-            return std::make_unique<coherence::BerkeleyEngine>(units);
-        });
+    makers.emplace_back("dragon", [units] {
+        return std::make_unique<coherence::DragonEngine>(units);
+    });
+    makers.emplace_back("berkeley", [units] {
+        return std::make_unique<coherence::BerkeleyEngine>(units);
+    });
     return makers;
 }
 
-/** The DiriNB pointer counts the scheme filter keeps, sweep order. */
-std::vector<unsigned>
-filteredLanePointers(const std::vector<std::string> &schemeFilter)
+bool
+isLane(const std::string &name)
 {
-    std::vector<unsigned> lanes;
-    for (unsigned p : {1u, 2u, 4u, 8u}) {
-        const std::string name = "dir" + std::to_string(p) + "nb";
-        if (schemeFilter.empty() ||
-            std::find(schemeFilter.begin(), schemeFilter.end(),
-                      name) != schemeFilter.end())
-            lanes.push_back(p);
-    }
-    return lanes;
+    return name.rfind("dir", 0) == 0;
 }
 
-/**
- * Time each campaign scheme's replay over the (already warm) prepared
- * traces: one fused pass per workload with per-engine clocks.  The
- * campaign timings above measure end-to-end walls; this pass
- * attributes pure replay time to each scheme so a regression in one
- * protocol's hot path is visible in the JSON, not averaged away.
- */
-std::vector<SchemeResult>
-runSchemeAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
-                     const trace::PrepareOptions &prep, unsigned reps,
-                     const std::vector<std::string> &schemeFilter)
+/** Replay seconds per engine of one fused pass, all workloads. */
+struct PassResult
 {
-    std::vector<SchemeResult> schemes;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        std::vector<SchemeResult> pass;
-        for (const gen::WorkloadConfig &cfg : cfgs) {
-            const auto prepared =
-                sim::TraceRepository::global().get(cfg, prep);
-            const unsigned units = cfg.space.nProcesses;
-            std::vector<std::unique_ptr<coherence::CoherenceEngine>>
-                engines;
-            std::vector<coherence::CoherenceEngine *> ptrs;
-            std::vector<std::string> names;
-            for (const auto &[name, make] :
-                 campaignEngines(units, schemeFilter)) {
-                engines.push_back(make());
-                ptrs.push_back(engines.back().get());
-                names.push_back(name);
-            }
-            if (pass.empty()) {
-                pass.resize(engines.size());
-                for (std::size_t e = 0; e < engines.size(); ++e)
-                    pass[e].name = names[e];
-            }
-            sim::FusedReplayOptions fr;
-            fr.timeEngines = true;
-            trace::PreparedTraceSpans spans(*prepared);
-            const sim::FusedReplayRun run =
-                sim::FusedReplay(fr).run(spans, ptrs);
-            for (std::size_t e = 0; e < ptrs.size(); ++e) {
-                pass[e].seconds += run.engineSeconds[e];
-                pass[e].refs += run.totalRefs();
-            }
-        }
-        if (schemes.empty()) {
-            schemes = std::move(pass);
-        } else {
-            for (std::size_t e = 0; e < schemes.size(); ++e)
-                if (pass[e].seconds < schemes[e].seconds)
-                    schemes[e].seconds = pass[e].seconds;
-        }
-    }
-    for (SchemeResult &s : schemes)
-        s.refsPerSec = s.seconds > 0.0
-                           ? static_cast<double>(s.refs) / s.seconds
-                           : 0.0;
-    return schemes;
-}
-
-/** The collapsed DiriNB row's timing, for the multi-config A/B. */
-struct MultiRowResult
-{
-    bool enabled = false;
-    std::vector<unsigned> lanes; //!< Pointer counts, sweep order.
-    double seconds = 0.0; //!< Best-of-reps, all workloads, one lookup.
-    std::uint64_t refs = 0; //!< Stream refs through the shared table.
-    /** Sum of the same lanes' independent-engine rows (pass above). */
-    double independentSeconds = 0.0;
-    double speedup = 0.0;
+    std::vector<std::string> names;
+    std::vector<double> seconds;
+    std::uint64_t refs = 0; //!< Stream refs each engine replayed.
 };
 
 /**
- * Time the collapsed pointer-count row: one MultiLimitedEngine whose
- * lanes are the sweep's DiriNB configurations, co-resident with the
- * other campaign engines so cache pressure matches the independent
- * attribution pass — but only the multi row's per-engine clock is
- * harvested.  Each reference costs one shared block-table lookup plus
- * one update per lane, versus one lookup per lane for the independent
- * engines; the speedup over the summed independent rows is the gate
- * the CI --multi-floor locks in.
+ * One fused pass per workload over the (already warm) prepared
+ * traces, with per-engine clocks.  With @p collapse the DiriNB
+ * engines give way to one MultiLimitedEngine holding every lane
+ * (one shared block-table lookup per reference plus one update per
+ * lane), named "multi"; the other campaign engines stay co-resident
+ * so cache pressure matches the independent pass.
  */
-MultiRowResult
-runMultiAttribution(const std::vector<gen::WorkloadConfig> &cfgs,
-                    const trace::PrepareOptions &prep, unsigned reps,
-                    const std::vector<unsigned> &lanes,
-                    const std::vector<std::string> &schemeFilter)
+PassResult
+runPass(const std::vector<gen::WorkloadConfig> &cfgs,
+        const trace::PrepareOptions &prep, bool collapse)
 {
-    MultiRowResult mr;
-    mr.lanes = lanes;
-    for (unsigned rep = 0; rep < reps; ++rep) {
-        double seconds = 0.0;
-        std::uint64_t refs = 0;
-        for (const gen::WorkloadConfig &cfg : cfgs) {
-            const auto prepared =
-                sim::TraceRepository::global().get(cfg, prep);
-            const unsigned units = cfg.space.nProcesses;
-            std::vector<std::unique_ptr<coherence::CoherenceEngine>>
-                engines;
-            std::vector<coherence::CoherenceEngine *> ptrs;
-            std::size_t multiIndex = 0;
-            bool multiPlaced = false;
-            for (const auto &[name, make] :
-                 campaignEngines(units, schemeFilter)) {
-                if (name.rfind("dir", 0) == 0) {
-                    // The whole DiriNB row becomes one engine.
-                    if (multiPlaced)
-                        continue;
-                    multiIndex = engines.size();
-                    multiPlaced = true;
-                    engines.push_back(std::make_unique<
-                                      coherence::MultiLimitedEngine>(
-                        units, lanes));
-                } else {
-                    engines.push_back(make());
-                }
-                ptrs.push_back(engines.back().get());
+    PassResult pass;
+    for (const gen::WorkloadConfig &cfg : cfgs) {
+        const auto prepared =
+            sim::TraceRepository::global().get(cfg, prep);
+        const unsigned units = cfg.space.nProcesses;
+        std::vector<std::unique_ptr<coherence::CoherenceEngine>>
+            engines;
+        std::vector<coherence::CoherenceEngine *> ptrs;
+        std::vector<std::string> names;
+        bool multiPlaced = false;
+        for (const auto &[name, make] : campaignEngines(units)) {
+            if (collapse && isLane(name)) {
+                // The whole DiriNB row becomes one engine.
+                if (multiPlaced)
+                    continue;
+                multiPlaced = true;
+                engines.push_back(
+                    std::make_unique<coherence::MultiLimitedEngine>(
+                        units, kLanes));
+                names.push_back("multi");
+            } else {
+                engines.push_back(make());
+                names.push_back(name);
             }
-            sim::FusedReplayOptions fr;
-            fr.timeEngines = true;
-            trace::PreparedTraceSpans spans(*prepared);
-            const sim::FusedReplayRun run =
-                sim::FusedReplay(fr).run(spans, ptrs);
-            seconds += run.engineSeconds[multiIndex];
-            refs += run.totalRefs();
+            ptrs.push_back(engines.back().get());
         }
-        if (rep == 0 || seconds < mr.seconds) {
-            mr.seconds = seconds;
-            mr.refs = refs;
+        sim::FusedReplayOptions fr;
+        fr.timeEngines = true;
+        trace::PreparedTraceSpans spans(*prepared);
+        const sim::FusedReplayRun run =
+            sim::FusedReplay(fr).run(spans, ptrs);
+        if (pass.names.empty()) {
+            pass.names = names;
+            pass.seconds.assign(ptrs.size(), 0.0);
         }
+        for (std::size_t e = 0; e < ptrs.size(); ++e)
+            pass.seconds[e] += run.engineSeconds[e];
+        pass.refs += run.totalRefs();
     }
-    return mr;
+    return pass;
+}
+
+double
+median(std::vector<double> values)
+{
+    std::sort(values.begin(), values.end());
+    const std::size_t n = values.size();
+    return n % 2 ? values[n / 2]
+                 : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
 int
@@ -636,25 +536,18 @@ runSweepMode(const Options &opts)
 
     // The campaign from a cold repository: the decode split is the
     // one-time generate+prepare cost, the replay split is everything
-    // the campaign does on top of the shared prepared traces.  With a
-    // trace cache directory the campaign instead streams out-of-core
-    // store files (warm files skip generate+prepare entirely).
+    // the campaign does on top of the shared prepared traces.
     const analysis::EvalOptions evalOpts;
     sim::TraceRepository &repo = sim::TraceRepository::global();
     repo.clear();
     trace::PrepareOptions prep;
     prep.blockBytes = evalOpts.sim.blockBytes;
     prep.domain = evalOpts.sim.domain;
-    bench::WallTimer decodeTimer;
-    if (!opts.traceCacheDir.empty()) {
-        for (const gen::WorkloadConfig &cfg : cfgs)
-            repo.getStored(cfg, prep);
-    } else {
-        for (const gen::WorkloadConfig &cfg : cfgs)
-            repo.get(cfg, prep);
-    }
+    WallTimer decodeTimer;
+    for (const gen::WorkloadConfig &cfg : cfgs)
+        repo.get(cfg, prep);
     const double decodeSeconds = decodeTimer.seconds();
-    bench::WallTimer replayTimer;
+    WallTimer replayTimer;
     const unsigned points = runCampaign(cfgs, evalOpts);
     const double replaySeconds = replayTimer.seconds();
     const double preparedSeconds = decodeSeconds + replaySeconds;
@@ -663,42 +556,57 @@ runSweepMode(const Options &opts)
               << " s = " << preparedSeconds << " s ("
               << repo.buildCount() << " repository builds)\n";
 
-    // Per-scheme replay attribution over the now-warm repository.
-    const std::vector<SchemeResult> schemes = runSchemeAttribution(
-        cfgs, prep, opts.reps, opts.schemes);
-    for (const SchemeResult &s : schemes)
-        std::cout << "  "
-                  << bench::throughputLine(s.name, s.refs, s.seconds)
-                  << "\n";
-
-    // Multi-configuration pass: the same DiriNB row collapsed into
-    // one shared-table engine.  Needs at least two surviving lanes to
-    // be a collapse.
-    MultiRowResult multi;
-    const std::vector<unsigned> lanes =
-        filteredLanePointers(opts.schemes);
-    if (lanes.size() >= 2) {
-        multi = runMultiAttribution(cfgs, prep, opts.reps, lanes,
-                                    opts.schemes);
-        multi.enabled = true;
-        for (const SchemeResult &s : schemes)
-            for (const unsigned p : lanes)
-                if (s.name == "dir" + std::to_string(p) + "nb")
-                    multi.independentSeconds += s.seconds;
-        multi.speedup = multi.seconds > 0.0
-                            ? multi.independentSeconds / multi.seconds
-                            : 0.0;
-        std::cout << "  "
-                  << bench::throughputLine("multi(" +
-                                               std::to_string(
-                                                   lanes.size()) +
-                                               " lanes)",
-                                           multi.refs, multi.seconds)
-                  << "\n";
-        std::cout << "  multi-config speedup " << multi.speedup
-                  << "x over " << lanes.size()
-                  << " independent engines\n";
+    // Paired passes over the now-warm repository: each rep's
+    // independent lanes and collapsed row run back to back, so both
+    // sides of a ratio see the same machine state.
+    const unsigned reps = std::max(opts.reps, kMinSweepReps);
+    PassResult best;  //!< Best-of-reps independent pass, per engine.
+    double multiSeconds = 0.0;
+    std::uint64_t multiRefs = 0;
+    std::vector<double> speedups;
+    for (unsigned rep = 0; rep < reps; ++rep) {
+        const PassResult independent = runPass(cfgs, prep, false);
+        const PassResult collapsed = runPass(cfgs, prep, true);
+        double laneSeconds = 0.0;
+        for (std::size_t e = 0; e < independent.names.size(); ++e)
+            if (isLane(independent.names[e]))
+                laneSeconds += independent.seconds[e];
+        const std::size_t m =
+            std::find(collapsed.names.begin(), collapsed.names.end(),
+                      "multi") -
+            collapsed.names.begin();
+        const double multi = collapsed.seconds[m];
+        speedups.push_back(multi > 0.0 ? laneSeconds / multi : 0.0);
+        if (rep == 0) {
+            best = independent;
+        } else {
+            for (std::size_t e = 0; e < best.seconds.size(); ++e)
+                best.seconds[e] =
+                    std::min(best.seconds[e], independent.seconds[e]);
+        }
+        if (rep == 0 || multi < multiSeconds) {
+            multiSeconds = multi;
+            multiRefs = collapsed.refs;
+        }
     }
+    const double speedup = median(speedups);
+    const auto [lo, hi] =
+        std::minmax_element(speedups.begin(), speedups.end());
+    for (std::size_t e = 0; e < best.names.size(); ++e)
+        std::cout << "  "
+                  << throughputLine(best.names[e], best.refs,
+                                    best.seconds[e])
+                  << "\n";
+    std::cout << "  "
+              << throughputLine("multi(" +
+                                    std::to_string(kLanes.size()) +
+                                    " lanes)",
+                                multiRefs, multiSeconds)
+              << "\n";
+    std::cout << "  multi-config speedup " << speedup << "x over "
+              << kLanes.size() << " independent engines (median of "
+              << reps << " paired reps, " << *lo << "-" << *hi
+              << "x)\n";
 
     std::ofstream os(opts.out);
     if (!os) {
@@ -718,54 +626,43 @@ runSweepMode(const Options &opts)
     os << "  \"repository_builds\": " << repo.buildCount() << ",\n";
     os << "  \"peak_rss_kb\": " << peakRssKb() << ",\n";
     os << "  \"schemes\": [\n";
-    for (std::size_t i = 0; i < schemes.size(); ++i) {
-        const SchemeResult &s = schemes[i];
-        os << "    {\"name\": \"" << s.name << "\", "
-           << "\"refs\": " << s.refs << ", "
-           << "\"seconds\": " << s.seconds << ", "
+    for (std::size_t e = 0; e < best.names.size(); ++e) {
+        const double s = best.seconds[e];
+        os << "    {\"name\": \"" << best.names[e] << "\", "
+           << "\"refs\": " << best.refs << ", "
+           << "\"seconds\": " << s << ", "
            << "\"refs_per_sec\": "
-           << static_cast<std::uint64_t>(s.refsPerSec) << "}"
-           << (i + 1 < schemes.size() ? "," : "") << "\n";
+           << static_cast<std::uint64_t>(
+                  s > 0.0 ? static_cast<double>(best.refs) / s : 0.0)
+           << "}" << (e + 1 < best.names.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
-    os << "  \"multi_config\": {\"enabled\": "
-       << (multi.enabled ? "true" : "false") << ", "
-       << "\"lanes\": " << multi.lanes.size() << ", "
-       << "\"pointer_counts\": [";
-    for (std::size_t i = 0; i < multi.lanes.size(); ++i)
-        os << (i ? ", " : "") << multi.lanes[i];
-    os << "], "
-       << "\"refs\": " << multi.refs << ", "
-       << "\"seconds\": " << multi.seconds << ", "
-       << "\"refs_per_sec\": "
+    os << "  \"multi_config\": {\"lanes\": " << kLanes.size()
+       << ", \"pointer_counts\": [";
+    for (std::size_t i = 0; i < kLanes.size(); ++i)
+        os << (i ? ", " : "") << kLanes[i];
+    os << "], \"refs\": " << multiRefs
+       << ", \"seconds\": " << multiSeconds << ", \"refs_per_sec\": "
        << static_cast<std::uint64_t>(
-              multi.seconds > 0.0
-                  ? static_cast<double>(multi.refs) / multi.seconds
+              multiSeconds > 0.0
+                  ? static_cast<double>(multiRefs) / multiSeconds
                   : 0.0)
-       << ", "
-       << "\"independent_seconds\": " << multi.independentSeconds
-       << ", "
-       << "\"speedup\": " << multi.speedup << "}\n";
+       << ", \"speedup\": " << speedup << ", \"rep_speedups\": [";
+    for (std::size_t i = 0; i < speedups.size(); ++i)
+        os << (i ? ", " : "") << speedups[i];
+    os << "]}\n";
     os << "}\n";
     std::cout << "  wrote " << opts.out << "\n";
 
     if (opts.multiFloor > 0.0) {
-        if (!multi.enabled) {
-            std::cerr << "FAIL: --multi-floor set but the "
-                         "multi-configuration pass did not run\n";
-            return 1;
-        }
-        if (multi.speedup < opts.multiFloor) {
-            std::cerr << "FAIL: multi-config speedup " << multi.speedup
+        if (speedup < opts.multiFloor) {
+            std::cerr << "FAIL: multi-config speedup " << speedup
                       << "x below floor " << opts.multiFloor << "x\n";
             return 1;
         }
-        std::cout << "  multi floor check passed (" << multi.speedup
+        std::cout << "  multi floor check passed (" << speedup
                   << "x >= " << opts.multiFloor << "x)\n";
     }
-    if (opts.repoStats)
-        std::cout << "  repo-stats: " << repo.stats().summary()
-                  << "\n";
     return 0;
 }
 
@@ -775,14 +672,6 @@ int
 main(int argc, char **argv)
 {
     const Options opts = parseOptions(argc, argv);
-    if (!opts.traceCacheDir.empty()) {
-        sim::DiskCacheConfig disk;
-        disk.dir = opts.traceCacheDir;
-        disk.budgetBytes = opts.traceCacheBudgetMiB * 1024 * 1024;
-        disk.chunkRefs = opts.streamChunkRefs;
-        sim::TraceRepository::global().setDiskCache(disk);
-        analysis::setDefaultStreamReplay(true);
-    }
     if (opts.sweep)
         return runSweepMode(opts);
 
@@ -796,7 +685,7 @@ main(int argc, char **argv)
               << " refs=" << opts.refs << " reps=" << opts.reps
               << "\n";
 
-    bench::WallTimer total;
+    WallTimer total;
     const trace::MemoryTrace trace = gen::generateTrace(workload);
     std::cout << "  trace materialised in " << total.seconds()
               << " s\n";
@@ -805,7 +694,7 @@ main(int argc, char **argv)
     prep.blockBytes = simCfg.blockBytes;
     prep.domain = simCfg.domain;
     prep.timedStreams = true;
-    bench::WallTimer decodeTimer;
+    WallTimer decodeTimer;
     const trace::PreparedTrace prepared =
         trace::PreparedTrace::build(trace, prep);
     const double decodeSeconds = decodeTimer.seconds();
@@ -824,7 +713,7 @@ main(int argc, char **argv)
         runTimedPreparedPoint(prepared, simCfg, units, opts.reps));
 
     for (const PointResult &p : points) {
-        std::cout << bench::throughputLine(p.name, p.refs, p.seconds);
+        std::cout << throughputLine(p.name, p.refs, p.seconds);
         if (p.blocksTracked != 0)
             std::cout << " (" << p.blocksTracked << " blocks)";
         std::cout << "\n";
@@ -858,9 +747,5 @@ main(int argc, char **argv)
                   << " >= " << static_cast<std::uint64_t>(opts.floor)
                   << " refs/sec)\n";
     }
-    if (opts.repoStats)
-        std::cout << "  repo-stats: "
-                  << sim::TraceRepository::global().stats().summary()
-                  << "\n";
     return 0;
 }

@@ -216,6 +216,20 @@ limitedSpec(unsigned nPointers,
             dirCache.enabled ? 0u : nPointers};
 }
 
+/** Run one engine over every workload and merge its results. */
+coherence::EngineResults
+runMerged(const std::vector<gen::WorkloadConfig> &cfgs,
+          const EvalOptions &opts, EngineSpec spec)
+{
+    const auto matrix = runMatrix(cfgs, opts, {std::move(spec)});
+    coherence::EngineResults merged;
+    for (const auto &row : matrix) {
+        merged.name = row[0].name;
+        merged.merge(row[0]);
+    }
+    return merged;
+}
+
 } // namespace
 
 Evaluation
@@ -291,32 +305,16 @@ invalWithDirectory(const std::vector<gen::WorkloadConfig> &cfgs,
                    const directory::DirEntryFactory &factory,
                    const EvalOptions &opts)
 {
-    const auto matrix = runMatrix(
-        cfgs, opts, {{invalFactory(&factory, opts.dirCache)}});
-
-    coherence::EngineResults merged;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        merged.name = matrix[c][0].name;
-        merged.merge(matrix[c][0]);
-    }
-    return merged;
+    return runMerged(cfgs, opts, {invalFactory(&factory, opts.dirCache)});
 }
 
 coherence::EngineResults
 berkeleyResults(const std::vector<gen::WorkloadConfig> &cfgs,
                 const EvalOptions &opts)
 {
-    const auto matrix = runMatrix(
-        cfgs, opts, {{[](unsigned units) {
-            return std::make_unique<coherence::BerkeleyEngine>(units);
-        }}});
-
-    coherence::EngineResults merged;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        merged.name = matrix[c][0].name;
-        merged.merge(matrix[c][0]);
-    }
-    return merged;
+    return runMerged(cfgs, opts, {[](unsigned units) {
+        return std::make_unique<coherence::BerkeleyEngine>(units);
+    }});
 }
 
 coherence::EngineResults
@@ -324,23 +322,14 @@ invalWithFiniteCaches(const std::vector<gen::WorkloadConfig> &cfgs,
                       const mem::CacheGeometry &geometry,
                       const EvalOptions &opts)
 {
-    const auto matrix = runMatrix(
-        cfgs, opts, {{[&geometry](unsigned units) {
-            coherence::InvalEngineConfig cfg;
-            cfg.nUnits = units;
-            cfg.cacheFactory = [&geometry]() {
-                return std::make_unique<mem::SetAssocTagStore>(
-                    geometry);
-            };
-            return std::make_unique<coherence::InvalEngine>(cfg);
-        }}});
-
-    coherence::EngineResults merged;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        merged.name = matrix[c][0].name;
-        merged.merge(matrix[c][0]);
-    }
-    return merged;
+    return runMerged(cfgs, opts, {[&geometry](unsigned units) {
+        coherence::InvalEngineConfig cfg;
+        cfg.nUnits = units;
+        cfg.cacheFactory = [&geometry]() {
+            return std::make_unique<mem::SetAssocTagStore>(geometry);
+        };
+        return std::make_unique<coherence::InvalEngine>(cfg);
+    }});
 }
 
 coherence::EngineResults
@@ -348,15 +337,7 @@ invalWithDirCache(const std::vector<gen::WorkloadConfig> &cfgs,
                   const directory::DirCacheConfig &dirCache,
                   const EvalOptions &opts)
 {
-    const auto matrix =
-        runMatrix(cfgs, opts, {{invalFactory(nullptr, dirCache)}});
-
-    coherence::EngineResults merged;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        merged.name = matrix[c][0].name;
-        merged.merge(matrix[c][0]);
-    }
-    return merged;
+    return runMerged(cfgs, opts, {invalFactory(nullptr, dirCache)});
 }
 
 coherence::EngineResults
@@ -365,15 +346,7 @@ limitedWithDirCache(const std::vector<gen::WorkloadConfig> &cfgs,
                     const directory::DirCacheConfig &dirCache,
                     const EvalOptions &opts)
 {
-    const auto matrix =
-        runMatrix(cfgs, opts, {limitedSpec(nPointers, dirCache)});
-
-    coherence::EngineResults merged;
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        merged.name = matrix[c][0].name;
-        merged.merge(matrix[c][0]);
-    }
-    return merged;
+    return runMerged(cfgs, opts, limitedSpec(nPointers, dirCache));
 }
 
 } // namespace dirsim::analysis

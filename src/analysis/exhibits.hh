@@ -111,6 +111,21 @@ Section6 section6(const Evaluation &eval, double broadcastCost = 8.0);
 stats::TextTable renderSection6(const Section6 &sec,
                                 double broadcastCost);
 
+/**
+ * Section 5 aside: the Berkeley Ownership estimate (Dir0B event
+ * frequencies with a free directory probe) against the real
+ * ownership engine @p berkeleyOwn (from berkeleyResults()), MESI,
+ * Yen-Fu and Dragon, on both buses.
+ */
+stats::TextTable
+section5Berkeley(const Evaluation &eval,
+                 const coherence::EngineResults &berkeleyOwn);
+
+/** Section 6: directory storage bits per memory block, one column
+ *  per cache count. */
+stats::TextTable
+section6Storage(const std::vector<unsigned> &cacheCounts);
+
 /** DiriNB sweep rendering (misses vs pointer count). */
 stats::TextTable
 limitedSweepTable(const std::vector<coherence::EngineResults> &sweep,

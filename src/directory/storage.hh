@@ -3,8 +3,8 @@
  * Directory storage-overhead calculator.
  *
  * Section 2 and Section 6 of the paper discuss how much state each
- * directory organisation keeps per main-memory block; the scalability
- * bench prints the overhead as a function of the number of caches.
+ * directory organisation keeps per main-memory block; the sec6_storage
+ * exhibit prints the overhead as a function of the number of caches.
  * Tang's organisation duplicates every cache's tag store instead of
  * annotating memory blocks; its per-memory-block equivalent depends on
  * the cache-to-memory ratio, which the calculator takes as a

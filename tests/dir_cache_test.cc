@@ -13,10 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <stdexcept>
 #include <vector>
 
+#include "analysis/evaluation.hh"
+#include "analysis/extensions.hh"
 #include "coherence/inval_engine.hh"
 #include "coherence/limited_engine.hh"
 #include "directory/dir_cache.hh"
@@ -426,6 +429,82 @@ TEST(DirCacheSweep, ParallelMatchesSerial)
         EXPECT_TRUE(results[i].engines[0] == serial[i])
             << results[i].name;
         EXPECT_GT(results[i].engines[0].dirCacheEvictions, 0u);
+    }
+}
+
+/**
+ * The directory-cache study on short traces: every finite point
+ * evicts, the unbounded point evicts nothing, the unbounded point's
+ * inval and Dir1NB results are the engines run with no directory
+ * cache (up to the cache's own hit/miss counters), and four jobs or
+ * streamed store files return the same points as one in-memory job.
+ */
+TEST(DirCacheStudy, FiniteEvictsAndUnboundedIsThePaperModel)
+{
+    std::vector<gen::WorkloadConfig> workloads =
+        gen::standardWorkloads();
+    for (auto &cfg : workloads)
+        cfg.totalRefs = 30'000;
+    const std::vector<analysis::DirCachePoint> points =
+        analysis::dirCacheStudy(workloads, {128, 0});
+    const analysis::Evaluation plain =
+        analysis::evaluateWorkloads(workloads);
+
+    const auto scrub = [](coherence::EngineResults r) {
+        r.dirCacheHits = 0;
+        r.dirCacheMisses = 0;
+        return r;
+    };
+    ASSERT_EQ(points.size(), 2 * workloads.size());
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        const analysis::DirCachePoint &finite = points[2 * w];
+        const analysis::DirCachePoint &unbounded = points[2 * w + 1];
+        ASSERT_EQ(finite.entries, 128u);
+        ASSERT_EQ(unbounded.entries, 0u);
+        EXPECT_GT(finite.inval.dirCacheEvictions, 0u)
+            << finite.workload;
+        EXPECT_EQ(unbounded.inval.dirCacheEvictions, 0u)
+            << unbounded.workload;
+        EXPECT_TRUE(unbounded.setReplacements.empty());
+        for (std::size_t i = 0; i < finite.limited.size(); ++i) {
+            EXPECT_GT(finite.limited[i].dirCacheEvictions, 0u)
+                << finite.workload << " " << finite.limited[i].name;
+            EXPECT_EQ(unbounded.limited[i].dirCacheEvictions, 0u)
+                << unbounded.workload << " "
+                << unbounded.limited[i].name;
+        }
+        EXPECT_TRUE(scrub(unbounded.inval) == plain.traces[w].inval)
+            << unbounded.workload;
+        EXPECT_TRUE(scrub(unbounded.limited.front()) ==
+                    plain.traces[w].dir1nb)
+            << unbounded.workload;
+    }
+
+    analysis::setDefaultEvalJobs(4);
+    const std::vector<analysis::DirCachePoint> parallel =
+        analysis::dirCacheStudy(workloads, {128, 0});
+    analysis::setDefaultEvalJobs(1);
+
+    // Streamed from store files, as under --trace-cache-dir.
+    sim::TraceRepository &repo = sim::TraceRepository::global();
+    sim::DiskCacheConfig disk;
+    disk.dir = testing::TempDir() + "dirsim-dir-cache-study";
+    repo.setDiskCache(disk);
+    analysis::setDefaultStreamReplay(true);
+    const std::vector<analysis::DirCachePoint> streamed =
+        analysis::dirCacheStudy(workloads, {128, 0});
+    analysis::setDefaultStreamReplay(false);
+    repo.setDiskCache({});
+    std::filesystem::remove_all(disk.dir);
+
+    for (const auto *other : {&parallel, &streamed}) {
+        ASSERT_EQ(other->size(), points.size());
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            const analysis::DirCachePoint &p = (*other)[i];
+            EXPECT_TRUE(p.inval == points[i].inval) << i;
+            EXPECT_TRUE(p.limited == points[i].limited) << i;
+            EXPECT_EQ(p.setReplacements, points[i].setReplacements) << i;
+        }
     }
 }
 

@@ -237,12 +237,6 @@ TEST(StoredTraceTest, StreamedSimulatorRunMatchesInMemoryRun)
     const trace::PreparedTrace prepared =
         trace::PreparedTrace::build(gen::generateTrace(cfg));
 
-    PathGuard file{scratchPath("simrun")};
-    trace::StoreWriteOptions wopts;
-    wopts.chunkRefs = 777; // odd size: spans straddle chunk edges
-    trace::writeStored(prepared, file.path, wopts);
-    const auto stored = trace::StoredTrace::open(file.path);
-
     const auto makeEngine = [&cfg] {
         coherence::InvalEngineConfig ecfg;
         ecfg.nUnits = cfg.space.nProcesses;
@@ -253,14 +247,33 @@ TEST(StoredTraceTest, StreamedSimulatorRunMatchesInMemoryRun)
         memSim.addEngine(makeEngine());
     const std::uint64_t memRefs = memSim.run(prepared);
 
-    sim::Simulator fileSim;
-    coherence::CoherenceEngine &fileEngine =
-        fileSim.addEngine(makeEngine());
-    const auto spans = stored->spanCursor();
-    const std::uint64_t fileRefs = fileSim.run(*spans);
+    const auto expectStreamedMatches = [&](const std::string &path) {
+        const auto stored = trace::StoredTrace::open(path);
+        sim::Simulator fileSim;
+        coherence::CoherenceEngine &fileEngine =
+            fileSim.addEngine(makeEngine());
+        const auto spans = stored->spanCursor();
+        EXPECT_EQ(fileSim.run(*spans), memRefs) << path;
+        EXPECT_TRUE(memEngine.results() == fileEngine.results()) << path;
+    };
 
-    EXPECT_EQ(memRefs, fileRefs);
-    EXPECT_TRUE(memEngine.results() == fileEngine.results());
+    // The decoded trace written out, at an odd chunk size so spans
+    // straddle chunk edges.
+    PathGuard file{scratchPath("simrun")};
+    trace::StoreWriteOptions wopts;
+    wopts.chunkRefs = 777;
+    trace::writeStored(prepared, file.path, wopts);
+    expectStreamedMatches(file.path);
+
+    // Spilled straight from the generator, never materialised.
+    for (const std::uint64_t chunk : {4096u, 16384u}) {
+        PathGuard spilled{scratchPath("simspill")};
+        gen::WorkloadSource source(cfg);
+        wopts.chunkRefs = chunk;
+        trace::spillFromSource(source, cfg.name, {}, spilled.path,
+                               wopts);
+        expectStreamedMatches(spilled.path);
+    }
 }
 
 TEST(StoredTraceTest, TimedReplayMatchesPreparedReplay)

@@ -58,7 +58,7 @@ const std::vector<sim::Scheme> allSchemes = {
 /**
  * The engine each scheme is costed from: the engineKindFor() mapping,
  * with BerkeleyOwn on the real ownership engine the way the Section 5
- * exhibit (bench_sec5_berkeley) pairs them.
+ * exhibit (analysis::section5Berkeley) pairs them.
  */
 std::unique_ptr<coherence::CoherenceEngine>
 engineFor(sim::Scheme scheme, unsigned units, unsigned nPointers)
