@@ -14,6 +14,10 @@
  *      stall table showing fixed priority starving the high-index
  *      CPUs while FCFS and round-robin spread the wait.
  *
+ * The pipelined runs of 2 and 3 come from analysis::contentionStudy,
+ * the study behind reproduce_paper's ext_contention_* exhibits; this
+ * walk adds the non-pipelined bus and the full per-CPU stall table.
+ *
  * Usage: contention_study [maxCpus] [refsPerCpu]
  *        (maxCpus in [2, 32], default 8; refsPerCpu in
  *        [1000, 1000000], default 20000)
@@ -23,12 +27,12 @@
 #include <memory>
 #include <vector>
 
+#include "analysis/extensions.hh"
 #include "cli/parse.hh"
 #include "coherence/inval_engine.hh"
 #include "gen/workloads.hh"
 #include "sim/cost_model.hh"
 #include "stats/table.hh"
-#include "timing/sweep.hh"
 #include "timing/timed_bus.hh"
 #include "timing/transactions.hh"
 
@@ -96,28 +100,16 @@ main(int argc, char **argv)
 
     // 2. Contention vs CPU count on both bus organisations.
     std::cout << "2. Dir0B under contention (FCFS)\n";
-    std::vector<timing::TimedSweepPoint> points;
     std::vector<unsigned> counts;
     for (unsigned n = 2; n <= max_cpus; n *= 2)
         counts.push_back(n);
-    for (const auto *bus : {&pipe, &nonpipe}) {
-        for (const unsigned n : counts) {
-            const gen::WorkloadConfig workload =
-                gen::scaledConfig(n, refs_per_cpu * n);
-            timing::TimedSweepPoint point;
-            point.name = bus->costs.name + "@" + std::to_string(n);
-            point.config.scheme = sim::Scheme::Dir0B;
-            point.config.bus = *bus;
-            point.engine = [units = workload.space.nProcesses] {
-                return invalEngine(units);
-            };
-            point.source = [workload] {
-                return std::make_unique<gen::WorkloadSource>(workload);
-            };
-            points.push_back(std::move(point));
-        }
-    }
-    const auto runs = timing::runTimedSweep(points);
+    const analysis::ContentionStudy study =
+        analysis::contentionStudy(counts, max_cpus, refs_per_cpu);
+    std::vector<timing::TimedRun> nonpipe_runs;
+    for (const unsigned n : counts)
+        nonpipe_runs.push_back(
+            runOne(sim::Scheme::Dir0B, nonpipe, timing::Discipline::FCFS,
+                   gen::scaledConfig(n, refs_per_cpu * n)));
 
     std::vector<std::string> headers = {"Bus"};
     for (const unsigned n : counts)
@@ -126,15 +118,17 @@ main(int argc, char **argv)
     stats::TextTable slow(
         "Effective cycles per reference (CPU view, stall included)",
         headers);
-    std::size_t r = 0;
-    for (const auto *bus : {&pipe, &nonpipe}) {
-        std::vector<std::string> urow = {bus->costs.name};
-        std::vector<std::string> srow = {bus->costs.name};
-        for (std::size_t c = 0; c < counts.size(); ++c, ++r) {
+    // Dir0B is the study's first scheme row.
+    const timing::TimedRun *const by_bus[] = {study.scaling.data(),
+                                              nonpipe_runs.data()};
+    for (const timing::TimedRun *runs : by_bus) {
+        std::vector<std::string> urow = {runs->bus};
+        std::vector<std::string> srow = {runs->bus};
+        for (std::size_t c = 0; c < counts.size(); ++c) {
             urow.push_back(
-                stats::TextTable::num(runs[r].busUtilization()));
-            srow.push_back(stats::TextTable::num(
-                runs[r].effectiveCyclesPerRef()));
+                stats::TextTable::num(runs[c].busUtilization()));
+            srow.push_back(
+                stats::TextTable::num(runs[c].effectiveCyclesPerRef()));
         }
         util.addRow(urow);
         slow.addRow(srow);
@@ -145,16 +139,10 @@ main(int argc, char **argv)
     // 3. Disciplines at the largest machine: who eats the stall.
     std::cout << "3. Arbitration disciplines (WTI, " << max_cpus
               << " CPUs, pipelined bus)\n";
-    const gen::WorkloadConfig big =
-        gen::scaledConfig(max_cpus, refs_per_cpu * max_cpus);
+    const std::vector<timing::TimedRun> &druns = study.arbitration;
     std::vector<std::string> dheaders = {"CPU"};
-    std::vector<timing::TimedRun> druns;
-    for (const auto d :
-         {timing::Discipline::FCFS, timing::Discipline::RoundRobin,
-          timing::Discipline::FixedPriority}) {
-        druns.push_back(runOne(sim::Scheme::WTI, pipe, d, big));
-        dheaders.push_back(druns.back().discipline);
-    }
+    for (const auto &run : druns)
+        dheaders.push_back(run.discipline);
     stats::TextTable stalls("Per-CPU stall fraction", dheaders);
     for (unsigned c = 0; c < max_cpus; ++c) {
         std::vector<std::string> row = {std::to_string(c)};

@@ -286,6 +286,34 @@ TEST(Extensions, NetworkStudyShowsScalingAsymmetry)
     EXPECT_EQ(renderNetwork(points).rows(), 2u);
 }
 
+TEST(Extensions, ContentionStudyShapes)
+{
+    const ContentionStudy study = contentionStudy({2, 4}, 4, 2'000);
+    const std::vector<std::string> schemes = {"Dir0B", "Dir1NB",
+                                              "Dragon", "WTI"};
+    ASSERT_EQ(study.scaling.size(), 2 * schemes.size());
+    for (std::size_t r = 0; r < study.scaling.size(); ++r) {
+        const timing::TimedRun &run = study.scaling[r];
+        EXPECT_EQ(run.name, schemes[r / 2]) << r;
+        EXPECT_EQ(run.nCpus, study.cpuCounts[r % 2]) << r;
+        EXPECT_EQ(run.discipline, "fcfs") << r;
+        EXPECT_GT(run.busUtilization(), 0.0) << r;
+    }
+    ASSERT_EQ(study.arbitration.size(), 3u);
+    // Its FCFS run is the scaling matrix's last point, run again.
+    EXPECT_TRUE(study.arbitration[0].identicalTo(study.scaling.back()));
+    EXPECT_EQ(study.arbitration[1].discipline, "round-robin");
+    EXPECT_EQ(study.arbitration[2].discipline, "fixed-priority");
+    EXPECT_EQ(renderUtilization(study).rows(), schemes.size());
+    EXPECT_EQ(renderQueueDelay(study).rows(), schemes.size());
+    const stats::TextTable arbitration = renderArbitration(study);
+    EXPECT_EQ(arbitration.rows(), 3u);
+    EXPECT_NE(arbitration.toString().find("WTI, 4 CPUs"),
+              std::string::npos);
+    EXPECT_NE(arbitration.toString().find("Stall cpu3"),
+              std::string::npos);
+}
+
 TEST(Extensions, BerkeleyResultsServeMoreMissesFromCaches)
 {
     auto workloads = gen::standardWorkloads();
