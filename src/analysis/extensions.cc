@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <memory>
 
 #include "bus/bus_model.hh"
@@ -766,17 +767,16 @@ const std::vector<sim::Scheme> contentionSchemes = {
     sim::Scheme::WTI};
 
 timing::TimedSweepPoint
-contentionPoint(sim::Scheme scheme, unsigned nCpus,
-                timing::Discipline discipline, std::uint64_t refsPerCpu)
+contentionPoint(sim::Scheme scheme, timing::Discipline discipline,
+                unsigned units,
+                std::shared_ptr<const trace::PreparedTrace> machine)
 {
-    const gen::WorkloadConfig workload =
-        gen::scaledConfig(nCpus, refsPerCpu * nCpus);
     timing::TimedSweepPoint point;
     point.name = sim::schemeName(scheme);
     point.config.scheme = scheme;
     point.config.bus = timing::timedPipelinedBus();
     point.config.discipline = discipline;
-    point.engine = [scheme, units = workload.space.nProcesses]()
+    point.engine = [scheme, units]()
         -> std::unique_ptr<coherence::CoherenceEngine> {
         switch (sim::engineKindFor(scheme)) {
           case sim::EngineKind::Limited:
@@ -790,9 +790,7 @@ contentionPoint(sim::Scheme scheme, unsigned nCpus,
           }
         }
     };
-    point.source = [workload] {
-        return std::make_unique<gen::WorkloadSource>(workload);
-    };
+    point.prepared = std::move(machine);
     return point;
 }
 
@@ -822,18 +820,37 @@ ContentionStudy
 contentionStudy(const std::vector<unsigned> &cpuCounts,
                 unsigned arbitrationCpus, std::uint64_t refsPerCpu)
 {
+    // Each CPU count's machine is generated and lowered once, with
+    // timed streams, and shared by every cell that replays it.
+    std::map<unsigned, std::shared_ptr<const trace::PreparedTrace>>
+        machines;
+    const auto point = [&](sim::Scheme scheme, unsigned nCpus,
+                           timing::Discipline discipline) {
+        const gen::WorkloadConfig workload =
+            gen::scaledConfig(nCpus, refsPerCpu * nCpus);
+        std::shared_ptr<const trace::PreparedTrace> &machine =
+            machines[nCpus];
+        if (!machine) {
+            gen::WorkloadSource source(workload);
+            trace::PrepareOptions opts;
+            opts.timedStreams = true;
+            machine = std::make_shared<const trace::PreparedTrace>(
+                trace::PreparedTrace::build(source, workload.name, opts));
+        }
+        return contentionPoint(scheme, discipline,
+                               workload.space.nProcesses, machine);
+    };
+
     // One sweep for the whole matrix; timed runs come back in
     // submission order at every job count.
     std::vector<timing::TimedSweepPoint> points;
     for (const sim::Scheme scheme : contentionSchemes)
         for (const unsigned n : cpuCounts)
-            points.push_back(contentionPoint(
-                scheme, n, timing::Discipline::FCFS, refsPerCpu));
+            points.push_back(point(scheme, n, timing::Discipline::FCFS));
     for (const auto d :
          {timing::Discipline::FCFS, timing::Discipline::RoundRobin,
           timing::Discipline::FixedPriority})
-        points.push_back(contentionPoint(sim::Scheme::WTI,
-                                         arbitrationCpus, d, refsPerCpu));
+        points.push_back(point(sim::Scheme::WTI, arbitrationCpus, d));
     std::vector<timing::TimedRun> runs =
         timing::runTimedSweep(points, defaultEvalJobs());
 

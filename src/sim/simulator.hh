@@ -11,8 +11,8 @@
  * considers "sharing between processes (as opposed to sharing between
  * processors)" to exclude migration-induced sharing, and checked that
  * processor-based numbers were not significantly different.  Both
- * domains are supported here; the extension bench reproduces the
- * check.
+ * domains are supported here; reproduce_paper's ext_sharing_domain
+ * exhibit reproduces the check.
  */
 
 #ifndef DIRSIM_SIM_SIMULATOR_HH

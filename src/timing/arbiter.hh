@@ -14,7 +14,8 @@
  *    neighbours and per-CPU service is equalised.
  *  - FixedPriority: lowest port index wins.  Deliberately unfair;
  *    under load the high-index CPUs see unbounded queueing delay,
- *    which the contention bench makes visible.
+ *    which reproduce_paper's ext_contention_arbitration exhibit
+ *    makes visible.
  *
  * Contract: pick() is called only with a non-empty waiter list, must
  * return an index into that list, and must be deterministic — the

@@ -8,20 +8,30 @@
  * statistics.  The port is a passive state machine — TimedBusSim
  * drives it from the event loop:
  *
- *   Running --(ref needs the bus)--> Stalled(issue txn 1)
+ *   Running --(gap of k fetches)--> Running, k cycles later
+ *   Running --(data ref needs the bus)--> Stalled(issue txn 1)
  *   Stalled --(txn complete, more txns)--> Stalled(issue next)
  *   Stalled --(last txn complete)--> Running
  *
- * The issuing processor does not proceed past a chargeable reference
- * until every one of its bus tenures has been granted and completed —
- * the blocking-processor model both service-discipline papers assume.
+ * The port hands out data references only.  Each carries its gap:
+ * the instruction fetches just before it, which in an infinite cache
+ * change nothing but the Instr count and take one cycle each, so the
+ * CPU retires them by sleeping (retireFetches()) and the stream's
+ * trailing fetches before it finishes.  The issuing processor does
+ * not proceed past a chargeable reference until every one of its bus
+ * tenures has been granted and completed — the blocking-processor
+ * model both service-discipline papers assume.
  */
 
 #ifndef DIRSIM_TIMING_PORT_HH
 #define DIRSIM_TIMING_PORT_HH
 
+#include <algorithm>
+#include <array>
 #include <cassert>
+#include <cstddef>
 #include <cstdint>
+#include <utility>
 
 #include "mem/block.hh"
 #include "timing/transactions.hh"
@@ -54,7 +64,7 @@ struct CpuTimedStats
     bool operator==(const CpuTimedStats &other) const = default;
 };
 
-/** One pre-classified reference of a port's stream. */
+/** One data reference of a port's stream (never an Instr). */
 struct PortRef
 {
     unsigned unit;       //!< Engine sharing-domain index.
@@ -63,14 +73,26 @@ struct PortRef
 };
 
 /**
+ * Most instruction fetches one wake-up retires.  A longer gap takes
+ * several wake-ups, so no CPU sleeps more than this (plus one
+ * reference or memory wait) ahead: that bounds the timed bus's ring
+ * of per-cycle wake-up slots, which 62 keeps at 64 slots on the
+ * non-pipelined bus and 128 on the pipelined one.
+ */
+inline constexpr unsigned kMaxFetchSkip = 62;
+
+/**
  * One CPU's interface to the timed bus (see file header).
  *
  * The port reads its stream one window at a time from a
  * trace::CpuRefCursor — the whole stream for an in-memory
- * PreparedCpuStream, one chunk for a trace::StoredTrace — and walks
- * each window with plain pointer reads, so the cursor's virtual call
- * is paid per window, not per reference.  The cursor must outlive
- * the port.
+ * PreparedCpuStream, one chunk for a trace::StoredTrace — and
+ * compacts each window, kChunk references at a time, into a buffer
+ * of data references tagged with their gaps.  The compaction writes
+ * every reference and advances by whether it is data, so it never
+ * branches on the reference type, and the cursor's virtual call is
+ * paid per window, not per reference.  The cursor must outlive the
+ * port.
  */
 class RequestPort
 {
@@ -78,27 +100,48 @@ class RequestPort
     RequestPort(unsigned cpu, trace::CpuRefCursor &cursor)
         : _cpu(cpu), _cursor(&cursor)
     {
+        refill();
     }
 
     unsigned cpu() const { return _cpu; }
 
-    /** References remain to execute (may pull the next window). */
-    bool
-    hasMoreRefs()
+    /**
+     * Retire up to kMaxFetchSkip of the instruction fetches due
+     * before the next data reference (or the stream's end), one
+     * cycle each.
+     * @return The fetches retired: the cycles the CPU sleeps.  0 when
+     *         the next data reference, or the end, is due now.
+     */
+    unsigned
+    retireFetches()
     {
-        return _next < _window.n || nextWindow();
+        const auto k = static_cast<unsigned>(
+            std::min<std::uint64_t>(_gap, kMaxFetchSkip));
+        _gap -= k;
+        _fetches += k;
+        _stats.refs += k;
+        return k;
     }
 
-    /** Consume the next reference (hasMoreRefs() must hold). */
+    /** A data reference remains (its gap may still be pending). */
+    bool hasMoreRefs() const { return _head < _count; }
+
+    /** Consume the next data reference (hasMoreRefs() must hold and
+     *  retireFetches() have returned 0).  Returned by value: taking
+     *  the buffer's last entry refills the buffer. */
     PortRef
     takeRef()
     {
-        assert(_next < _window.n);
+        assert(_gap == 0 && _head < _count);
+        const Entry &e = _buf[_head];
+        const PortRef ref{e.unit, static_cast<trace::RefType>(e.type),
+                          e.block};
         ++_stats.refs;
-        const std::size_t i = _next++;
-        return PortRef{_window.unit[i],
-                       trace::packedRefType(_window.typeFlags[i]),
-                       _window.block[i]};
+        if (++_head == _count)
+            refill();
+        else
+            _gap = _buf[_head].gap;
+        return ref;
     }
 
     /**
@@ -140,17 +183,77 @@ class RequestPort
     void finish(std::uint64_t now) { _stats.finishCycle = now; }
 
     const CpuTimedStats &stats() const { return _stats; }
+    /** Instruction fetches retired so far. */
+    std::uint64_t fetches() const { return _fetches; }
 
   private:
-    /** Pull the next non-empty window; false at the stream's end. */
+    /** A buffered data reference and the fetches just before it
+     *  (since the previous data reference of the same compaction). */
+    struct Entry
+    {
+        std::uint32_t block;
+        std::uint32_t gap;
+        std::uint8_t unit;
+        std::uint8_t type;
+    };
+
+    /** References one compaction reads: enough to amortise the
+     *  refill, few enough that 16 CPUs' buffers (12 KiB each) stay
+     *  in L2. */
+    static constexpr std::size_t kChunk = 1024;
+
+    /**
+     * Compact the stream's next data references into the buffer and
+     * set the gap before the first: the fetches after the previous
+     * buffer's last entry plus those before the first new one.  At
+     * the stream's end the buffer stays empty and the gap holds the
+     * trailing fetches.
+     */
+    void
+    refill()
+    {
+        _head = _count = 0;
+        std::uint64_t gap = std::exchange(_tail, 0);
+        while (_next < _window.n || nextWindow()) {
+            const std::size_t n = std::min(_window.n - _next, kChunk);
+            const std::uint32_t *block = _window.block + _next;
+            const std::uint8_t *unit = _window.unit + _next;
+            const std::uint8_t *typeFlags = _window.typeFlags + _next;
+            _next += n;
+            // Each entry is written at the cursor, which moves on
+            // only past a data reference: a fetch's entry is
+            // overwritten by the next reference.  The cursor stays
+            // at or below the input index, so it never passes kChunk.
+            std::size_t w = 0;
+            std::uint32_t run = 0;
+            for (std::size_t i = 0; i < n; ++i) {
+                const auto type = static_cast<std::uint8_t>(
+                    typeFlags[i] & trace::packedTypeMask);
+                const std::uint32_t isData =
+                    type != static_cast<std::uint8_t>(trace::RefType::Instr);
+                _buf[w] = Entry{block[i], run, unit[i], type};
+                w += isData;
+                run = (run + 1) & (isData - 1); // 0 after a data ref.
+            }
+            if (w != 0) {
+                _count = w;
+                _tail = run;
+                _gap = gap + _buf[0].gap;
+                return;
+            }
+            gap += run;
+        }
+        _gap = gap;
+    }
+
+    /** Pull the next window; false at the stream's end. */
     bool
     nextWindow()
     {
-        while (_cursor->nextWindow(_window)) {
-            _next = 0;
-            if (_window.n != 0)
-                return true;
-        }
+        _next = 0;
+        if (_cursor->nextWindow(_window))
+            return true;
+        _window.n = 0;
         return false;
     }
 
@@ -158,6 +261,15 @@ class RequestPort
     trace::CpuRefCursor *_cursor;
     trace::PreparedSpan _window;
     std::size_t _next = 0;
+
+    std::array<Entry, kChunk> _buf{};
+    std::size_t _head = 0;
+    std::size_t _count = 0;
+    /** Fetches still due before _buf[_head] (or the stream's end). */
+    std::uint64_t _gap = 0;
+    /** Fetches after the buffer's last entry, owed to the next. */
+    std::uint64_t _tail = 0;
+    std::uint64_t _fetches = 0;
 
     RefCharge _charge;
     unsigned _txnNext = 0;

@@ -281,7 +281,8 @@ TimedBusSim::runCursors(
     const unsigned memExtra = _cfg.bus.memExtraLatency;
 
     // --- The cycle loop ----------------------------------------------
-    WakeRing ring(nCpus, std::max(kCyclesPerRef, memExtra));
+    WakeRing ring(nCpus,
+                  std::max(kCyclesPerRef, memExtra) + kMaxFetchSkip);
     std::vector<BusRequest> waiters;
     bool busBusy = false;
     std::uint64_t busDone = 0;
@@ -298,12 +299,20 @@ TimedBusSim::runCursors(
                                      txn.busCycles, txn.usesMemory});
     };
 
-    // A woken CPU either issues the next tenure of a stalled
-    // reference or executes its next reference.
+    // A woken CPU issues the next tenure of a stalled reference,
+    // sleeps through more of a long fetch gap, or executes its next
+    // data reference.  Every wake-up that resumes a CPU adds the gap
+    // before its next data reference: an instruction fetch takes one
+    // cycle and no tenure (its charge is empty in every scheme), so
+    // retiring k fetches is sleeping k cycles.
     const auto wake = [&](unsigned cpu) {
         RequestPort &port = ports[cpu];
         if (port.hasPendingTxn()) {
             issue(port);
+            return;
+        }
+        if (const unsigned skip = port.retireFetches()) {
+            ring.schedule(cpu, now + skip);
             return;
         }
         if (!port.hasMoreRefs()) {
@@ -314,7 +323,7 @@ TimedBusSim::runCursors(
         const RefCharge &charge =
             model.charge(_engine->access(ref.unit, ref.type, ref.block));
         if (charge.empty()) {
-            ring.schedule(cpu, now + kCyclesPerRef);
+            ring.schedule(cpu, now + kCyclesPerRef + port.retireFetches());
             return;
         }
         port.beginStall(charge, now);
@@ -322,7 +331,7 @@ TimedBusSim::runCursors(
     };
 
     for (unsigned cpu = 0; cpu < nCpus; ++cpu)
-        ring.schedule(cpu, 0);
+        ring.schedule(cpu, ports[cpu].retireFetches());
     for (;;) {
         // The completion comes first, so a freed bus and the requests
         // arriving on the same cycle meet in one grant phase.
@@ -333,9 +342,12 @@ TimedBusSim::runCursors(
             const std::uint64_t done =
                 now + (busUsesMemory ? memExtra : 0);
             RequestPort &port = ports[busHolder];
-            if (!port.hasPendingTxn())
+            if (port.hasPendingTxn()) {
+                ring.schedule(busHolder, done);
+            } else {
                 port.endStall(done);
-            ring.schedule(busHolder, done);
+                ring.schedule(busHolder, done + port.retireFetches());
+            }
         }
         ring.drain(now, wake);
 
@@ -366,12 +378,15 @@ TimedBusSim::runCursors(
     }
     assert(waiters.empty());
 
+    std::uint64_t fetches = 0;
     for (const RequestPort &port : ports) {
         const CpuTimedStats &stats = port.stats();
         result.refs += stats.refs;
         result.makespan = std::max(result.makespan, stats.finishCycle);
         result.cpus.push_back(stats);
+        fetches += port.fetches();
     }
+    _engine->recordInstrs(fetches);
     result.engine = _engine->results();
     return result;
 }

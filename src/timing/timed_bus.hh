@@ -13,7 +13,11 @@
  * Model:
  *  - Each CPU executes its stream in simulated-time order across
  *    CPUs, kCyclesPerRef cycles per reference that needs no bus
- *    tenure.
+ *    tenure.  An instruction fetch never needs one and changes
+ *    nothing but the Instr count, so a CPU retires the fetches before
+ *    each data reference (its gap, timing/port.hh) as one sleep of
+ *    that many cycles: it wakes once per data reference, and the
+ *    engine counts the fetches in bulk (recordInstrs).
  *  - A chargeable reference stalls its CPU: each of its bus tenures
  *    is queued, granted by the BusArbiter when the bus frees, and
  *    occupies the bus for its integer cycle cost; the CPU resumes
@@ -25,7 +29,8 @@
  *
  * Schedule: at most one tenure is on the bus at a time, and each CPU
  * has at most one pending wake-up, at most max(kCyclesPerRef,
- * memExtraLatency) cycles ahead.  So the simulator keeps the bus
+ * memExtraLatency) + kMaxFetchSkip cycles ahead (a longer fetch gap
+ * sleeps in several wake-ups).  So the simulator keeps the bus
  * completion time as a scalar and the wake-ups in a small ring of
  * per-cycle CPU bitsets.  Each cycle it delivers the bus completion
  * first (a requester with no off-bus wait runs again that cycle),

@@ -16,9 +16,12 @@
 #include <string>
 #include <vector>
 
+#include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
+#include "coherence/limited_engine.hh"
 #include "gen/workload.hh"
 #include "gen/workloads.hh"
+#include "sim/cost_model.hh"
 #include "sim/simulator.hh"
 #include "timing/timed_bus.hh"
 #include "trace/prepared.hh"
@@ -276,6 +279,13 @@ TEST(StoredTraceTest, StreamedSimulatorRunMatchesInMemoryRun)
     }
 }
 
+/**
+ * A stored timed replay reads each CPU's stream one file chunk at a
+ * time, and the timed bus's ports compact those windows 1,024
+ * references at a time: neither boundary may show.  Chunk sizes just
+ * below, at and above the compaction chunk, a tiny one and a larger
+ * one, for each timed scheme of the contention study.
+ */
 TEST(StoredTraceTest, TimedReplayMatchesPreparedReplay)
 {
     const auto cfg = smallWorkload();
@@ -284,23 +294,41 @@ TEST(StoredTraceTest, TimedReplayMatchesPreparedReplay)
     const trace::PreparedTrace prepared =
         trace::PreparedTrace::build(gen::generateTrace(cfg), opts);
 
-    PathGuard file{scratchPath("timed")};
-    trace::StoreWriteOptions wopts;
-    wopts.chunkRefs = 1500;
-    trace::writeStored(prepared, file.path, wopts);
-    const auto stored = trace::StoredTrace::open(file.path);
-
-    timing::TimedBusConfig tcfg;
-    const auto makeEngine = [&cfg] {
-        coherence::InvalEngineConfig ecfg;
-        ecfg.nUnits = cfg.space.nProcesses;
-        return std::make_unique<coherence::InvalEngine>(ecfg);
+    const auto makeEngine = [units = cfg.space.nProcesses](
+                                sim::Scheme scheme)
+        -> std::unique_ptr<coherence::CoherenceEngine> {
+        switch (sim::engineKindFor(scheme)) {
+          case sim::EngineKind::Limited:
+            return std::make_unique<coherence::LimitedEngine>(units, 1);
+          case sim::EngineKind::Dragon:
+            return std::make_unique<coherence::DragonEngine>(units);
+          default: {
+            coherence::InvalEngineConfig ecfg;
+            ecfg.nUnits = units;
+            return std::make_unique<coherence::InvalEngine>(ecfg);
+          }
+        }
     };
-    timing::TimedBusSim memSim(tcfg, makeEngine());
-    const timing::TimedRun memRun = memSim.run(prepared);
-    timing::TimedBusSim fileSim(tcfg, makeEngine());
-    const timing::TimedRun fileRun = fileSim.run(*stored);
-    EXPECT_TRUE(memRun.identicalTo(fileRun));
+    for (const std::uint64_t chunkRefs : {7, 1023, 1024, 1025, 1500}) {
+        PathGuard file{scratchPath("timed")};
+        trace::StoreWriteOptions wopts;
+        wopts.chunkRefs = chunkRefs;
+        trace::writeStored(prepared, file.path, wopts);
+        const auto stored = trace::StoredTrace::open(file.path);
+        for (const sim::Scheme scheme :
+             {sim::Scheme::Dir0B, sim::Scheme::Dir1NB,
+              sim::Scheme::Dragon, sim::Scheme::WTI}) {
+            timing::TimedBusConfig tcfg;
+            tcfg.scheme = scheme;
+            timing::TimedBusSim memSim(tcfg, makeEngine(scheme));
+            const timing::TimedRun memRun = memSim.run(prepared);
+            timing::TimedBusSim fileSim(tcfg, makeEngine(scheme));
+            const timing::TimedRun fileRun = fileSim.run(*stored);
+            EXPECT_TRUE(memRun.identicalTo(fileRun))
+                << memRun.scheme << " at " << chunkRefs
+                << "-reference chunks";
+        }
+    }
 }
 
 TEST(StoredTraceTest, PreadModeMatchesMmap)

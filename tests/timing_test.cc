@@ -17,10 +17,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bus/bus_model.hh"
@@ -566,6 +569,253 @@ TEST(ContentionTest, SourceRunRejectsUnitsPastEngineCapacity)
     }
     trace::MemoryTraceSource wideSource(wide);
     EXPECT_THROW(sim.run(wideSource), std::runtime_error);
+}
+
+// --- A literal reference for the cycle loop --------------------------
+
+/**
+ * The cycle loop as the model states it, one wake-up per reference:
+ * every reference, instruction fetches included, goes through the
+ * engine's access() and its charge, and the pending wake-ups are an
+ * ordered set of (cycle, CPU).  Each cycle delivers the bus
+ * completion, then wakes the CPUs due, lowest first, then runs one
+ * grant phase.  It also checks two invariants of the schedule as it
+ * goes: after a grant phase no request waits on an idle bus, and the
+ * cycles the bus was held equal staticBusCycles over the run's own
+ * engine statistics.
+ */
+timing::TimedRun
+referenceRun(const timing::TimedBusConfig &cfg,
+             coherence::CoherenceEngine &engine,
+             const trace::PreparedTrace &prepared)
+{
+    timing::TransactionModel model(cfg.scheme, cfg.bus.costs,
+                                   cfg.costOpts);
+    const std::vector<trace::PreparedCpuStream> &streams =
+        prepared.cpuStreams();
+    const unsigned nCpus = static_cast<unsigned>(streams.size());
+    engine.reset();
+    coherence::CoherenceEngine *const engines[] = {&engine};
+    const coherence::BlockNamesBinding binding(engines,
+                                               prepared.blockNames());
+
+    struct Cpu
+    {
+        std::size_t next = 0;
+        timing::RefCharge charge;
+        unsigned txnNext = 0;
+        std::uint64_t stallStart = 0;
+        timing::CpuTimedStats stats;
+    };
+    std::vector<Cpu> cpus(nCpus);
+    std::set<std::pair<std::uint64_t, unsigned>> wakeups;
+    std::vector<timing::BusRequest> waiters;
+    const auto arbiter = timing::BusArbiter::make(cfg.discipline, nCpus);
+    bool busBusy = false;
+    std::uint64_t busDone = 0;
+    unsigned busHolder = 0;
+    bool busUsesMemory = false;
+    std::uint64_t reqSeq = 0;
+    std::uint64_t idleWaits = 0;
+
+    timing::TimedRun result;
+    result.scheme = sim::schemeName(cfg.scheme, cfg.costOpts.nPointers);
+    result.bus = cfg.bus.costs.name;
+    result.discipline = timing::disciplineName(cfg.discipline);
+    result.nCpus = nCpus;
+
+    std::uint64_t now = 0;
+    const auto issue = [&](unsigned c) {
+        Cpu &cpu = cpus[c];
+        const timing::TxnCharge &txn = cpu.charge.txns[cpu.txnNext++];
+        ++cpu.stats.transactions;
+        waiters.push_back(timing::BusRequest{c, now, reqSeq++,
+                                             txn.busCycles,
+                                             txn.usesMemory});
+    };
+    for (unsigned c = 0; c < nCpus; ++c)
+        wakeups.emplace(0, c);
+    while (!wakeups.empty() || busBusy) {
+        now = wakeups.empty() ? busDone : wakeups.begin()->first;
+        if (busBusy)
+            now = std::min(now, busDone);
+        if (busBusy && busDone == now) {
+            busBusy = false;
+            const std::uint64_t done =
+                now + (busUsesMemory ? cfg.bus.memExtraLatency : 0);
+            Cpu &cpu = cpus[busHolder];
+            if (cpu.txnNext == cpu.charge.count)
+                cpu.stats.stallCycles += done - cpu.stallStart;
+            wakeups.emplace(done, busHolder);
+        }
+        while (!wakeups.empty() && wakeups.begin()->first == now) {
+            const unsigned c = wakeups.begin()->second;
+            wakeups.erase(wakeups.begin());
+            Cpu &cpu = cpus[c];
+            if (cpu.txnNext < cpu.charge.count) {
+                issue(c);
+                continue;
+            }
+            const trace::PreparedCpuStream &stream = streams[c];
+            if (cpu.next == stream.size()) {
+                cpu.stats.finishCycle = now;
+                continue;
+            }
+            const std::size_t i = cpu.next++;
+            ++cpu.stats.refs;
+            const timing::RefCharge &charge = model.charge(engine.access(
+                stream.unit[i], trace::packedRefType(stream.typeFlags[i]),
+                stream.block[i]));
+            if (charge.empty()) {
+                wakeups.emplace(now + timing::kCyclesPerRef, c);
+                continue;
+            }
+            cpu.charge = charge;
+            cpu.txnNext = 0;
+            cpu.stallStart = now;
+            issue(c);
+        }
+        if (!busBusy && !waiters.empty()) {
+            const std::size_t pick = arbiter->pick(waiters);
+            const timing::BusRequest req = waiters[pick];
+            waiters.erase(waiters.begin() +
+                          static_cast<std::ptrdiff_t>(pick));
+            arbiter->granted(req.cpu);
+            result.queueDelay.sample(
+                static_cast<std::size_t>(now - req.arrival));
+            ++result.transactions;
+            result.busBusyCycles += req.busCycles;
+            busBusy = true;
+            busDone = now + req.busCycles;
+            busHolder = req.cpu;
+            busUsesMemory = req.usesMemory;
+        }
+        idleWaits += !busBusy && !waiters.empty();
+    }
+    EXPECT_TRUE(waiters.empty());
+    EXPECT_EQ(idleWaits, 0u) << "a request waited on an idle bus";
+
+    for (const Cpu &cpu : cpus) {
+        result.refs += cpu.stats.refs;
+        result.makespan = std::max(result.makespan, cpu.stats.finishCycle);
+        result.cpus.push_back(cpu.stats);
+    }
+    result.engine = engine.results();
+    EXPECT_EQ(result.busBusyCycles,
+              timing::staticBusCycles(cfg.scheme, result.engine,
+                                      cfg.bus.costs, cfg.costOpts));
+    return result;
+}
+
+/**
+ * A seeded random trace of @p nCpus CPUs (one process each) on six
+ * contended blocks.  Most data references follow a few fetches, but
+ * some follow a run of up to several hundred, past kMaxFetchSkip;
+ * CPU 0's first long run, 400 fetches from its 900th-odd reference,
+ * crosses the port's first 1,024-reference compaction chunk.  The
+ * odd CPUs' streams end in fetches, and the last CPU fetches only.
+ * The CPUs' records interleave at random.
+ */
+trace::PreparedTrace
+randomTimedTrace(std::uint64_t seed, unsigned nCpus)
+{
+    gen::Rng rng(seed);
+    std::vector<std::vector<trace::TraceRecord>> perCpu(nCpus);
+    for (unsigned c = 0; c < nCpus; ++c) {
+        std::vector<trace::TraceRecord> &recs = perCpu[c];
+        const auto fetches = [&](std::uint64_t n) {
+            trace::TraceRecord rec;
+            rec.cpu = static_cast<std::uint8_t>(c);
+            rec.pid = static_cast<std::uint16_t>(c);
+            rec.type = trace::RefType::Instr;
+            rec.addr = 0x10000 + 4 * c;
+            recs.insert(recs.end(), n, rec);
+        };
+        const std::size_t length = rng.nextInRange(2'000, 4'000);
+        if (c + 1 == nCpus) {
+            fetches(length);
+            continue;
+        }
+        bool straddled = c != 0;
+        while (recs.size() < length) {
+            if (!straddled && recs.size() >= 900) {
+                fetches(400);
+                straddled = true;
+            }
+            fetches(straddled && rng.chance(0.04)
+                        ? rng.nextInRange(60, 400)
+                        : rng.nextBelow(4));
+            trace::TraceRecord rec;
+            rec.cpu = static_cast<std::uint8_t>(c);
+            rec.pid = static_cast<std::uint16_t>(c);
+            rec.type = rng.chance(0.3) ? trace::RefType::Write
+                                       : trace::RefType::Read;
+            rec.addr = rng.nextBelow(6) * 16;
+            recs.push_back(rec);
+        }
+        if (c % 2 == 1)
+            fetches(rng.nextInRange(1, 300));
+    }
+
+    std::size_t left = 0;
+    for (const auto &recs : perCpu)
+        left += recs.size();
+    trace::MemoryTrace raw;
+    std::vector<std::size_t> pos(nCpus, 0);
+    for (; left != 0; --left) {
+        unsigned c = static_cast<unsigned>(rng.nextBelow(nCpus));
+        while (pos[c] == perCpu[c].size())
+            c = (c + 1) % nCpus;
+        raw.append(perCpu[c][pos[c]++]);
+    }
+    trace::PrepareOptions opts;
+    opts.timedStreams = true;
+    return trace::PreparedTrace::build(raw, opts);
+}
+
+/**
+ * TimedBusSim wakes a CPU once per data reference and retires the
+ * fetches before it as a sleep; the literal loop wakes it once per
+ * reference.  Every field of every run must agree, for each timed
+ * scheme of the contention study on both buses under every
+ * discipline, over streams whose fetch gaps pass the skip cap and
+ * cross the port's compaction chunks.
+ */
+TEST(TimedReferenceTest, MatchesOneWakeUpPerReference)
+{
+    const timing::TimedBusModel buses[] = {timing::timedPipelinedBus(),
+                                           timing::timedNonPipelinedBus()};
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+        const unsigned nCpus = 2 + static_cast<unsigned>(seed % 4);
+        const trace::PreparedTrace prepared =
+            randomTimedTrace(seed, nCpus);
+        ASSERT_EQ(prepared.numCpus(), nCpus);
+        for (const sim::Scheme scheme :
+             {sim::Scheme::Dir0B, sim::Scheme::Dir1NB,
+              sim::Scheme::Dragon, sim::Scheme::WTI}) {
+            for (const timing::TimedBusModel &bus : buses) {
+                for (const auto d : {timing::Discipline::FCFS,
+                                     timing::Discipline::RoundRobin,
+                                     timing::Discipline::FixedPriority}) {
+                    const auto cfg = timedConfig(scheme, bus, d);
+                    const unsigned units = prepared.numUnits();
+                    timing::TimedBusSim sim(
+                        cfg, engineFor(scheme, units,
+                                       cfg.costOpts.nPointers));
+                    const timing::TimedRun run = sim.run(prepared);
+                    const auto engine =
+                        engineFor(scheme, units, cfg.costOpts.nPointers);
+                    const timing::TimedRun expected =
+                        referenceRun(cfg, *engine, prepared);
+                    EXPECT_TRUE(run.identicalTo(expected))
+                        << "seed " << seed << ": " << run.scheme << " / "
+                        << run.bus << " / " << run.discipline
+                        << ": makespan " << run.makespan << " vs "
+                        << expected.makespan;
+                }
+            }
+        }
+    }
 }
 
 // --- Timed golden ----------------------------------------------------
