@@ -4,6 +4,7 @@
 #include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
 #include "coherence/limited_engine.hh"
+#include "coherence/multi_limited_engine.hh"
 #include "gen/workload.hh"
 #include "sim/sweep.hh"
 #include "sim/trace_repo.hh"
@@ -58,26 +59,6 @@ unitsFor(const gen::WorkloadConfig &cfg, const EvalOptions &opts)
                : cfg.space.nCpus;
 }
 
-/** Builds one engine for a given unit count. */
-using EngineFactory =
-    std::function<std::unique_ptr<coherence::CoherenceEngine>(unsigned)>;
-
-/**
- * One cell of the workload×engine matrix: the factory that builds
- * its engine, plus the multi-configuration collapse hint.  A nonzero
- * limitedPointers marks the cell as a plain DiriNB run (no directory
- * cache) with that pointer count — runMatrix then runs it as one lane
- * of a shared coherence::MultiLimitedEngine instead of invoking the
- * factory, one lookup per reference for the whole pointer-count row.
- * The factory stays the fallback when the run has fewer than two
- * such cells.
- */
-struct EngineSpec
-{
-    EngineFactory make;
-    unsigned limitedPointers = 0;
-};
-
 /** Decode parameters matching this run's options: the lock-test
  *  filter folds into the decode, so the prepared stream replays with
  *  no per-record filtering at all. */
@@ -99,22 +80,8 @@ struct WorkloadTrace
     std::shared_ptr<const trace::StoredTrace> stored;
 };
 
-/**
- * Run a workload×engine matrix and harvest every engine's results.
- *
- * Every evaluation, serial or parallel, runs here.  Phase one fetches
- * each workload's trace from sim::TraceRepository::global(), one job
- * per workload.  Phase two hands the matrix to a sim::SweepRunner:
- * all of a workload's cells share one fuse key, so each workload is
- * replayed once, fused, through every engine of the run, and its
- * DiriNB cells (EngineSpec::limitedPointers) collapse into the lanes
- * of one shared coherence::MultiLimitedEngine.  Both phases collect
- * through sim::runOrdered, which at opts.jobs == 1 runs them in order
- * on the calling thread; more jobs change only the order in which
- * cells complete, so results are bit-identical at every job count.
- *
- * @return results[workload][spec].
- */
+} // namespace
+
 std::vector<std::vector<coherence::EngineResults>>
 runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
           const EvalOptions &opts,
@@ -136,49 +103,63 @@ runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
     const std::vector<WorkloadTrace> traces =
         sim::runOrdered<WorkloadTrace>(opts.jobs, fetches);
 
-    // Phase 2: one sweep point per (workload, engine) cell.
-    sim::SweepRunner runner(opts.jobs);
+    // Phase 2: one job per workload.  Two or more DiriNB columns
+    // collapse into the lanes of one MultiLimitedEngine.
+    std::vector<unsigned> lanePointers;
+    for (const EngineSpec &spec : specs) {
+        if (spec.limitedPointers != 0)
+            lanePointers.push_back(spec.limitedPointers);
+    }
+    const bool collapse = lanePointers.size() >= 2;
+    using Row = std::vector<coherence::EngineResults>;
+    std::vector<std::function<Row()>> tasks;
+    tasks.reserve(cfgs.size());
     for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        const unsigned units = unitsFor(cfgs[c], opts);
-        for (const EngineSpec &spec : specs) {
-            sim::SweepPoint point;
-            point.name = cfgs[c].name;
-            point.sim = opts.sim;
-            // One key per workload index (names can repeat).
-            point.fuseKey = "workload#" + std::to_string(c);
-            point.multiPointers = spec.limitedPointers;
-            point.multiUnits = units;
-            point.engines = [&factory = spec.make, units] {
-                std::vector<
-                    std::unique_ptr<coherence::CoherenceEngine>>
-                    engines;
-                engines.push_back(factory(units));
-                return engines;
-            };
-            if (traces[c].stored) {
-                // Each job builds its own windowed cursor over the
-                // shared store; concurrent cells replay the same file
-                // with one chunk resident per job.
-                point.spans = [st = traces[c].stored] {
-                    return st->spanCursor();
-                };
-            } else {
-                point.prepared = traces[c].prepared;
+        tasks.push_back([&, c] {
+            const unsigned units = unitsFor(cfgs[c], opts);
+            sim::Simulator simulator(opts.sim);
+            coherence::MultiLimitedEngine *multi = nullptr;
+            // Per spec: its engine's index in the simulator, or its
+            // lane in the shared engine.
+            std::vector<std::size_t> slot(specs.size());
+            std::size_t lane = 0;
+            for (std::size_t s = 0; s < specs.size(); ++s) {
+                if (collapse && specs[s].limitedPointers != 0) {
+                    if (!multi) {
+                        auto engine = std::make_unique<
+                            coherence::MultiLimitedEngine>(units,
+                                                           lanePointers);
+                        multi = engine.get();
+                        simulator.addEngine(std::move(engine));
+                    }
+                    slot[s] = lane++;
+                    continue;
+                }
+                slot[s] = simulator.numEngines();
+                simulator.addEngine(specs[s].make(units));
             }
-            runner.add(std::move(point));
-        }
+            // Each streamed job gets its own windowed cursor over the
+            // shared store: one chunk resident per job.
+            if (traces[c].stored)
+                simulator.run(*traces[c].stored->spanCursor());
+            else
+                simulator.run(*traces[c].prepared);
+
+            Row row;
+            row.reserve(specs.size());
+            for (std::size_t s = 0; s < specs.size(); ++s) {
+                row.push_back(collapse && specs[s].limitedPointers != 0
+                                  ? multi->laneResults(slot[s])
+                                  : simulator.engine(slot[s]).results());
+            }
+            return row;
+        });
     }
-    std::vector<sim::SweepPointResult> points = runner.run();
-    std::vector<std::vector<coherence::EngineResults>> results(
-        cfgs.size());
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        for (std::size_t f = 0; f < specs.size(); ++f) {
-            results[c].push_back(std::move(
-                points[c * specs.size() + f].engines.front()));
-        }
-    }
-    return results;
+    return sim::runOrdered<Row>(opts.jobs, tasks);
 }
+
+namespace
+{
 
 EngineFactory
 invalFactory(const directory::DirEntryFactory *dirFactory = nullptr,

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "coherence/engine.hh"
 #include "coherence/results.hh"
 #include "directory/dir_cache.hh"
 #include "directory/entry.hh"
@@ -57,7 +58,7 @@ struct Evaluation
  *
  * The extension studies build their EvalOptions internally; setting
  * the default once (e.g.\ from a --jobs flag) fans every defaulted
- * evaluation in the process out over the sweep engine without
+ * evaluation in the process out over sim::runOrdered without
  * threading a parameter through each study's signature.  Explicitly
  * constructed options can still override the field.  Not thread-safe:
  * set it during start-up, before evaluations run.
@@ -96,9 +97,10 @@ struct EvalOptions
      * coherence::MultiLimitedEngine unless a finite directory cache
      * makes their state per-configuration.  1 (the default) runs that
      * as one job on the calling thread; more fan the workloads out
-     * over a sim::SweepRunner; 0 means one thread per hardware
-     * thread.  Results are bit-identical at every job count (the
-     * test suite enforces this).
+     * over sim::runOrdered, one task per workload (runMatrix); 0
+     * means one thread per hardware thread.  Results are
+     * bit-identical at every job count (the test suite enforces
+     * this).
      *
      * Initialised from defaultEvalJobs() (1 unless a driver raised
      * it).
@@ -123,6 +125,49 @@ struct EvalOptions
      */
     directory::DirCacheConfig dirCache;
 };
+
+/** Builds one engine for a given unit count. */
+using EngineFactory =
+    std::function<std::unique_ptr<coherence::CoherenceEngine>(unsigned)>;
+
+/**
+ * One column of the workload×engine matrix: the factory that builds
+ * its engine, plus the multi-configuration collapse hint.  A nonzero
+ * limitedPointers marks the column as a plain DiriNB run (no
+ * directory cache) with that pointer count; when a matrix has two or
+ * more such columns, runMatrix runs them as the lanes of one shared
+ * coherence::MultiLimitedEngine instead of invoking their factories,
+ * one lookup per reference for the whole pointer-count row.
+ */
+struct EngineSpec
+{
+    EngineFactory make;
+    unsigned limitedPointers = 0;
+};
+
+/**
+ * Run every engine of @p specs over every workload of @p cfgs and
+ * harvest their results: the one runner every evaluation below goes
+ * through.
+ *
+ * Phase one fetches each workload's trace from
+ * sim::TraceRepository::global() — in-memory columns, or a stored
+ * file under opts.streamReplay — one job per workload.  Phase two
+ * runs one job per workload: a single Simulator carries the
+ * workload's engines in spec order (the collapsed DiriNB lanes sit
+ * where the first limitedPointers column is) and replays the trace
+ * once, fused.  Both phases collect through sim::runOrdered, which at
+ * opts.jobs == 1 runs them in order on the calling thread; more jobs
+ * change only the order in which workloads complete, so results are
+ * bit-identical at every job count.
+ *
+ * @return results[workload][spec].
+ * @throws whatever a failing job threw (the earliest workload's
+ *         failure, after every job has completed).
+ */
+std::vector<std::vector<coherence::EngineResults>>
+runMatrix(const std::vector<gen::WorkloadConfig> &cfgs,
+          const EvalOptions &opts, const std::vector<EngineSpec> &specs);
 
 /** Run the three standard engines over each workload. */
 Evaluation evaluateWorkloads(const std::vector<gen::WorkloadConfig> &cfgs,

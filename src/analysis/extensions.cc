@@ -17,7 +17,6 @@
 #include "sim/cost_model.hh"
 #include "sim/sweep.hh"
 #include "sim/trace_repo.hh"
-#include "timing/sweep.hh"
 #include "trace/prepared.hh"
 #include "trace/store.hh"
 
@@ -766,32 +765,21 @@ const std::vector<sim::Scheme> contentionSchemes = {
     sim::Scheme::Dir0B, sim::Scheme::Dir1NB, sim::Scheme::Dragon,
     sim::Scheme::WTI};
 
-timing::TimedSweepPoint
-contentionPoint(sim::Scheme scheme, timing::Discipline discipline,
-                unsigned units,
-                std::shared_ptr<const trace::PreparedTrace> machine)
+/** The engine a contention cell replays @p scheme with. */
+std::unique_ptr<coherence::CoherenceEngine>
+contentionEngine(sim::Scheme scheme, unsigned units)
 {
-    timing::TimedSweepPoint point;
-    point.name = sim::schemeName(scheme);
-    point.config.scheme = scheme;
-    point.config.bus = timing::timedPipelinedBus();
-    point.config.discipline = discipline;
-    point.engine = [scheme, units]()
-        -> std::unique_ptr<coherence::CoherenceEngine> {
-        switch (sim::engineKindFor(scheme)) {
-          case sim::EngineKind::Limited:
-            return std::make_unique<coherence::LimitedEngine>(units, 1);
-          case sim::EngineKind::Dragon:
-            return std::make_unique<coherence::DragonEngine>(units);
-          default: {
-            coherence::InvalEngineConfig cfg;
-            cfg.nUnits = units;
-            return std::make_unique<coherence::InvalEngine>(cfg);
-          }
-        }
-    };
-    point.prepared = std::move(machine);
-    return point;
+    switch (sim::engineKindFor(scheme)) {
+      case sim::EngineKind::Limited:
+        return std::make_unique<coherence::LimitedEngine>(units, 1);
+      case sim::EngineKind::Dragon:
+        return std::make_unique<coherence::DragonEngine>(units);
+      default: {
+        coherence::InvalEngineConfig cfg;
+        cfg.nUnits = units;
+        return std::make_unique<coherence::InvalEngine>(cfg);
+      }
+    }
 }
 
 /** One row per scheme, one column per CPU count. */
@@ -805,7 +793,7 @@ contentionGrid(const ContentionStudy &study, const std::string &title,
     TextTable table(title, headers);
     const std::size_t width = study.cpuCounts.size();
     for (std::size_t r = 0; r < study.scaling.size(); r += width) {
-        std::vector<std::string> row = {study.scaling[r].name};
+        std::vector<std::string> row = {study.scaling[r].scheme};
         for (std::size_t c = 0; c < width; ++c)
             row.push_back(
                 TextTable::num((study.scaling[r + c].*stat)()));
@@ -824,8 +812,9 @@ contentionStudy(const std::vector<unsigned> &cpuCounts,
     // timed streams, and shared by every cell that replays it.
     std::map<unsigned, std::shared_ptr<const trace::PreparedTrace>>
         machines;
-    const auto point = [&](sim::Scheme scheme, unsigned nCpus,
-                           timing::Discipline discipline) {
+    std::vector<std::function<timing::TimedRun()>> tasks;
+    const auto add = [&](sim::Scheme scheme, unsigned nCpus,
+                         timing::Discipline discipline) {
         const gen::WorkloadConfig workload =
             gen::scaledConfig(nCpus, refsPerCpu * nCpus);
         std::shared_ptr<const trace::PreparedTrace> &machine =
@@ -837,22 +826,29 @@ contentionStudy(const std::vector<unsigned> &cpuCounts,
             machine = std::make_shared<const trace::PreparedTrace>(
                 trace::PreparedTrace::build(source, workload.name, opts));
         }
-        return contentionPoint(scheme, discipline,
-                               workload.space.nProcesses, machine);
+        timing::TimedBusConfig config;
+        config.scheme = scheme;
+        config.bus = timing::timedPipelinedBus();
+        config.discipline = discipline;
+        tasks.push_back(
+            [config, units = workload.space.nProcesses, machine] {
+                timing::TimedBusSim sim(
+                    config, contentionEngine(config.scheme, units));
+                return sim.run(*machine);
+            });
     };
 
-    // One sweep for the whole matrix; timed runs come back in
+    // One task per cell; runOrdered returns the timed runs in
     // submission order at every job count.
-    std::vector<timing::TimedSweepPoint> points;
     for (const sim::Scheme scheme : contentionSchemes)
         for (const unsigned n : cpuCounts)
-            points.push_back(point(scheme, n, timing::Discipline::FCFS));
+            add(scheme, n, timing::Discipline::FCFS);
     for (const auto d :
          {timing::Discipline::FCFS, timing::Discipline::RoundRobin,
           timing::Discipline::FixedPriority})
-        points.push_back(point(sim::Scheme::WTI, arbitrationCpus, d));
+        add(sim::Scheme::WTI, arbitrationCpus, d);
     std::vector<timing::TimedRun> runs =
-        timing::runTimedSweep(points, defaultEvalJobs());
+        sim::runOrdered<timing::TimedRun>(defaultEvalJobs(), tasks);
 
     ContentionStudy study;
     study.cpuCounts = cpuCounts;

@@ -79,11 +79,6 @@ class MultiLimitedEngine final : public CoherenceEngine
     }
 
     std::size_t numLanes() const { return _results.size(); }
-    /** Lane @p lane's pointer count, after clamping. */
-    unsigned lanePointers(std::size_t lane) const
-    {
-        return _pointers[lane];
-    }
     /**
      * Lane @p lane's results — bit-identical to a
      * LimitedEngine(nUnits, pointerCounts[lane]) run over the same

@@ -92,7 +92,6 @@ class DirectoryCache
     bool unbounded() const { return _cfg.entries == 0; }
     /** Set count (0 in unbounded mode). */
     std::uint64_t numSets() const { return _numSets; }
-    const DirCacheConfig &config() const { return _cfg; }
 
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }

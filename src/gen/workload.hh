@@ -73,7 +73,6 @@ class WorkloadSource final : public trace::RefSource
                           std::size_t max) override;
     void rewind() override;
 
-    const WorkloadConfig &config() const { return _cfg; }
     /** Trace metadata (name, CPUs, lock addresses). */
     trace::TraceMeta meta() const;
     /** Lock/migratory state (for tests and diagnostics). */

@@ -127,7 +127,6 @@ class Simulator
      */
     std::uint64_t run(trace::PreparedSpanSource &spans);
 
-    const SimConfig &config() const { return _cfg; }
     std::size_t numEngines() const { return _engines.size(); }
     coherence::CoherenceEngine &engine(std::size_t i)
     {

@@ -135,8 +135,8 @@ bool
 TimedRun::identicalTo(const TimedRun &other) const
 {
     return scheme == other.scheme && bus == other.bus &&
-           discipline == other.discipline && name == other.name &&
-           nCpus == other.nCpus && refs == other.refs &&
+           discipline == other.discipline && nCpus == other.nCpus &&
+           refs == other.refs &&
            makespan == other.makespan &&
            busBusyCycles == other.busBusyCycles &&
            transactions == other.transactions &&

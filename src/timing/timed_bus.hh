@@ -103,8 +103,6 @@ struct TimedRun
     std::string scheme;
     std::string bus;
     std::string discipline;
-    /** Sweep-point label (empty for direct TimedBusSim runs). */
-    std::string name;
 
     unsigned nCpus = 0;
     std::uint64_t refs = 0;
@@ -177,8 +175,6 @@ class TimedBusSim
      * to run(const PreparedTrace&) over the same stream.
      */
     TimedRun run(const trace::StoredTrace &stored);
-
-    const TimedBusConfig &config() const { return _cfg; }
 
   private:
     /** std::runtime_error when @p nUnits exceed the engine's. */

@@ -49,7 +49,7 @@ fold(RefCharge &charge, std::uint64_t cycles)
 TransactionModel::TransactionModel(sim::Scheme scheme,
                                    const bus::BusCosts &bus,
                                    const sim::CostOptions &opts)
-    : _scheme(scheme), _bus(bus),
+    : _bus(bus),
       _nPointers(scheme == sim::Scheme::Dir1NB ? 1 : opts.nPointers),
       _broadcastCycles(toCycles(opts.broadcastCost, "broadcastCost")),
       _overheadQ(toCycles(opts.overheadQ, "overheadQ"))

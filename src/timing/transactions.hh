@@ -105,8 +105,6 @@ class TransactionModel
     std::uint64_t
     totalCycles(const coherence::EngineResults &results) const;
 
-    sim::Scheme scheme() const { return _scheme; }
-
   private:
     /** How a fanout sample grows an event's first tenure. */
     enum class Fanout : std::uint8_t
@@ -121,7 +119,6 @@ class TransactionModel
     std::uint64_t
     histogramCycles(const stats::Histogram &hist, Fanout rule) const;
 
-    sim::Scheme _scheme;
     bus::BusCosts _bus;
     unsigned _nPointers;
     std::uint32_t _broadcastCycles;

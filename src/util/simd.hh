@@ -16,10 +16,6 @@
  *    reference decodeTypesScalar() is always compiled, so differential
  *    tests can pin every backend against it.
  *
- *  - classifyCounts(): branchless read/write/lock lane counts for a
- *    strip, used by diagnostics and tests (the engines consume the
- *    type lane directly).
- *
  *  - AlignedVector: 64-byte-aligned column storage, so vector loads
  *    over the prepared columns never split a cache line.
  *
@@ -157,85 +153,6 @@ decodeTypes(const std::uint8_t *packed, std::uint8_t *types,
     }
 #endif
     decodeTypesScalar(packed + i, types + i, n - i);
-}
-
-/** Per-strip reference classification (see classifyCounts). */
-struct LaneCounts
-{
-    std::uint64_t reads = 0;  //!< Type field == RefType::Read.
-    std::uint64_t writes = 0; //!< Type field == RefType::Write.
-    /** References with any lock flag (test or write) set. */
-    std::uint64_t locks = 0;
-
-    bool operator==(const LaneCounts &) const = default;
-};
-
-/** Reference kernel for classifyCounts(): obviously-correct bytewise
- *  loop the optimised version is differentially tested against. */
-inline LaneCounts
-classifyCountsScalar(const std::uint8_t *packed, std::size_t n,
-                     std::uint8_t lockFlagsMask)
-{
-    LaneCounts c;
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::uint8_t type = packed[i] & kTypeLaneMask;
-        c.reads += type == 1;
-        c.writes += type == 2;
-        c.locks += (packed[i] & lockFlagsMask) != 0;
-    }
-    return c;
-}
-
-/**
- * Count the read/write/lock lanes of @p n packed bytes in one
- * branchless sweep.  @p lockFlagsMask selects the packed bits that
- * mark a lock reference (pass trace::packTypeFlags' encoding of
- * FlagLockTest|FlagLockWrite).
- */
-inline LaneCounts
-classifyCounts(const std::uint8_t *packed, std::size_t n,
-               std::uint8_t lockFlagsMask)
-{
-    LaneCounts c;
-    std::size_t i = 0;
-#if defined(DIRSIM_SIMD_AVX2)
-    const __m256i typeMask = _mm256_set1_epi8(char(kTypeLaneMask));
-    const __m256i lockMask = _mm256_set1_epi8(char(lockFlagsMask));
-    const __m256i one = _mm256_set1_epi8(1);
-    const __m256i two = _mm256_set1_epi8(2);
-    const __m256i zero = _mm256_setzero_si256();
-    for (; i + 32 <= n; i += 32) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(packed + i));
-        const __m256i type = _mm256_and_si256(v, typeMask);
-        c.reads += unsigned(__builtin_popcount(unsigned(
-            _mm256_movemask_epi8(_mm256_cmpeq_epi8(type, one)))));
-        c.writes += unsigned(__builtin_popcount(unsigned(
-            _mm256_movemask_epi8(_mm256_cmpeq_epi8(type, two)))));
-        const __m256i lock = _mm256_and_si256(v, lockMask);
-        c.locks += 32u - unsigned(__builtin_popcount(unsigned(
-            _mm256_movemask_epi8(_mm256_cmpeq_epi8(lock, zero)))));
-    }
-#endif
-    const LaneCounts tail =
-        classifyCountsScalar(packed + i, n - i, lockFlagsMask);
-    c.reads += tail.reads;
-    c.writes += tail.writes;
-    c.locks += tail.locks;
-    return c;
-}
-
-/** Compile-time selected kernel backend, for logs and bench JSON. */
-inline const char *
-simdBackendName()
-{
-#if defined(DIRSIM_SIMD_AVX2)
-    return "avx2";
-#elif defined(DIRSIM_SIMD_NEON)
-    return "neon";
-#else
-    return "scalar";
-#endif
 }
 
 } // namespace dirsim::util

@@ -294,7 +294,7 @@ TEST(Extensions, ContentionStudyShapes)
     ASSERT_EQ(study.scaling.size(), 2 * schemes.size());
     for (std::size_t r = 0; r < study.scaling.size(); ++r) {
         const timing::TimedRun &run = study.scaling[r];
-        EXPECT_EQ(run.name, schemes[r / 2]) << r;
+        EXPECT_EQ(run.scheme, schemes[r / 2]) << r;
         EXPECT_EQ(run.nCpus, study.cpuCounts[r % 2]) << r;
         EXPECT_EQ(run.discipline, "fcfs") << r;
         EXPECT_GT(run.busUtilization(), 0.0) << r;

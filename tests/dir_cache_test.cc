@@ -27,7 +27,6 @@
 #include "gen/workloads.hh"
 #include "sim/cost_model.hh"
 #include "sim/simulator.hh"
-#include "sim/sweep.hh"
 #include "sim/trace_repo.hh"
 #include "timing/timed_bus.hh"
 #include "timing/transactions.hh"
@@ -385,8 +384,8 @@ TEST(DirCacheCost, TimedCyclesMatchStaticWithEvictions)
     }
 }
 
-/** Parallel sweeps with finite dir caches stay bit-identical to
- *  serial runs (and give TSan real shared-state to chew on). */
+/** runMatrix at 4 jobs with finite dir caches stays bit-identical
+ *  to serial runs (and gives TSan real shared state to chew on). */
 TEST(DirCacheSweep, ParallelMatchesSerial)
 {
     const DirCacheConfig tiny = finiteConfig(64, 4, true);
@@ -406,29 +405,17 @@ TEST(DirCacheSweep, ParallelMatchesSerial)
         serial.push_back(engine.results());
     }
 
-    sim::SweepRunner runner(4);
-    for (const auto &cfg : workloads) {
-        sim::SweepPoint point;
-        point.name = cfg.name;
-        point.engines = [units = cfg.space.nProcesses, &tiny] {
-            std::vector<std::unique_ptr<coherence::CoherenceEngine>>
-                engines;
-            engines.push_back(invalWith(units, tiny));
-            return engines;
-        };
-        point.source = [cfg] {
-            return std::make_unique<gen::WorkloadSource>(cfg);
-        };
-        runner.add(std::move(point));
-    }
-    const std::vector<sim::SweepPointResult> results = runner.run();
+    const std::vector<analysis::EngineSpec> specs = {
+        {[&tiny](unsigned units) { return invalWith(units, tiny); }}};
+    analysis::EvalOptions opts;
+    opts.jobs = 4;
+    const auto matrix = analysis::runMatrix(workloads, opts, specs);
 
-    ASSERT_EQ(results.size(), workloads.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        ASSERT_EQ(results[i].engines.size(), 1u);
-        EXPECT_TRUE(results[i].engines[0] == serial[i])
-            << results[i].name;
-        EXPECT_GT(results[i].engines[0].dirCacheEvictions, 0u);
+    ASSERT_EQ(matrix.size(), workloads.size());
+    for (std::size_t i = 0; i < matrix.size(); ++i) {
+        ASSERT_EQ(matrix[i].size(), 1u);
+        EXPECT_TRUE(matrix[i][0] == serial[i]) << workloads[i].name;
+        EXPECT_GT(matrix[i][0].dirCacheEvictions, 0u);
     }
 }
 

@@ -6,7 +6,9 @@
  * golden_test.cc (raw/prepared/streamed equivalence) and
  * fused_test.cc (fused multi-scheme replay) both pin their results to
  * the same 14 schemes × 3 workloads table, so the fixture lives here
- * once.  Regenerate the table after an intentional model change with:
+ * once, with the check that runs the whole table through
+ * analysis::runMatrix.  Regenerate the table after an intentional
+ * model change with:
  *
  *     DIRSIM_GOLDEN_PRINT=1 ./tests/golden_test
  *
@@ -22,9 +24,11 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "analysis/evaluation.hh"
 #include "coherence/berkeley_engine.hh"
 #include "coherence/dragon_engine.hh"
 #include "coherence/engine.hh"
@@ -36,6 +40,7 @@
 #include "directory/full_map.hh"
 #include "directory/limited_pointer.hh"
 #include "directory/two_bit.hh"
+#include "gen/workloads.hh"
 #include "mem/set_assoc.hh"
 
 namespace dirsim::golden
@@ -114,6 +119,8 @@ struct Scheme
         unsigned units, const directory::DirCacheConfig *dc);
     /** Does the engine model a directory this cache sits in front of? */
     bool dirCacheCapable;
+    /** DiriNB pointer count (analysis::EngineSpec::limitedPointers). */
+    unsigned limitedPointers = 0;
 };
 
 inline directory::DirCacheConfig
@@ -189,14 +196,14 @@ inline const Scheme kSchemes[] = {
          return std::make_unique<coherence::LimitedEngine>(
              u, 1, dirCacheOrNone(dc));
      },
-     true},
+     true, 1},
     {"dir2nb",
      [](unsigned u, const directory::DirCacheConfig *dc)
          -> std::unique_ptr<coherence::CoherenceEngine> {
          return std::make_unique<coherence::LimitedEngine>(
              u, 2, dirCacheOrNone(dc));
      },
-     true},
+     true, 2},
     {"wti",
      [](unsigned u, const directory::DirCacheConfig *)
          -> std::unique_ptr<coherence::CoherenceEngine> {
@@ -257,6 +264,40 @@ inline const std::uint64_t kGolden[3][kNumSchemes] = {
     // pero
     {0x8490315cc2c28de0ULL, 0x3a6576db60fb5c83ULL, 0x240d242b0726cc6fULL, 0x4ae94e4ec043eb4ULL, 0xf4560a28d0566508ULL, 0x4dba17cd7107b8f3ULL, 0x9dff3aa5bc5681e2ULL, 0x6ed35fdbc3d80342ULL, 0x5b2f697773492301ULL, 0x8ae18d9750f8ba02ULL, 0xb15d31fd9f5e7330ULL, 0x81004f7e170f8819ULL, 0x70b87af67e234bd9ULL, 0x3dc95d507ab7bd8dULL},
 };
+
+/**
+ * Run every scheme over the standard workloads as one
+ * analysis::runMatrix at 4 jobs, under @p opts: one fused pass per
+ * workload, with dir1nb and dir2nb as the lanes of one shared
+ * MultiLimitedEngine unless @p dc puts a directory cache in front of
+ * them.  Every cell must land on its golden digest.
+ */
+inline void
+expectMatrixMatchesGolden(analysis::EvalOptions opts,
+                          const directory::DirCacheConfig *dc)
+{
+    std::vector<analysis::EngineSpec> specs;
+    for (const Scheme &scheme : kSchemes) {
+        specs.push_back(
+            {[&scheme, dc](unsigned units) {
+                 return scheme.make(units, dc);
+             },
+             dc ? 0u : scheme.limitedPointers});
+    }
+    opts.jobs = 4;
+    const std::vector<gen::WorkloadConfig> workloads =
+        gen::standardWorkloads();
+    const auto matrix = analysis::runMatrix(workloads, opts, specs);
+    ASSERT_EQ(matrix.size(), 3u);
+    for (std::size_t w = 0; w < matrix.size(); ++w) {
+        ASSERT_EQ(matrix[w].size(), kNumSchemes);
+        for (std::size_t s = 0; s < kNumSchemes; ++s) {
+            EXPECT_EQ(digest(matrix[w][s]), kGolden[w][s])
+                << "scheme '" << kSchemes[s].label << "' on workload '"
+                << workloads[w].name << "' diverged through runMatrix";
+        }
+    }
+}
 
 /** A scratch disk-cache directory, removed on destruction. */
 struct CacheDirGuard

@@ -28,10 +28,10 @@
 #include <string>
 #include <vector>
 
+#include "analysis/evaluation.hh"
 #include "gen/workload.hh"
 #include "gen/workloads.hh"
 #include "sim/simulator.hh"
-#include "sim/sweep.hh"
 #include "sim/trace_repo.hh"
 #include "trace/prepared.hh"
 #include "trace/store.hh"
@@ -214,59 +214,17 @@ TEST(GoldenEquivalence, UnboundedDirCacheCountersAreSane)
 }
 
 /**
- * The same 42 points fanned across a SweepRunner with 4 workers, one
- * point per (workload, scheme) cell — raw sources for even scheme
- * indices, the shared prepared trace for odd ones — must still land
- * on the golden digests in submission order.
+ * The 42 cells through analysis::runMatrix at 4 jobs, every engine
+ * behind an unbounded directory cache (so the DiriNB cells run as
+ * their own engines, not collapsed lanes), must still land on the
+ * golden digests.
  */
 TEST(GoldenEquivalence, UnboundedDirCacheParallelSweepMatchesGolden)
 {
     directory::DirCacheConfig dc;
     dc.enabled = true;
     dc.entries = 0;
-
-    const std::vector<gen::WorkloadConfig> workloads =
-        gen::standardWorkloads();
-    ASSERT_EQ(workloads.size(), 3u);
-
-    sim::SweepRunner runner(4);
-    for (const gen::WorkloadConfig &cfg : workloads) {
-        const std::shared_ptr<const trace::PreparedTrace> prepared =
-            sim::TraceRepository::global().get(cfg);
-        for (std::size_t s = 0; s < kNumSchemes; ++s) {
-            sim::SweepPoint point;
-            point.name = std::string(cfg.name) + "/" +
-                         kSchemes[s].label;
-            point.engines = [s, units = cfg.space.nProcesses, &dc] {
-                std::vector<
-                    std::unique_ptr<coherence::CoherenceEngine>>
-                    engines;
-                engines.push_back(kSchemes[s].make(units, &dc));
-                return engines;
-            };
-            if (s % 2 == 0)
-                point.source = [cfg] {
-                    return std::make_unique<gen::WorkloadSource>(cfg);
-                };
-            else
-                point.prepared = prepared;
-            runner.add(std::move(point));
-        }
-    }
-
-    const std::vector<sim::SweepPointResult> results = runner.run();
-    ASSERT_EQ(results.size(), workloads.size() * kNumSchemes);
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        for (std::size_t s = 0; s < kNumSchemes; ++s) {
-            const sim::SweepPointResult &res =
-                results[w * kNumSchemes + s];
-            ASSERT_EQ(res.engines.size(), 1u);
-            EXPECT_EQ(digest(res.engines[0]), kGolden[w][s])
-                << "point '" << res.name
-                << "' diverged under an unbounded directory cache in "
-                   "a parallel sweep";
-        }
-    }
+    golden::expectMatrixMatchesGolden(analysis::EvalOptions{}, &dc);
 }
 
 /**
@@ -313,57 +271,27 @@ TEST(GoldenEquivalence, StreamedReplayMatchesGoldenDigests)
 }
 
 /**
- * The same 42 points through a 4-worker SweepRunner, every point
- * replaying windowed spans of the shared store files (each job gets
- * its own cursor over the same immutable StoredTrace), must still
- * land on the golden digests in submission order.
+ * The 42 cells through analysis::runMatrix at 4 jobs, streamed from
+ * the global repository's disk tier in 64K-reference chunks: each job
+ * replays windowed spans of a shared store file through its own
+ * cursor, with dir1nb and dir2nb as collapsed lanes, and every cell
+ * still lands on its golden digest.
  */
 TEST(GoldenEquivalence, StreamedParallelSweepMatchesGolden)
 {
     CacheDirGuard dir("sweep");
-    sim::TraceRepository repo(1);
+    sim::TraceRepository &repo = sim::TraceRepository::global();
     sim::DiskCacheConfig disk;
     disk.dir = dir.path;
     disk.chunkRefs = 64 * 1024;
     repo.setDiskCache(disk);
+    for (const gen::WorkloadConfig &cfg : gen::standardWorkloads())
+        EXPECT_GT(repo.getStored(cfg)->numChunks(), 1u) << cfg.name;
 
-    const std::vector<gen::WorkloadConfig> workloads =
-        gen::standardWorkloads();
-    ASSERT_EQ(workloads.size(), 3u);
-
-    sim::SweepRunner runner(4);
-    for (const gen::WorkloadConfig &cfg : workloads) {
-        const std::shared_ptr<const trace::StoredTrace> stored =
-            repo.getStored(cfg);
-        for (std::size_t s = 0; s < kNumSchemes; ++s) {
-            sim::SweepPoint point;
-            point.name = std::string(cfg.name) + "/" +
-                         kSchemes[s].label;
-            point.engines = [s, units = cfg.space.nProcesses] {
-                std::vector<
-                    std::unique_ptr<coherence::CoherenceEngine>>
-                    engines;
-                engines.push_back(kSchemes[s].make(units, nullptr));
-                return engines;
-            };
-            point.spans = [stored] { return stored->spanCursor(); };
-            runner.add(std::move(point));
-        }
-    }
-
-    const std::vector<sim::SweepPointResult> results = runner.run();
-    ASSERT_EQ(results.size(), workloads.size() * kNumSchemes);
-    for (std::size_t w = 0; w < workloads.size(); ++w) {
-        for (std::size_t s = 0; s < kNumSchemes; ++s) {
-            const sim::SweepPointResult &res =
-                results[w * kNumSchemes + s];
-            ASSERT_EQ(res.engines.size(), 1u);
-            EXPECT_EQ(digest(res.engines[0]), kGolden[w][s])
-                << "point '" << res.name
-                << "' diverged when streamed through a parallel "
-                   "sweep";
-        }
-    }
+    analysis::EvalOptions opts;
+    opts.streamReplay = true;
+    golden::expectMatrixMatchesGolden(opts, nullptr);
+    repo.setDiskCache({});
 }
 
 } // namespace

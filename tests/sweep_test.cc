@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for the parallel sweep engine and its supporting fixes.
+ * Tests for the parallel evaluation path and its supporting fixes.
  *
- * The central property: a sweep fanned out across worker threads is
- * *bit-identical* to running the same points serially — same event
- * counts, same histograms, same auxiliary counters, for every
- * protocol engine.  Alongside: thread-pool basics, submission-ordered
- * collection, error propagation, the fail-clean Simulator capacity
- * check, and the text-trace range-check regression.
+ * The central property: analysis::runMatrix fanned out across worker
+ * threads is *bit-identical* to running the same engines serially —
+ * same event counts, same histograms, same auxiliary counters, for
+ * every protocol engine.  Alongside: thread-pool basics,
+ * submission-ordered collection (sim::runOrdered), error
+ * propagation, the fail-clean Simulator capacity check, and the
+ * text-trace range-check regression.
  */
 
 #include <gtest/gtest.h>
@@ -206,16 +207,16 @@ TEST(RunOrdered, SingleJobRunsInlineAndRethrowsEarliest)
 }
 
 /**
- * Parallel sweep (15 points across 8 workers) versus the serial
- * Simulator path, for every protocol engine.  Each workload is
- * materialised once and shared read-only by its five protocol jobs.
+ * analysis::runMatrix at 8 jobs versus the serial Simulator path, for
+ * every protocol engine: each workload's five engines replay its
+ * shared prepared trace in one job.
  */
 TEST(SweepTest, BitIdenticalToSerialForEveryProtocol)
 {
     const auto cfgs = smallWorkloads();
 
     // Serial reference: one Simulator per workload carrying all the
-    // protocol engines in one pass.
+    // protocol engines in one pass over the raw generator.
     std::vector<std::vector<coherence::EngineResults>> serial;
     for (const auto &cfg : cfgs) {
         sim::Simulator simulator;
@@ -230,112 +231,39 @@ TEST(SweepTest, BitIdenticalToSerialForEveryProtocol)
         serial.push_back(std::move(results));
     }
 
-    // Parallel: one job per (workload, protocol), replaying a shared
-    // immutable trace, across 8 worker threads.
-    std::vector<trace::MemoryTrace> traces;
-    for (const auto &cfg : cfgs)
-        traces.push_back(gen::generateTrace(cfg));
-
-    sim::SweepRunner runner(8);
-    EXPECT_EQ(runner.jobs(), 8u);
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        for (const auto &protocol : protocolNames) {
-            sim::SweepPoint point;
-            point.name = cfgs[c].name + "/" + protocol;
-            point.engines = [protocol,
-                             units = cfgs[c].space.nProcesses] {
-                std::vector<
-                    std::unique_ptr<coherence::CoherenceEngine>>
-                    engines;
-                engines.push_back(makeEngine(protocol, units));
-                return engines;
-            };
-            point.source = [trace = &traces[c]] {
-                return std::make_unique<trace::MemoryTraceSource>(
-                    *trace);
-            };
-            runner.add(std::move(point));
-        }
+    std::vector<analysis::EngineSpec> specs;
+    for (const auto &protocol : protocolNames) {
+        specs.push_back({[protocol](unsigned units) {
+            return makeEngine(protocol, units);
+        }});
     }
-    ASSERT_EQ(runner.numPoints(), cfgs.size() * protocolNames.size());
-    const auto results = runner.run();
+    analysis::EvalOptions opts;
+    opts.jobs = 8;
+    const auto matrix = analysis::runMatrix(cfgs, opts, specs);
 
-    ASSERT_EQ(results.size(), cfgs.size() * protocolNames.size());
+    ASSERT_EQ(matrix.size(), cfgs.size());
     for (std::size_t c = 0; c < cfgs.size(); ++c) {
+        ASSERT_EQ(matrix[c].size(), protocolNames.size());
         for (std::size_t p = 0; p < protocolNames.size(); ++p) {
-            const auto &res = results[c * protocolNames.size() + p];
-            // Submission-ordered output.
-            EXPECT_EQ(res.name,
-                      cfgs[c].name + "/" + protocolNames[p]);
-            EXPECT_EQ(res.refs, cfgs[c].totalRefs);
-            ASSERT_EQ(res.engines.size(), 1u);
-            EXPECT_TRUE(res.engines[0] == serial[c][p])
-                << "parallel results diverged for " << res.name;
+            EXPECT_TRUE(matrix[c][p] == serial[c][p])
+                << "parallel results diverged for " << cfgs[c].name
+                << "/" << protocolNames[p];
         }
     }
 }
 
-/**
- * A job that regenerates its WorkloadSource from the seed must match
- * one that replays the materialised trace.
- */
-TEST(SweepTest, RegeneratedSourceMatchesReplayedTrace)
-{
-    const gen::WorkloadConfig cfg = smallWorkloads()[0];
-    const trace::MemoryTrace trace = gen::generateTrace(cfg);
-
-    sim::SweepRunner runner(4);
-    for (const bool regenerate : {false, true}) {
-        sim::SweepPoint point;
-        point.name = regenerate ? "regen" : "replay";
-        point.engines = [units = cfg.space.nProcesses] {
-            std::vector<std::unique_ptr<coherence::CoherenceEngine>>
-                engines;
-            engines.push_back(makeEngine("inval", units));
-            return engines;
-        };
-        if (regenerate) {
-            point.source = [cfg] {
-                return std::make_unique<gen::WorkloadSource>(cfg);
-            };
-        } else {
-            point.source = [trace = &trace] {
-                return std::make_unique<trace::MemoryTraceSource>(
-                    *trace);
-            };
-        }
-        runner.add(std::move(point));
-    }
-    const auto results = runner.run();
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_TRUE(results[0].engines[0] == results[1].engines[0]);
-}
-
+/** An engine too narrow for a workload fails the whole matrix. */
 TEST(SweepTest, PropagatesJobFailure)
 {
-    const gen::WorkloadConfig cfg = smallWorkloads()[0];
-    sim::SweepRunner runner(2);
-    sim::SweepPoint point;
-    point.name = "too-few-units";
-    point.engines = [] {
-        std::vector<std::unique_ptr<coherence::CoherenceEngine>>
-            engines;
-        // Fewer units than the workload's process count.
-        engines.push_back(makeEngine("dragon", 2));
-        return engines;
-    };
-    point.source = [cfg] {
-        return std::make_unique<gen::WorkloadSource>(cfg);
-    };
-    runner.add(std::move(point));
-    EXPECT_THROW(runner.run(), std::runtime_error);
-}
-
-TEST(SweepTest, RejectsPointWithoutFactories)
-{
-    sim::SweepRunner runner(1);
-    EXPECT_THROW(runner.add(sim::SweepPoint{}),
-                 std::invalid_argument);
+    const std::vector<analysis::EngineSpec> specs = {
+        {[](unsigned) {
+            // Fewer units than the workloads' process counts.
+            return makeEngine("dragon", 2);
+        }}};
+    analysis::EvalOptions opts;
+    opts.jobs = 2;
+    EXPECT_THROW(analysis::runMatrix(smallWorkloads(), opts, specs),
+                 std::runtime_error);
 }
 
 /** The analysis-layer parallel path equals its serial path exactly. */
