@@ -306,9 +306,7 @@ invalWithFiniteCaches(const std::vector<gen::WorkloadConfig> &cfgs,
     return runMerged(cfgs, opts, {[&geometry](unsigned units) {
         coherence::InvalEngineConfig cfg;
         cfg.nUnits = units;
-        cfg.cacheFactory = [&geometry]() {
-            return std::make_unique<mem::SetAssocTagStore>(geometry);
-        };
+        cfg.finiteCaches = geometry;
         return std::make_unique<coherence::InvalEngine>(cfg);
     }});
 }

@@ -81,6 +81,12 @@ BerkeleyEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
+void
+BerkeleyEngine::recordRepeatReads(std::uint64_t n)
+{
+    _results.events.record(Event::RdHit, n);
+}
+
 template <typename Out>
 Out
 BerkeleyEngine::handleRead(unsigned unit, BlockState &st)

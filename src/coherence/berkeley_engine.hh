@@ -35,6 +35,8 @@ class BerkeleyEngine final : public CoherenceEngine
                    mem::BlockId block) override;
     void accessPrepared(const trace::PreparedSpan &span) override;
     void recordInstrs(std::uint64_t n) override;
+    bool repeatReadsHit() const override { return true; }
+    void recordRepeatReads(std::uint64_t n) override;
     const EngineResults &results() const override { return _results; }
     unsigned numUnits() const override { return _nUnits; }
     void reset() override;

@@ -63,6 +63,12 @@ DragonEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
+void
+DragonEngine::recordRepeatReads(std::uint64_t n)
+{
+    _results.events.record(Event::RdHit, n);
+}
+
 template <typename Out>
 Out
 DragonEngine::handleRead(unsigned unit, BlockState &st)

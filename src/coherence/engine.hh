@@ -29,7 +29,10 @@ namespace dirsim::coherence
  * Abstract trace-driven coherence state engine.  Two entry points:
  * access() prices one reference through its Outcome (the timed bus,
  * the model checkers), accessPrepared() replays prepared spans of data
- * references in bulk (every static replay path).
+ * references in bulk (every static replay path).  Two bulk counts
+ * stand in for references that change no state: recordInstrs() for
+ * instruction fetches, recordRepeatReads() for repeat reads where
+ * repeatReadsHit() says they are always hits.
  */
 class CoherenceEngine
 {
@@ -61,7 +64,8 @@ class CoherenceEngine
      * implement it with an internal loop (coherence/prepared_loop.hh),
      * so the per-reference virtual dispatch disappears (the engine
      * classes are final, letting the compiler devirtualise and inline
-     * the body).
+     * the body).  When repeatReadsHit(), the static paths hand it
+     * spans with the repeat reads taken out (sim/repeat_filter.hh).
      */
     virtual void accessPrepared(const trace::PreparedSpan &span) = 0;
 
@@ -72,6 +76,26 @@ class CoherenceEngine
      * and report them in bulk.
      */
     virtual void recordInstrs(std::uint64_t n) = 0;
+
+    /**
+     * Whether a repeat read is always a RdHit that changes no state
+     * here.  A repeat read is a data read of a block whose previous
+     * data reference, in stream order, was made by the same unit.
+     * That unit gained a copy then, and with infinite caches only
+     * another unit's reference to the block takes it away, so the
+     * read hits.  An engine that can lose a copy otherwise (a finite
+     * cache's replacement, a finite directory cache's eviction), or
+     * whose writer gains none (write-around), must say false, and
+     * then gets every reference.
+     */
+    virtual bool repeatReadsHit() const = 0;
+
+    /**
+     * Count @p n repeat reads: equivalent to n access() calls that
+     * each record a RdHit and change nothing else.  Static replay
+     * calls it only where repeatReadsHit() holds.
+     */
+    virtual void recordRepeatReads(std::uint64_t n) = 0;
 
     /** Accumulated statistics. */
     virtual const EngineResults &results() const = 0;

@@ -26,10 +26,9 @@ InvalEngine::InvalEngine(const InvalEngineConfig &cfg)
         throw std::invalid_argument(
             "InvalEngine: unit count must be in [1, 64]");
     _results.name = "inval";
-    if (_cfg.cacheFactory) {
-        for (unsigned u = 0; u < _cfg.nUnits; ++u)
-            _caches.push_back(_cfg.cacheFactory());
-    }
+    if (_cfg.finiteCaches)
+        _caches.assign(_cfg.nUnits,
+                       mem::SetAssocTagStore(*_cfg.finiteCaches));
     if (_cfg.dirCache.enabled)
         _dirCache = std::make_unique<directory::DirectoryCache>(
             _cfg.dirCache);
@@ -42,8 +41,8 @@ InvalEngine::reset()
     _results.name = "inval";
     _blocks.clear();
     _dirArena.clear();
-    for (auto &cache : _caches)
-        cache->clear();
+    for (mem::SetAssocTagStore &cache : _caches)
+        cache.clear();
     if (_dirCache)
         _dirCache->clear();
 }
@@ -61,8 +60,8 @@ void
 InvalEngine::bindBlockNames(mem::BlockNames names)
 {
     _names = names;
-    for (auto &cache : _caches)
-        cache->bindBlockNames(names);
+    for (mem::SetAssocTagStore &cache : _caches)
+        cache.bindBlockNames(names);
     if (_dirCache)
         _dirCache->bindBlockNames(names);
 }
@@ -113,7 +112,7 @@ InvalEngine::fillCache(unsigned unit, mem::BlockId block)
 {
     if (_caches.empty())
         return false;
-    const mem::TouchResult touch = _caches[unit]->touch(block);
+    const mem::TouchResult touch = _caches[unit].touch(block);
     if (!touch.evicted)
         return false;
     ++_results.replacementEvictions;
@@ -182,7 +181,7 @@ InvalEngine::invalidateMask(mem::BlockId block, BlockState &st,
     if (!_caches.empty()) {
         for (unsigned u = 0; u < _cfg.nUnits; ++u) {
             if (mask & (1ULL << u))
-                _caches[u]->invalidate(block);
+                _caches[u].invalidate(block);
         }
     }
 }
@@ -226,6 +225,18 @@ InvalEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
+bool
+InvalEngine::repeatReadsHit() const
+{
+    return !_cfg.finiteCaches && !_cfg.dirCache.enabled;
+}
+
+void
+InvalEngine::recordRepeatReads(std::uint64_t n)
+{
+    _results.events.record(Event::RdHit, n);
+}
+
 template <typename Out>
 Out
 InvalEngine::handleRead(unsigned unit, mem::BlockId block,
@@ -237,7 +248,7 @@ InvalEngine::handleRead(unsigned unit, mem::BlockId block,
     if (st.holders & unit_bit) {
         classify(_results, out, Event::RdHit);
         if (!_caches.empty())
-            _caches[unit]->touch(block); // Refresh LRU.
+            _caches[unit].touch(block); // Refresh LRU.
         return out;
     }
 
@@ -305,7 +316,7 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
     if (has_copy && st.owner == static_cast<int>(unit)) {
         classify(_results, out, Event::WhBlkDrty);
         if (!_caches.empty())
-            _caches[unit]->touch(block);
+            _caches[unit].touch(block);
         return out;
     }
 
@@ -327,7 +338,7 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
         recordDirActivity(unit, true, st);
         invalidateMask(block, st, others);
         if (!_caches.empty())
-            _caches[unit]->touch(block);
+            _caches[unit].touch(block);
     } else if (!st.referenced) {
         st.referenced = true;
         recordHomeUse(unit, st, block);

@@ -12,14 +12,15 @@
  * Optionally carries a real directory organisation (DirEntry) per
  * block, recording what that organisation would have done —
  * directed invalidations, broadcasts, and overshoot — and optionally
- * a finite TagStore per cache for the finite-cache extension.
+ * a finite set-associative tag store per cache for the finite-cache
+ * extension.
  */
 
 #ifndef DIRSIM_COHERENCE_INVAL_ENGINE_HH
 #define DIRSIM_COHERENCE_INVAL_ENGINE_HH
 
-#include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "coherence/block_table.hh"
@@ -27,7 +28,7 @@
 #include "directory/arena.hh"
 #include "directory/dir_cache.hh"
 #include "directory/entry.hh"
-#include "mem/tag_store.hh"
+#include "mem/set_assoc.hh"
 
 namespace dirsim::coherence
 {
@@ -50,10 +51,10 @@ struct InvalEngineConfig
     /** Optional directory organisation to shadow (may be null). */
     const directory::DirEntryFactory *dirFactory = nullptr;
     /**
-     * Optional finite-cache factory: invoked once per unit.  Null
-     * means infinite caches (the paper's model).
+     * Geometry of a finite cache per unit; unset means infinite
+     * caches (the paper's model).
      */
-    std::function<std::unique_ptr<mem::TagStore>()> cacheFactory;
+    std::optional<mem::CacheGeometry> finiteCaches;
     /**
      * Finite directory-entry cache; disabled means the paper's
      * entry-per-block directory.
@@ -71,6 +72,9 @@ class InvalEngine final : public CoherenceEngine
                    mem::BlockId block) override;
     void accessPrepared(const trace::PreparedSpan &span) override;
     void recordInstrs(std::uint64_t n) override;
+    /** Finite caches and a finite directory cache take copies away. */
+    bool repeatReadsHit() const override;
+    void recordRepeatReads(std::uint64_t n) override;
     const EngineResults &results() const override { return _results; }
     unsigned numUnits() const override { return _cfg.nUnits; }
     void reset() override;
@@ -151,7 +155,8 @@ class InvalEngine final : public CoherenceEngine
     BlockTable<BlockState> _blocks;
     mem::BlockNames _names;
     directory::DirEntryArena _dirArena;
-    std::vector<std::unique_ptr<mem::TagStore>> _caches;
+    /** One finite cache per unit; empty with infinite caches. */
+    std::vector<mem::SetAssocTagStore> _caches;
     std::unique_ptr<directory::DirectoryCache> _dirCache;
 };
 

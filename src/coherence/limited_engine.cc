@@ -84,6 +84,12 @@ LimitedEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
+void
+LimitedEngine::recordRepeatReads(std::uint64_t n)
+{
+    _results.events.record(Event::RdHit, n);
+}
+
 template <typename Out>
 Out
 LimitedEngine::touchDirCache(mem::BlockId block)

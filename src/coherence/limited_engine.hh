@@ -50,6 +50,9 @@ class LimitedEngine final : public CoherenceEngine
                    mem::BlockId block) override;
     void accessPrepared(const trace::PreparedSpan &span) override;
     void recordInstrs(std::uint64_t n) override;
+    /** A directory-cache eviction takes copies away. */
+    bool repeatReadsHit() const override { return !_dirCache; }
+    void recordRepeatReads(std::uint64_t n) override;
     const EngineResults &results() const override { return _results; }
     unsigned numUnits() const override { return _nUnits; }
     void reset() override;

@@ -160,4 +160,11 @@ MultiLimitedEngine::recordInstrs(std::uint64_t n)
         r.events.record(Event::Instr, n);
 }
 
+void
+MultiLimitedEngine::recordRepeatReads(std::uint64_t n)
+{
+    for (EngineResults &r : _results)
+        r.events.record(Event::RdHit, n);
+}
+
 } // namespace dirsim::coherence

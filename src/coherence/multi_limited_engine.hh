@@ -63,6 +63,8 @@ class MultiLimitedEngine final : public CoherenceEngine
                    mem::BlockId block) override;
     void accessPrepared(const trace::PreparedSpan &span) override;
     void recordInstrs(std::uint64_t n) override;
+    bool repeatReadsHit() const override { return true; }
+    void recordRepeatReads(std::uint64_t n) override;
     /** Lane 0's results — harvest per lane via laneResults(). */
     const EngineResults &results() const override
     {

@@ -75,6 +75,12 @@ WtiEngine::recordInstrs(std::uint64_t n)
     _results.events.record(Event::Instr, n);
 }
 
+void
+WtiEngine::recordRepeatReads(std::uint64_t n)
+{
+    _results.events.record(Event::RdHit, n);
+}
+
 template <typename Out>
 Out
 WtiEngine::handleRead(unsigned unit, BlockState &st)

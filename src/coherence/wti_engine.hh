@@ -43,6 +43,10 @@ class WtiEngine final : public CoherenceEngine
                    mem::BlockId block) override;
     void accessPrepared(const trace::PreparedSpan &span) override;
     void recordInstrs(std::uint64_t n) override;
+    /** Write-around leaves a writer with no copy, so its next read
+     *  misses. */
+    bool repeatReadsHit() const override { return _allocate; }
+    void recordRepeatReads(std::uint64_t n) override;
     const EngineResults &results() const override { return _results; }
     unsigned numUnits() const override { return _nUnits; }
     void reset() override;

@@ -1,15 +1,23 @@
 /**
  * @file
  * Finite set-associative tag store with LRU replacement.
+ *
+ * Coherence engines track global block state themselves; a tag store
+ * models one cache's *capacity*: which blocks fit.  The paper's
+ * evaluation uses infinite caches ("to isolate the traffic incurred in
+ * maintaining coherence"); this store powers the finite-cache
+ * extension study, one per unit of an InvalEngine.
  */
 
 #ifndef DIRSIM_MEM_SET_ASSOC_HH
 #define DIRSIM_MEM_SET_ASSOC_HH
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
-#include "mem/tag_store.hh"
+#include "mem/block.hh"
+#include "util/flat_map.hh"
 
 namespace dirsim::mem
 {
@@ -39,16 +47,25 @@ struct CacheGeometry
     }
 };
 
+/** Result of touching a tag store with a reference. */
+struct TouchResult
+{
+    bool hit = false;          //!< Block was already resident.
+    bool evicted = false;      //!< A block was displaced to make room.
+    BlockId evictedBlock = 0;  //!< Valid when evicted is true.
+};
+
 /**
  * A set-associative cache directory with true-LRU replacement.
  *
- * Each set keeps its ways ordered most- to least-recently used; a
- * touch moves the block to the front, a fill evicts the back.  Tags
- * are the dense block ids the engines use; the set index comes from
- * the raw block index (bindBlockNames()), as hardware indexes by
- * address bits.
+ * Each set keeps its resident blocks ordered most- to least-recently
+ * used, at the front of its ways; the free ways after them hold
+ * kEmpty.  A touch moves the block to the front, a fill evicts the
+ * back.  Tags are the dense block ids the engines use; the set index
+ * comes from the raw block index (bindBlockNames()), as hardware
+ * indexes by address bits.
  */
-class SetAssocTagStore : public TagStore
+class SetAssocTagStore
 {
   public:
     /**
@@ -57,31 +74,80 @@ class SetAssocTagStore : public TagStore
      */
     explicit SetAssocTagStore(const CacheGeometry &geometry);
 
-    TouchResult touch(BlockId block) override;
-    void invalidate(BlockId block) override;
-    bool contains(BlockId block) const override;
-    std::uint64_t size() const override;
-    void clear() override;
-    void bindBlockNames(BlockNames names) override { _names = names; }
+    /** Reference @p block, allocating it if absent. */
+    TouchResult
+    touch(BlockId block)
+    {
+        assert(block != kEmpty);
+        TouchResult result;
+        BlockId *ways = setBase(setIndex(block));
+        const unsigned n = _geometry.ways;
+        // Search; on a hit rotate the block to the MRU (front) way.
+        for (unsigned w = 0; w < n; ++w) {
+            if (ways[w] == block) {
+                for (unsigned v = w; v > 0; --v)
+                    ways[v] = ways[v - 1];
+                ways[0] = block;
+                result.hit = true;
+                return result;
+            }
+        }
+        // Miss: evict the LRU (back) way if every way is in use.
+        if (ways[n - 1] != kEmpty) {
+            result.evicted = true;
+            result.evictedBlock = ways[n - 1];
+        } else {
+            ++_resident;
+        }
+        for (unsigned v = n - 1; v > 0; --v)
+            ways[v] = ways[v - 1];
+        ways[0] = block;
+        return result;
+    }
+
+    /** Remove @p block if present (coherence invalidation). */
+    void invalidate(BlockId block);
+    /** True when @p block is resident. */
+    bool contains(BlockId block) const;
+    /** Number of resident blocks. */
+    std::uint64_t size() const { return _resident; }
+    /** Drop all contents. */
+    void clear();
+    /**
+     * Bind the raw block index of each dense block id (see
+     * mem::BlockNames); sets are indexed by it.  Tags stay dense ids,
+     * so a victim indexes engine state directly.  Unbound, ids are
+     * raw indices.
+     */
+    void bindBlockNames(BlockNames names) { _names = names; }
 
     const CacheGeometry &geometry() const { return _geometry; }
 
   private:
-    struct Way
-    {
-        BlockId block = 0;
-        bool valid = false;
-    };
+    /** Tag of a free way; no block id reaches it. */
+    static constexpr BlockId kEmpty = ~BlockId(0);
 
-    std::uint64_t setIndex(BlockId block) const;
+    std::uint64_t
+    setIndex(BlockId block) const
+    {
+        const BlockId raw = rawBlock(_names, block);
+        const std::uint64_t key =
+            _geometry.mixSetIndex ? util::mix64(raw) : raw;
+        return key & _setMask;
+    }
     /** Ways of one set, MRU first. */
-    Way *setBase(std::uint64_t set);
-    const Way *setBase(std::uint64_t set) const;
+    BlockId *setBase(std::uint64_t set)
+    {
+        return &_tags[set * _geometry.ways];
+    }
+    const BlockId *setBase(std::uint64_t set) const
+    {
+        return &_tags[set * _geometry.ways];
+    }
 
     CacheGeometry _geometry;
-    std::uint64_t _numSets;
     std::uint64_t _setMask;
-    std::vector<Way> _ways;
+    std::vector<BlockId> _tags;
     BlockNames _names;
     std::uint64_t _resident = 0;
 };

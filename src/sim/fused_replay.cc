@@ -1,37 +1,12 @@
 #include "sim/fused_replay.hh"
 
-#include <chrono>
 #include <stdexcept>
 #include <string>
 
+#include "sim/repeat_filter.hh"
+
 namespace dirsim::sim
 {
-
-namespace
-{
-
-using Clock = std::chrono::steady_clock;
-
-/** Hand @p span to every engine, timing each when asked. */
-inline void
-dispatchSpan(const trace::PreparedSpan &span,
-             const std::vector<coherence::CoherenceEngine *> &engines,
-             std::vector<double> *seconds)
-{
-    if (seconds == nullptr) {
-        for (coherence::CoherenceEngine *engine : engines)
-            engine->accessPrepared(span);
-        return;
-    }
-    for (std::size_t e = 0; e < engines.size(); ++e) {
-        const auto t0 = Clock::now();
-        engines[e]->accessPrepared(span);
-        (*seconds)[e] +=
-            std::chrono::duration<double>(Clock::now() - t0).count();
-    }
-}
-
-} // namespace
 
 FusedReplayRun
 FusedReplay::run(
@@ -40,12 +15,13 @@ FusedReplay::run(
 {
     FusedReplayRun out;
     out.instrRefs = spans.instrRefs();
-    std::vector<double> seconds(
-        _opts.timeEngines ? engines.size() : 0, 0.0);
-    std::vector<double> *timing =
-        _opts.timeEngines ? &seconds : nullptr;
+    DispatchSeconds seconds;
+    seconds.engines.assign(_opts.timeEngines ? engines.size() : 0, 0.0);
+    DispatchSeconds *timing = _opts.timeEngines ? &seconds : nullptr;
 
     const coherence::BlockNamesBinding names(engines, spans.blockNames());
+    RepeatReadFilter filter(engines);
+    filter.reserveBlocks(spans.numBlocks());
     for (coherence::CoherenceEngine *engine : engines) {
         engine->reserveBlocks(spans.numBlocks());
         if (out.instrRefs != 0)
@@ -58,7 +34,7 @@ FusedReplay::run(
     while (spans.nextSpan(span)) {
         if (span.n == 0)
             continue;
-        dispatchSpan(span, engines, timing);
+        filter.dispatch(span, timing);
         data += span.n;
     }
     if (data != spans.dataRefs())
@@ -68,7 +44,8 @@ FusedReplay::run(
             " data references but its summary declares " +
             std::to_string(spans.dataRefs()));
     out.dataRefs = data;
-    out.engineSeconds = std::move(seconds);
+    out.engineSeconds = std::move(seconds.engines);
+    out.filterSeconds = seconds.filter;
     return out;
 }
 

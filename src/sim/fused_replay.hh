@@ -5,25 +5,31 @@
  * The paper replays one interleaved reference stream through every
  * protocol (Section 4.1); the sweep matrix is therefore N engines ×
  * one stream per workload.  FusedReplay drives one stream through a
- * set of engines: it pulls each span of the stream once and hands the
- * whole span to every engine in turn.  An in-memory trace is one
- * span; a stored trace's spans are its chunk windows, so each window
- * is read, and its digest checked, once for all N engines.
+ * set of engines: it pulls each span of the stream once and hands it
+ * to every engine in turn, through the repeat-read filter
+ * (sim/repeat_filter.hh).  An in-memory trace is one span; a stored
+ * trace's spans are its chunk windows, so each window is read, and
+ * its digest checked, once for all N engines.
  *
- * Whole spans keep each engine's block table resident for its whole
- * pass.  The tables are what outgrows the caches: at 64 CPUs each
- * engine's table is several MB, larger than L2, while the columns are
- * a sequential 6 bytes per reference that the prefetcher streams.
- * Interleaving the engines over 64K-reference strips instead, the
- * earlier design, evicted every engine's table at each switch: on the
- * 8–64 CPU machine sweep that fused pass took 1.3× as long as the
- * same engines run one after another.
+ * An engine that keeps every reference (finite caches, a finite
+ * directory cache, write-around WTI) gets each span whole, which
+ * keeps its block table resident for its whole pass.  An engine for
+ * which a repeat read is always a state-free RdHit gets the span
+ * compacted strip by strip, the repeat reads as a count, so those
+ * engines take turns per 64K-reference strip of the span.  Turns per
+ * strip over uncompacted columns, an earlier design, evicted every
+ * engine's table at each switch once the tables outgrew L2 (at 64
+ * CPUs each is several MB): the 8–64 CPU machine sweep's fused pass
+ * took 1.3× as long as the same engines run one after another.  The
+ * compacted strips hold a third to a half of the references, and
+ * that replay measured no slower than whole uncompacted spans.
  *
  * Correctness rests on the PreparedSpanSource contract: engines are
  * stateful across spans and span boundaries are invisible to the
  * coherence model, so the fused pass is bit-identical to N sequential
- * full passes — each engine still sees exactly the stream, in order.
- * The golden digest suite pins this for every scheme × workload.
+ * full passes — each engine still sees exactly the stream, in order,
+ * less only references that cannot change its state.  The golden
+ * digest suite pins this for every scheme × workload.
  */
 
 #ifndef DIRSIM_SIM_FUSED_REPLAY_HH
@@ -43,8 +49,10 @@ struct FusedReplayOptions
 {
     /**
      * Accumulate per-engine wall-clock seconds across the run (the
-     * bench's per-scheme attribution).  Costs two clock reads per
-     * engine per span, so leave it off outside benchmarks.
+     * bench's per-scheme attribution), and the repeat-read filter's
+     * apart from them.  The replay takes the same path as untimed;
+     * the clocks cost two reads per engine per span (per strip for a
+     * filtered engine), so leave it off outside benchmarks.
      */
     bool timeEngines = false;
 };
@@ -56,9 +64,12 @@ struct FusedReplayRun
     std::uint64_t dataRefs = 0;
     std::uint64_t totalRefs() const { return instrRefs + dataRefs; }
 
-    /** Seconds each engine spent consuming spans, in engine order;
-     *  empty unless FusedReplayOptions::timeEngines. */
+    /** Seconds each engine spent consuming spans and bulk counts,
+     *  in engine order; empty unless FusedReplayOptions::timeEngines. */
     std::vector<double> engineSeconds;
+    /** Seconds the shared repeat-read filter spent compacting spans;
+     *  0 unless FusedReplayOptions::timeEngines. */
+    double filterSeconds = 0.0;
 };
 
 /**
@@ -80,8 +91,8 @@ class FusedReplay
      * engine of @p engines: each engine is sized from the stream's
      * numBlocks() and bound to its blockNames() for the replay, bulk
      * instruction counts go up front (order-independent — they change
-     * no coherence state), then each span goes to every engine in
-     * turn.
+     * no coherence state), then each span goes through the repeat-read
+     * filter to every engine in turn.
      *
      * @throws std::runtime_error if the source yields a different
      *         number of data references than its summary declares.

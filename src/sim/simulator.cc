@@ -1,5 +1,7 @@
 #include "sim/simulator.hh"
 
+#include "sim/repeat_filter.hh"
+
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -37,6 +39,9 @@ Simulator::run(trace::RefSource &source)
         _lowering.emplace("", opts);
     }
     trace::StreamLowering &lowering = *_lowering;
+    // Starts empty each run: a block's first reference of the run is
+    // never taken for a repeat read, whatever came before it.
+    RepeatReadFilter filter(engines);
     // A failed run leaves no partially-accumulated state behind.
     const auto fail = [this](const std::string &what) {
         for (auto &engine : _engines)
@@ -65,11 +70,11 @@ Simulator::run(trace::RefSource &source)
         const coherence::BlockNamesBinding names(engines,
                                                  lowering.names());
         const trace::PreparedSpan data = lowering.data();
-        for (coherence::CoherenceEngine *engine : engines) {
-            if (nInstr != 0)
+        if (nInstr != 0)
+            for (coherence::CoherenceEngine *engine : engines)
                 engine->recordInstrs(nInstr);
-            engine->accessPrepared(data);
-        }
+        filter.reserveBlocks(lowering.names().size());
+        filter.dispatch(data);
         processed += nInstr + data.n;
     }
     return processed;

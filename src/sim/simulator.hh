@@ -70,7 +70,8 @@ class Simulator
      * Records are pulled in batches through the lowering every
      * prepared trace comes out of (trace::StreamLowering), and each
      * batch's SoA columns (dense block id, dense unit, packed
-     * type+flags byte) go to every engine's accessPrepared() — the
+     * type+flags byte) go through the repeat-read filter
+     * (sim/repeat_filter.hh) to every engine's accessPrepared() — the
      * entry point prepared replay drives — so the per-record virtual
      * dispatch of RefSource::next() is amortised and engine state
      * stays hot in cache.  The lowering's unit and first-touch block

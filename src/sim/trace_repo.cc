@@ -165,6 +165,11 @@ TraceRepository::setDiskCache(const DiskCacheConfig &cfg)
     if (!cfg.dir.empty())
         std::filesystem::create_directories(cfg.dir);
     std::lock_guard<std::mutex> lock(_mutex);
+    // A stored trace belongs to its directory and chunking; handed-
+    // out pointers stay valid, but the next getStored() opens or
+    // spills under the new tier.
+    if (cfg.dir != _disk.dir || cfg.chunkRefs != _disk.chunkRefs)
+        _stored.clear();
     _disk = cfg;
 }
 

@@ -125,7 +125,9 @@ class TraceRepository
 
     /**
      * Enable (or reconfigure) the persistent disk tier.  Creates
-     * @p cfg.dir if needed; an empty dir turns the tier off.
+     * @p cfg.dir if needed; an empty dir turns the tier off.  A new
+     * directory or chunk size forgets the stored traces getStored()
+     * has handed out, so later calls serve the new tier.
      */
     void setDiskCache(const DiskCacheConfig &cfg);
 

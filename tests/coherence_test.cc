@@ -345,11 +345,8 @@ TEST(InvalFinite, EvictionProducesMemoryMisses)
 {
     InvalEngineConfig cfg;
     cfg.nUnits = 2;
-    cfg.cacheFactory = [] {
-        // Tiny cache: 4 sets x 1 way of 16-byte blocks.
-        return std::make_unique<dirsim::mem::SetAssocTagStore>(
-            dirsim::mem::CacheGeometry{64, 16, 1});
-    };
+    // Tiny cache: 4 sets x 1 way of 16-byte blocks.
+    cfg.finiteCaches = dirsim::mem::CacheGeometry{64, 16, 1};
     InvalEngine eng(cfg);
     // Fill unit 0 with conflicting blocks (same set 0): 0, 4, 8.
     eng.access(0, R, 0);
@@ -364,10 +361,7 @@ TEST(InvalFinite, DirtyEvictionWritesBack)
 {
     InvalEngineConfig cfg;
     cfg.nUnits = 2;
-    cfg.cacheFactory = [] {
-        return std::make_unique<dirsim::mem::SetAssocTagStore>(
-            dirsim::mem::CacheGeometry{64, 16, 1});
-    };
+    cfg.finiteCaches = dirsim::mem::CacheGeometry{64, 16, 1};
     InvalEngine eng(cfg);
     eng.access(0, W, 0);
     eng.access(0, R, 4); // evicts dirty block 0
@@ -382,10 +376,7 @@ TEST(InvalFinite, HoldersMatchTagStores)
 {
     InvalEngineConfig cfg;
     cfg.nUnits = 4;
-    cfg.cacheFactory = [] {
-        return std::make_unique<dirsim::mem::SetAssocTagStore>(
-            dirsim::mem::CacheGeometry{256, 16, 2});
-    };
+    cfg.finiteCaches = dirsim::mem::CacheGeometry{256, 16, 2};
     InvalEngine eng(cfg);
     dirsim::gen::Rng rng(3);
     for (int i = 0; i < 20'000; ++i) {
@@ -405,6 +396,99 @@ TEST(InvalFinite, HoldersMatchTagStores)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Repeat reads: which engines static replay may count them for.
+// ---------------------------------------------------------------------
+
+/**
+ * A repeat read (a data read of a block whose previous data reference
+ * came from the same unit) hits wherever a copy lives until another
+ * unit's reference to the block takes it: every infinite-cache
+ * engine, whatever directory it shadows or homes it tracks.  The bulk
+ * count is that many RdHits and nothing else.
+ */
+TEST(RepeatReads, InfiniteCacheEnginesCountThemInBulk)
+{
+    const dirsim::directory::FullMapFactory fullMap;
+    InvalEngineConfig shadowed;
+    shadowed.nUnits = 4;
+    shadowed.dirFactory = &fullMap;
+    shadowed.homePolicy = HomePolicy::FirstTouch;
+    EXPECT_TRUE(makeInval().repeatReadsHit());
+    EXPECT_TRUE(InvalEngine(shadowed).repeatReadsHit());
+    EXPECT_TRUE(LimitedEngine(4, 1).repeatReadsHit());
+    EXPECT_TRUE(MultiLimitedEngine(4, {1, 2, 4}).repeatReadsHit());
+    EXPECT_TRUE(DragonEngine(4).repeatReadsHit());
+    EXPECT_TRUE(BerkeleyEngine(4).repeatReadsHit());
+    EXPECT_TRUE(WtiEngine(4, true).repeatReadsHit());
+
+    MultiLimitedEngine counted(2, {1, 2}), walked(2, {1, 2});
+    for (MultiLimitedEngine *eng : {&counted, &walked}) {
+        eng->access(0, W, 0);
+        eng->access(1, R, 0);
+    }
+    counted.recordRepeatReads(3);
+    for (int i = 0; i < 3; ++i)
+        walked.access(1, R, 0);
+    for (std::size_t l = 0; l < 2; ++l)
+        EXPECT_TRUE(counted.laneResults(l) == walked.laneResults(l));
+}
+
+TEST(RepeatReads, WriteAroundWtiRefusesTheFilter)
+{
+    WtiEngine eng(2, /*allocateOnWriteMiss=*/false);
+    EXPECT_FALSE(eng.repeatReadsHit());
+    eng.access(0, W, 0); // written around: unit 0 keeps no copy
+    EXPECT_EQ(eng.access(0, R, 0).event(), Event::RmMemory);
+}
+
+TEST(RepeatReads, FiniteCachesRefuseTheFilter)
+{
+    InvalEngineConfig cfg;
+    cfg.nUnits = 2;
+    cfg.finiteCaches = dirsim::mem::CacheGeometry{64, 16, 1};
+    InvalEngine eng(cfg);
+    EXPECT_FALSE(eng.repeatReadsHit());
+    eng.access(0, R, 0);
+    eng.access(0, R, 4); // same set of the 1-way cache: replaces 0
+    EXPECT_EQ(eng.access(0, R, 0).event(), Event::RmMemory);
+}
+
+/** Two directory entries: unit 1's reads of blocks 1 and 2 evict
+ *  block 0's entry and, with it, unit 0's copy. */
+dirsim::directory::DirCacheConfig
+twoEntryDirCache()
+{
+    dirsim::directory::DirCacheConfig dc;
+    dc.enabled = true;
+    dc.entries = 2;
+    dc.associativity = 2;
+    return dc;
+}
+
+TEST(RepeatReads, FiniteDirectoryCacheRefusesTheFilterForInval)
+{
+    InvalEngineConfig cfg;
+    cfg.nUnits = 2;
+    cfg.dirCache = twoEntryDirCache();
+    InvalEngine eng(cfg);
+    EXPECT_FALSE(eng.repeatReadsHit());
+    eng.access(0, R, 0);
+    eng.access(1, R, 1);
+    eng.access(1, R, 2);
+    EXPECT_EQ(eng.access(0, R, 0).event(), Event::RmMemory);
+}
+
+TEST(RepeatReads, FiniteDirectoryCacheRefusesTheFilterForLimited)
+{
+    LimitedEngine eng(2, 1, twoEntryDirCache());
+    EXPECT_FALSE(eng.repeatReadsHit());
+    eng.access(0, R, 0);
+    eng.access(1, R, 1);
+    eng.access(1, R, 2);
+    EXPECT_EQ(eng.access(0, R, 0).event(), Event::RmMemory);
 }
 
 // ---------------------------------------------------------------------
@@ -823,10 +907,7 @@ TEST(OutcomeSum, EqualsResultsForEveryEngineConfiguration)
         InvalEngineConfig cfg;
         cfg.nUnits = units;
         if (finiteCaches)
-            cfg.cacheFactory = [] {
-                return std::make_unique<dirsim::mem::SetAssocTagStore>(
-                    dirsim::mem::CacheGeometry{256, 16, 2});
-            };
+            cfg.finiteCaches = dirsim::mem::CacheGeometry{256, 16, 2};
         if (finiteDir)
             cfg.dirCache = dirCache;
         if (shadowed)
@@ -925,11 +1006,9 @@ TEST(BlockNames, SetIndicesAndHomesComeFromRawIds)
         cfg.nUnits = units;
         cfg.homePolicy = home;
         if (finiteCaches)
-            cfg.cacheFactory = [] {
-                // 16 sets of 4 ways; the low-bits mapping is pinned.
-                return std::make_unique<dirsim::mem::SetAssocTagStore>(
-                    dirsim::mem::CacheGeometry{sets * 4 * 16, 16, 4});
-            };
+            // 16 sets of 4 ways; the low-bits mapping is pinned.
+            cfg.finiteCaches =
+                dirsim::mem::CacheGeometry{sets * 4 * 16, 16, 4};
         if (finiteDir)
             cfg.dirCache = dirCache;
         return std::unique_ptr<CoherenceEngine>(

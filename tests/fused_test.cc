@@ -199,6 +199,43 @@ TEST(FusedReplayEquivalence, MultiConfigLanesMatchGolden)
     }
 }
 
+/**
+ * Timing a fused pass changes nothing it computes: every scheme, those
+ * that count repeat reads in bulk and those that refuse to
+ * (wti-noalloc, inval+finite), lands on its golden digest timed and
+ * untimed, and the timed pass reports one slot per engine plus the
+ * repeat-read filter's own time.
+ */
+TEST(FusedReplay, TimedPassTakesTheFilteredPath)
+{
+    const gen::WorkloadConfig cfg = gen::standardWorkloads()[0];
+    const std::shared_ptr<const trace::PreparedTrace> prepared =
+        sim::TraceRepository::global().get(cfg);
+    for (const bool timed : {false, true}) {
+        std::vector<std::unique_ptr<coherence::CoherenceEngine>> owned;
+        std::vector<coherence::CoherenceEngine *> engines;
+        for (const golden::Scheme &scheme : kSchemes) {
+            owned.push_back(scheme.make(cfg.space.nProcesses, nullptr));
+            engines.push_back(owned.back().get());
+        }
+        sim::FusedReplayOptions opts;
+        opts.timeEngines = timed;
+        trace::PreparedTraceSpans spans(*prepared);
+        const sim::FusedReplayRun run =
+            sim::FusedReplay(opts).run(spans, engines);
+        EXPECT_EQ(run.totalRefs(), prepared->totalRefs());
+        for (std::size_t s = 0; s < kNumSchemes; ++s)
+            EXPECT_EQ(digest(engines[s]->results()), kGolden[0][s])
+                << "scheme '" << kSchemes[s].label << "' diverged "
+                << (timed ? "timed" : "untimed");
+        EXPECT_EQ(run.engineSeconds.size(), timed ? kNumSchemes : 0u);
+        if (timed)
+            EXPECT_GT(run.filterSeconds, 0.0);
+        else
+            EXPECT_EQ(run.filterSeconds, 0.0);
+    }
+}
+
 /** An empty prepared stream fused across engines is a clean no-op. */
 TEST(FusedReplay, EmptyStream)
 {

@@ -177,13 +177,11 @@ makeInvalFinite(unsigned units, const directory::DirCacheConfig *dc)
 {
     coherence::InvalEngineConfig cfg;
     cfg.nUnits = units;
-    cfg.cacheFactory = [] {
-        mem::CacheGeometry geometry;
-        geometry.capacityBytes = 16 * 1024; // Small: forces evictions.
-        geometry.blockBytes = 16;
-        geometry.ways = 2;
-        return std::make_unique<mem::SetAssocTagStore>(geometry);
-    };
+    mem::CacheGeometry geometry;
+    geometry.capacityBytes = 16 * 1024; // Small: forces evictions.
+    geometry.blockBytes = 16;
+    geometry.ways = 2;
+    cfg.finiteCaches = geometry;
     cfg.dirCache = dirCacheOrNone(dc);
     return std::make_unique<coherence::InvalEngine>(cfg);
 }

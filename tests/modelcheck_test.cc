@@ -10,6 +10,12 @@
  * Divergence in any event classification fails the test, so any
  * behavioural regression in the engines' fast paths is caught by
  * construction rather than by luck.
+ *
+ * Every sequence is replayed a second time through the entry point
+ * behind the exhibits: sim::FusedReplay over the sequence as one
+ * prepared span, so the repeat-read filter and accessPrepared() run
+ * exactly as in static replay, and the results must equal what
+ * access() gave.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +32,8 @@
 #include "coherence/limited_engine.hh"
 #include "coherence/multi_limited_engine.hh"
 #include "gen/rng.hh"
+#include "sim/fused_replay.hh"
+#include "trace/prepared.hh"
 
 namespace
 {
@@ -171,6 +179,73 @@ decode(unsigned s, unsigned units, unsigned blocks)
     return sym;
 }
 
+/**
+ * A symbol sequence as a prepared stream: one span of data
+ * references whose dense block ids are the symbols' blocks, each its
+ * own raw index.
+ */
+class SequenceSpans final : public trace::PreparedSpanSource
+{
+  public:
+    SequenceSpans(const std::vector<Symbol> &seq, unsigned units,
+                  unsigned blocks)
+        : _units(units), _names(blocks)
+    {
+        for (const Symbol &sym : seq) {
+            _block.push_back(static_cast<std::uint32_t>(sym.block));
+            _unit.push_back(static_cast<std::uint8_t>(sym.unit));
+            _typeFlags.push_back(
+                trace::packTypeFlags(sym.type, trace::FlagNone));
+        }
+        for (unsigned b = 0; b < blocks; ++b)
+            _names[b] = b;
+    }
+
+    const std::string &name() const override { return _name; }
+    const trace::PrepareOptions &options() const override
+    {
+        return _options;
+    }
+    std::uint64_t instrRefs() const override { return 0; }
+    std::uint64_t dataRefs() const override { return _block.size(); }
+    unsigned numUnits() const override { return _units; }
+    unsigned numCpus() const override { return _units; }
+    mem::BlockNames blockNames() const override { return _names; }
+
+    bool
+    nextSpan(trace::PreparedSpan &span) override
+    {
+        if (_done)
+            return false;
+        _done = true;
+        span = {_block.data(), _unit.data(), _typeFlags.data(),
+                _block.size()};
+        return true;
+    }
+    void rewind() override { _done = false; }
+
+  private:
+    std::string _name = "sequence";
+    trace::PrepareOptions _options;
+    unsigned _units;
+    std::vector<std::uint32_t> _names;
+    std::vector<std::uint32_t> _block;
+    std::vector<std::uint8_t> _unit;
+    std::vector<std::uint8_t> _typeFlags;
+    bool _done = false;
+};
+
+/** Replay @p seq through @p engine as static replay does: the
+ *  repeat-read filter, then accessPrepared(). */
+void
+replayPrepared(coherence::CoherenceEngine &engine,
+               const std::vector<Symbol> &seq, unsigned units,
+               unsigned blocks)
+{
+    SequenceSpans spans(seq, units, blocks);
+    sim::FusedReplay().run(spans, {&engine});
+}
+
 /** Capture the event an engine records for one access. */
 template <typename Engine>
 Event
@@ -200,17 +275,20 @@ TEST(ModelCheck, InvalEngineExhaustiveLength6)
     for (unsigned i = 0; i < length; ++i)
         total *= alphabet;
 
+    std::vector<Symbol> syms;
     for (std::uint64_t seq = 0; seq < total; ++seq) {
         coherence::InvalEngineConfig cfg;
         cfg.nUnits = units;
         coherence::InvalEngine engine(cfg);
         SpecInval spec(units);
+        syms.clear();
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
                 decode(static_cast<unsigned>(code % alphabet), units,
                        blocks);
             code /= alphabet;
+            syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
             const Event got = observe(engine, sym);
@@ -219,6 +297,10 @@ TEST(ModelCheck, InvalEngineExhaustiveLength6)
                 << coherence::eventName(expected) << ", engine "
                 << coherence::eventName(got);
         }
+        coherence::InvalEngine prepared(cfg);
+        replayPrepared(prepared, syms, units, blocks);
+        ASSERT_TRUE(prepared.results() == engine.results())
+            << "sequence " << seq << ": prepared replay diverged";
     }
 }
 
@@ -232,21 +314,28 @@ TEST(ModelCheck, DragonEngineExhaustiveLength6)
     for (unsigned i = 0; i < length; ++i)
         total *= alphabet;
 
+    std::vector<Symbol> syms;
     for (std::uint64_t seq = 0; seq < total; ++seq) {
         coherence::DragonEngine engine(units);
         SpecDragon spec;
+        syms.clear();
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
                 decode(static_cast<unsigned>(code % alphabet), units,
                        blocks);
             code /= alphabet;
+            syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
             const Event got = observe(engine, sym);
             ASSERT_EQ(got, expected)
                 << "sequence " << seq << " step " << step;
         }
+        coherence::DragonEngine prepared(units);
+        replayPrepared(prepared, syms, units, blocks);
+        ASSERT_TRUE(prepared.results() == engine.results())
+            << "sequence " << seq << ": prepared replay diverged";
     }
 }
 
@@ -255,23 +344,30 @@ TEST(ModelCheck, InvalEngineRandomDeepSequencesThreeUnits)
     constexpr unsigned units = 3;
     constexpr unsigned blocks = 3;
     gen::Rng rng(0xC0FFEE);
+    std::vector<Symbol> syms;
     for (int trial = 0; trial < 2'000; ++trial) {
         coherence::InvalEngineConfig cfg;
         cfg.nUnits = units;
         coherence::InvalEngine engine(cfg);
         SpecInval spec(units);
+        syms.clear();
         for (int step = 0; step < 40; ++step) {
             Symbol sym;
             sym.unit = static_cast<unsigned>(rng.nextBelow(units));
             sym.type =
                 rng.chance(0.4) ? RefType::Write : RefType::Read;
             sym.block = rng.nextBelow(blocks);
+            syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
             const Event got = observe(engine, sym);
             ASSERT_EQ(got, expected) << "trial " << trial << " step "
                                      << step;
         }
+        coherence::InvalEngine prepared(cfg);
+        replayPrepared(prepared, syms, units, blocks);
+        ASSERT_TRUE(prepared.results() == engine.results())
+            << "trial " << trial << ": prepared replay diverged";
     }
 }
 
@@ -280,21 +376,28 @@ TEST(ModelCheck, DragonEngineRandomDeepSequencesFourUnits)
     constexpr unsigned units = 4;
     constexpr unsigned blocks = 3;
     gen::Rng rng(0xBEEF);
+    std::vector<Symbol> syms;
     for (int trial = 0; trial < 2'000; ++trial) {
         coherence::DragonEngine engine(units);
         SpecDragon spec;
+        syms.clear();
         for (int step = 0; step < 40; ++step) {
             Symbol sym;
             sym.unit = static_cast<unsigned>(rng.nextBelow(units));
             sym.type =
                 rng.chance(0.4) ? RefType::Write : RefType::Read;
             sym.block = rng.nextBelow(blocks);
+            syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
             const Event got = observe(engine, sym);
             ASSERT_EQ(got, expected) << "trial " << trial << " step "
                                      << step;
         }
+        coherence::DragonEngine prepared(units);
+        replayPrepared(prepared, syms, units, blocks);
+        ASSERT_TRUE(prepared.results() == engine.results())
+            << "trial " << trial << ": prepared replay diverged";
     }
 }
 
@@ -309,6 +412,7 @@ TEST(ModelCheck, Dir1NbExhaustiveLength6)
     for (unsigned i = 0; i < length; ++i)
         total *= alphabet;
 
+    std::vector<Symbol> syms;
     for (std::uint64_t seq = 0; seq < total; ++seq) {
         coherence::LimitedEngine engine(units, 1);
         // Literal single-copy spec.
@@ -316,12 +420,14 @@ TEST(ModelCheck, Dir1NbExhaustiveLength6)
         std::map<std::uint64_t, bool> dirty;
         std::set<std::uint64_t> referenced;
 
+        syms.clear();
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
                 decode(static_cast<unsigned>(code % alphabet), units,
                        blocks);
             code /= alphabet;
+            syms.push_back(sym);
 
             Event expected;
             auto &h = holder[sym.block];
@@ -357,6 +463,10 @@ TEST(ModelCheck, Dir1NbExhaustiveLength6)
             ASSERT_EQ(got, expected)
                 << "sequence " << seq << " step " << step;
         }
+        coherence::LimitedEngine prepared(units, 1);
+        replayPrepared(prepared, syms, units, blocks);
+        ASSERT_TRUE(prepared.results() == engine.results())
+            << "sequence " << seq << ": prepared replay diverged";
     }
 }
 
@@ -498,17 +608,20 @@ TEST(ModelCheckMultiConfig, LanesExhaustiveLength5)
     for (unsigned i = 0; i < length; ++i)
         total *= alphabet;
 
+    std::vector<Symbol> syms;
     for (std::uint64_t seq = 0; seq < total; ++seq) {
         coherence::MultiLimitedEngine multi(units, lanes);
         std::vector<SpecDirINB> specs;
         for (const unsigned p : lanes)
             specs.emplace_back(p);
+        syms.clear();
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
                 decode(static_cast<unsigned>(code % alphabet), units,
                        blocks);
             code /= alphabet;
+            syms.push_back(sym);
             const std::vector<Event> got = observeLanes(multi, sym);
             for (std::size_t l = 0; l < specs.size(); ++l) {
                 const Event expected =
@@ -530,6 +643,12 @@ TEST(ModelCheckMultiConfig, LanesExhaustiveLength5)
                 << "sequence " << seq << " lane dir" << lanes[l]
                 << "nb";
         }
+        coherence::MultiLimitedEngine prepared(units, lanes);
+        replayPrepared(prepared, syms, units, blocks);
+        for (std::size_t l = 0; l < lanes.size(); ++l)
+            ASSERT_TRUE(prepared.laneResults(l) == multi.laneResults(l))
+                << "sequence " << seq << " lane dir" << lanes[l]
+                << "nb: prepared replay diverged";
     }
 }
 
@@ -712,15 +831,18 @@ TEST(ModelCheckDirCache, InvalEngineExhaustiveLength5)
     for (unsigned i = 0; i < length; ++i)
         total *= alphabet;
 
+    std::vector<Symbol> syms;
     for (std::uint64_t seq = 0; seq < total; ++seq) {
         auto engine = invalWithTinyDirCache(units);
         SpecInvalDirCache spec;
+        syms.clear();
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
                 decode(static_cast<unsigned>(code % alphabet), units,
                        blocks);
             code /= alphabet;
+            syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
             const Event got = observe(engine, sym);
@@ -755,6 +877,10 @@ TEST(ModelCheckDirCache, InvalEngineExhaustiveLength5)
         ASSERT_EQ(r.dirCacheEvictionWriteBacks,
                   spec.evictionWriteBacks)
             << "sequence " << seq;
+        auto prepared = invalWithTinyDirCache(units);
+        replayPrepared(prepared, syms, units, blocks);
+        ASSERT_TRUE(prepared.results() == r)
+            << "sequence " << seq << ": prepared replay diverged";
     }
 }
 
@@ -765,15 +891,18 @@ TEST(ModelCheckDirCache, InvalEngineRandomDeepSequencesThreeUnits)
     constexpr unsigned units = 3;
     constexpr unsigned blocks = 4;
     gen::Rng rng(0xD1CACE);
+    std::vector<Symbol> syms;
     for (int trial = 0; trial < 2'000; ++trial) {
         auto engine = invalWithTinyDirCache(units);
         SpecInvalDirCache spec;
+        syms.clear();
         for (int step = 0; step < 60; ++step) {
             Symbol sym;
             sym.unit = static_cast<unsigned>(rng.nextBelow(units));
             sym.type =
                 rng.chance(0.4) ? RefType::Write : RefType::Read;
             sym.block = rng.nextBelow(blocks);
+            syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
             const Event got = observe(engine, sym);
@@ -789,6 +918,10 @@ TEST(ModelCheckDirCache, InvalEngineRandomDeepSequencesThreeUnits)
         ASSERT_EQ(r.dirCacheEvictionWriteBacks,
                   spec.evictionWriteBacks)
             << "trial " << trial;
+        auto prepared = invalWithTinyDirCache(units);
+        replayPrepared(prepared, syms, units, blocks);
+        ASSERT_TRUE(prepared.results() == r)
+            << "trial " << trial << ": prepared replay diverged";
     }
 }
 
@@ -814,6 +947,7 @@ TEST(ModelCheckDirCache, Dir1NbExhaustiveLength5)
     dc.entries = capacity;
     dc.associativity = capacity;
 
+    std::vector<Symbol> syms;
     for (std::uint64_t seq = 0; seq < total; ++seq) {
         coherence::LimitedEngine engine(units, 1, dc);
         std::map<std::uint64_t, std::optional<unsigned>> holder;
@@ -844,12 +978,14 @@ TEST(ModelCheckDirCache, Dir1NbExhaustiveLength5)
             lru.insert(lru.begin(), block);
         };
 
+        syms.clear();
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
                 decode(static_cast<unsigned>(code % alphabet), units,
                        blocks);
             code /= alphabet;
+            syms.push_back(sym);
 
             Event expected;
             auto &h = holder[sym.block];
@@ -901,6 +1037,10 @@ TEST(ModelCheckDirCache, Dir1NbExhaustiveLength5)
             << "sequence " << seq;
         ASSERT_EQ(r.dirCacheEvictionWriteBacks, writeBacks)
             << "sequence " << seq;
+        coherence::LimitedEngine prepared(units, 1, dc);
+        replayPrepared(prepared, syms, units, blocks);
+        ASSERT_TRUE(prepared.results() == r)
+            << "sequence " << seq << ": prepared replay diverged";
     }
 }
 

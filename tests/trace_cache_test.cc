@@ -198,6 +198,36 @@ TEST(TraceCacheTest, ChunkRefsIsNotPartOfTheCacheKey)
     EXPECT_EQ(reader.stats().diskHits, 1u);
 }
 
+/**
+ * Moving the disk tier to another directory with another chunking
+ * forgets what getStored() handed out before: the same key is spilled
+ * to the new directory at the new chunk size, not served from the
+ * first directory's object.
+ */
+TEST(TraceCacheTest, MovingTheTierForgetsStoredTraces)
+{
+    const auto cfg = smallWorkload();
+    DirGuard dirA("move-a");
+    DirGuard dirB("move-b");
+
+    sim::TraceRepository repo(1);
+    repo.setDiskCache(diskConfig(dirA, 64 * 1024));
+    const auto first = repo.getStored(cfg);
+    ASSERT_NE(first, nullptr);
+    EXPECT_EQ(first->chunkRefs(), 64u * 1024);
+    EXPECT_EQ(first->numChunks(), 1u);
+
+    repo.setDiskCache(diskConfig(dirB, 8 * 1024));
+    const auto moved = repo.getStored(cfg);
+    ASSERT_NE(moved, nullptr);
+    EXPECT_NE(moved.get(), first.get());
+    EXPECT_EQ(moved->chunkRefs(), 8u * 1024);
+    EXPECT_GT(moved->numChunks(), 1u);
+    EXPECT_EQ(cacheFiles(dirB.path).size(), 1u);
+    EXPECT_EQ(repo.stats().builds, 2u);
+    EXPECT_TRUE(streamedResults(*moved, cfg) == directResults(cfg));
+}
+
 TEST(TraceCacheTest, ConcurrentGetStoredBuildsExactlyOnce)
 {
     const auto cfg = smallWorkload();
