@@ -17,10 +17,12 @@
  * start.  Then every rep times two fused passes back to back over the
  * warm traces: one with each campaign scheme as its own engine, one
  * with the DiriNB row collapsed into a single MultiLimitedEngine.
- * Both passes take the path production replay takes, repeat-read
- * filter included; its compaction is reported apart from the engines
- * it serves.  The multi-configuration speedup is the median of the
- * per-rep ratios, so one noisy pass cannot move the gate.
+ * Both passes run through sim::Simulator, the path production replay
+ * takes, repeat-read filter included.  Each engine is timed from
+ * outside the replay, by a forwarding engine around it; the rest of
+ * the pass's wall time (the filter's compaction and the loop) is
+ * reported as one row.  The multi-configuration speedup is the median
+ * of the per-rep ratios, so one noisy pass cannot move the gate.
  *
  * Results (refs/sec, resident-block count per engine, peak RSS) land
  * in a machine-readable JSON file.  This is a plain main(): a
@@ -71,7 +73,6 @@
 #include "directory/full_map.hh"
 #include "gen/workload.hh"
 #include "gen/workloads.hh"
-#include "sim/fused_replay.hh"
 #include "sim/simulator.hh"
 #include "sim/trace_repo.hh"
 #include "timing/timed_bus.hh"
@@ -457,68 +458,136 @@ isLane(const std::string &name)
     return name.rfind("dir", 0) == 0;
 }
 
+/**
+ * Forwards every call to the engine it wraps, and adds the wall time
+ * of the calls a replay makes per span or strip, accessPrepared() and
+ * recordRepeatReads(), to seconds().  The replay takes the same path
+ * as through the bare engine, with no clock inside it.
+ */
+class TimedEngine final : public coherence::CoherenceEngine
+{
+  public:
+    explicit TimedEngine(std::unique_ptr<coherence::CoherenceEngine> inner)
+        : _inner(std::move(inner))
+    {
+    }
+
+    double seconds() const { return _seconds; }
+
+    coherence::Outcome
+    access(unsigned unit, trace::RefType type, mem::BlockId block) override
+    {
+        return _inner->access(unit, type, block);
+    }
+    void
+    accessPrepared(const trace::PreparedSpan &span) override
+    {
+        const WallTimer timer;
+        _inner->accessPrepared(span);
+        _seconds += timer.seconds();
+    }
+    void recordInstrs(std::uint64_t n) override { _inner->recordInstrs(n); }
+    bool repeatReadsHit() const override { return _inner->repeatReadsHit(); }
+    void
+    recordRepeatReads(std::uint64_t n) override
+    {
+        const WallTimer timer;
+        _inner->recordRepeatReads(n);
+        _seconds += timer.seconds();
+    }
+    const coherence::EngineResults &
+    results() const override
+    {
+        return _inner->results();
+    }
+    unsigned numUnits() const override { return _inner->numUnits(); }
+    void reset() override { _inner->reset(); }
+    void
+    reserveBlocks(std::uint64_t blocks) override
+    {
+        _inner->reserveBlocks(blocks);
+    }
+    void
+    bindBlockNames(mem::BlockNames names) override
+    {
+        _inner->bindBlockNames(names);
+    }
+    std::uint64_t
+    blocksTracked() const override
+    {
+        return _inner->blocksTracked();
+    }
+
+  private:
+    std::unique_ptr<coherence::CoherenceEngine> _inner;
+    double _seconds = 0.0;
+};
+
 /** Replay seconds per engine of one fused pass, all workloads. */
 struct PassResult
 {
     std::vector<std::string> names;
     std::vector<double> seconds;
-    /** The repeat-read filter's compaction, shared by every engine
-     *  that counts repeat reads in bulk (all of the campaign's). */
-    double filterSeconds = 0.0;
+    /** The pass's wall time less its engines' seconds: the
+     *  repeat-read filter's compaction, shared by every engine that
+     *  counts repeat reads in bulk (all of the campaign's), and the
+     *  replay loop around it. */
+    double outsideEnginesSeconds = 0.0;
     std::uint64_t refs = 0; //!< Stream refs each engine replayed.
 };
 
 /**
  * One fused pass per workload over the (already warm) prepared
- * traces, with per-engine clocks.  With @p collapse the DiriNB
- * engines give way to one MultiLimitedEngine holding every lane
- * (one shared block-table lookup per reference plus one update per
- * lane), named "multi"; the other campaign engines stay co-resident
- * so cache pressure matches the independent pass.
+ * traces, each engine timed by a TimedEngine.  With @p collapse the
+ * DiriNB engines give way to one MultiLimitedEngine holding every
+ * lane (one shared block-table lookup per reference plus one update
+ * per lane), named "multi"; the other campaign engines stay
+ * co-resident so cache pressure matches the independent pass.
  */
 PassResult
 runPass(const std::vector<gen::WorkloadConfig> &cfgs,
-        const trace::PrepareOptions &prep, bool collapse)
+        const sim::SimConfig &simCfg, const trace::PrepareOptions &prep,
+        bool collapse)
 {
     PassResult pass;
     for (const gen::WorkloadConfig &cfg : cfgs) {
         const auto prepared =
             sim::TraceRepository::global().get(cfg, prep);
         const unsigned units = cfg.space.nProcesses;
-        std::vector<std::unique_ptr<coherence::CoherenceEngine>>
-            engines;
-        std::vector<coherence::CoherenceEngine *> ptrs;
+        sim::Simulator simulator(simCfg);
+        std::vector<const TimedEngine *> timed;
         std::vector<std::string> names;
         bool multiPlaced = false;
         for (const auto &[name, make] : campaignEngines(units)) {
+            std::unique_ptr<coherence::CoherenceEngine> engine;
             if (collapse && isLane(name)) {
                 // The whole DiriNB row becomes one engine.
                 if (multiPlaced)
                     continue;
                 multiPlaced = true;
-                engines.push_back(
-                    std::make_unique<coherence::MultiLimitedEngine>(
-                        units, kLanes));
+                engine = std::make_unique<coherence::MultiLimitedEngine>(
+                    units, kLanes);
                 names.push_back("multi");
             } else {
-                engines.push_back(make());
+                engine = make();
                 names.push_back(name);
             }
-            ptrs.push_back(engines.back().get());
+            auto wrapped = std::make_unique<TimedEngine>(std::move(engine));
+            timed.push_back(wrapped.get());
+            simulator.addEngine(std::move(wrapped));
         }
-        sim::FusedReplayOptions fr;
-        fr.timeEngines = true;
-        trace::PreparedTraceSpans spans(*prepared);
-        const sim::FusedReplayRun run =
-            sim::FusedReplay(fr).run(spans, ptrs);
+        const WallTimer wall;
+        pass.refs += simulator.run(*prepared);
+        double passSeconds = wall.seconds();
         if (pass.names.empty()) {
             pass.names = names;
-            pass.seconds.assign(ptrs.size(), 0.0);
+            pass.seconds.assign(timed.size(), 0.0);
         }
-        for (std::size_t e = 0; e < ptrs.size(); ++e)
-            pass.seconds[e] += run.engineSeconds[e];
-        pass.filterSeconds += run.filterSeconds;
-        pass.refs += run.totalRefs();
+        for (std::size_t e = 0; e < timed.size(); ++e) {
+            pass.seconds[e] += timed[e]->seconds();
+            passSeconds -= timed[e]->seconds();
+        }
+        pass.outsideEnginesSeconds += passSeconds;
     }
     return pass;
 }
@@ -571,8 +640,10 @@ runSweepMode(const Options &opts)
     std::uint64_t multiRefs = 0;
     std::vector<double> speedups;
     for (unsigned rep = 0; rep < reps; ++rep) {
-        const PassResult independent = runPass(cfgs, prep, false);
-        const PassResult collapsed = runPass(cfgs, prep, true);
+        const PassResult independent =
+            runPass(cfgs, evalOpts.sim, prep, false);
+        const PassResult collapsed =
+            runPass(cfgs, evalOpts.sim, prep, true);
         double laneSeconds = 0.0;
         for (std::size_t e = 0; e < independent.names.size(); ++e)
             if (isLane(independent.names[e]))
@@ -589,8 +660,9 @@ runSweepMode(const Options &opts)
             for (std::size_t e = 0; e < best.seconds.size(); ++e)
                 best.seconds[e] =
                     std::min(best.seconds[e], independent.seconds[e]);
-            best.filterSeconds = std::min(best.filterSeconds,
-                                          independent.filterSeconds);
+            best.outsideEnginesSeconds =
+                std::min(best.outsideEnginesSeconds,
+                         independent.outsideEnginesSeconds);
         }
         if (rep == 0 || multi < multiSeconds) {
             multiSeconds = multi;
@@ -606,8 +678,8 @@ runSweepMode(const Options &opts)
                                     best.seconds[e])
                   << "\n";
     std::cout << "  "
-              << throughputLine("repeat-read filter", best.refs,
-                                best.filterSeconds)
+              << throughputLine("pass minus engines (repeat-read filter)",
+                                best.refs, best.outsideEnginesSeconds)
               << "\n";
     std::cout << "  "
               << throughputLine("multi(" +
@@ -649,7 +721,8 @@ runSweepMode(const Options &opts)
            << "}" << (e + 1 < best.names.size() ? "," : "") << "\n";
     }
     os << "  ],\n";
-    os << "  \"filter_seconds\": " << best.filterSeconds << ",\n";
+    os << "  \"pass_minus_engines_seconds\": "
+       << best.outsideEnginesSeconds << ",\n";
     os << "  \"multi_config\": {\"lanes\": " << kLanes.size()
        << ", \"pointer_counts\": [";
     for (std::size_t i = 0; i < kLanes.size(); ++i)

@@ -92,7 +92,7 @@ struct EvalOptions
     /**
      * Jobs for the run.  Every evaluation replays each workload's
      * prepared trace from the process-wide sim::TraceRepository once,
-     * fused through all of the run's engines (sim/fused_replay.hh),
+     * through one sim::Simulator holding all of the run's engines,
      * with its DiriNB cells collapsed into one
      * coherence::MultiLimitedEngine unless a finite directory cache
      * makes their state per-configuration.  1 (the default) runs that

@@ -12,9 +12,9 @@
  * single-configuration engines, one per lane for MultiLimitedEngine.
  * Ids past the end grow the table, so an engine driven by hand with
  * small ids (unit tests, the model checker) works without being
- * sized.  The growth check lives in cover(), which access() pays per
- * reference and the prepared loop once per strip
- * (coherence/prepared_loop.hh); row lookups themselves never check.
+ * sized.  The growth check lives in cover(), which both entry points
+ * pay per reference (access() and the prepared loop,
+ * coherence/prepared_loop.hh); row lookups themselves never check.
  */
 
 #ifndef DIRSIM_COHERENCE_BLOCK_TABLE_HH

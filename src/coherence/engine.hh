@@ -58,14 +58,14 @@ class CoherenceEngine
 
     /**
      * Process a span of prepared data references (trace/span.hh) in
-     * order: the bulk-replay entry point every static replay path
-     * (sim::Simulator, FusedReplay) drives.  Semantically exactly
-     * span.n access() calls with the unpacked columns; engines
-     * implement it with an internal loop (coherence/prepared_loop.hh),
-     * so the per-reference virtual dispatch disappears (the engine
-     * classes are final, letting the compiler devirtualise and inline
-     * the body).  When repeatReadsHit(), the static paths hand it
-     * spans with the repeat reads taken out (sim/repeat_filter.hh).
+     * order: the bulk-replay entry point sim::Simulator drives.
+     * Semantically exactly span.n access() calls with the unpacked
+     * columns; engines implement it with an internal loop
+     * (coherence/prepared_loop.hh), so the per-reference virtual
+     * dispatch disappears (the engine classes are final, letting the
+     * compiler devirtualise and inline the body).  When
+     * repeatReadsHit(), static replay hands it spans with the repeat
+     * reads taken out (sim/repeat_filter.hh).
      */
     virtual void accessPrepared(const trace::PreparedSpan &span) = 0;
 

@@ -147,7 +147,7 @@ void
 MultiLimitedEngine::accessPrepared(const trace::PreparedSpan &span)
 {
     forEachPreparedRef(
-        span, [this](mem::BlockId last) { cover(last); },
+        span, [this](mem::BlockId block) { cover(block); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

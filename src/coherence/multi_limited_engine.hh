@@ -38,7 +38,7 @@
 #include "coherence/block_table.hh"
 #include "coherence/engine.hh"
 #include "coherence/limited_policy.hh"
-#include "util/simd.hh"
+#include "util/aligned.hh"
 
 namespace dirsim::coherence
 {

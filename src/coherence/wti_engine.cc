@@ -63,7 +63,7 @@ void
 WtiEngine::accessPrepared(const trace::PreparedSpan &span)
 {
     forEachPreparedRef(
-        span, [this](mem::BlockId last) { _blocks.cover(last); },
+        span, [this](mem::BlockId block) { _blocks.cover(block); },
         [this](unsigned unit, trace::RefType type, mem::BlockId block) {
             step<NoOutcome>(unit, type, block);
         });

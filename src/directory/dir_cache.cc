@@ -2,7 +2,7 @@
 
 #include <stdexcept>
 
-#include "util/flat_map.hh"
+#include "util/hash.hh"
 
 namespace dirsim::directory
 {

@@ -17,7 +17,7 @@
 #include <vector>
 
 #include "mem/block.hh"
-#include "util/flat_map.hh"
+#include "util/hash.hh"
 
 namespace dirsim::mem
 {

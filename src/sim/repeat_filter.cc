@@ -1,33 +1,11 @@
 #include "sim/repeat_filter.hh"
 
 #include <algorithm>
-#include <chrono>
 
 #include "trace/record.hh"
 
 namespace dirsim::sim
 {
-
-namespace
-{
-
-using Clock = std::chrono::steady_clock;
-
-/** Run @p fn, adding its wall time to @p slot when there is one. */
-template <typename Fn>
-inline void
-timed(double *slot, Fn &&fn)
-{
-    if (slot == nullptr) {
-        fn();
-        return;
-    }
-    const auto t0 = Clock::now();
-    fn();
-    *slot += std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-} // namespace
 
 RepeatReadFilter::RepeatReadFilter(
     const std::vector<coherence::CoherenceEngine *> &engines)
@@ -77,14 +55,10 @@ RepeatReadFilter::compact(const trace::PreparedSpan &in, std::size_t n)
 }
 
 void
-RepeatReadFilter::dispatch(const trace::PreparedSpan &span,
-                           DispatchSeconds *seconds)
+RepeatReadFilter::dispatch(const trace::PreparedSpan &span)
 {
-    const auto slot = [seconds](std::size_t engine) {
-        return seconds != nullptr ? &seconds->engines[engine] : nullptr;
-    };
     for (const std::size_t e : _every)
-        timed(slot(e), [&] { _engines[e]->accessPrepared(span); });
+        _engines[e]->accessPrepared(span);
     if (_filtered.empty() || span.n == 0)
         return;
 
@@ -98,17 +72,14 @@ RepeatReadFilter::dispatch(const trace::PreparedSpan &span,
         const std::size_t n = std::min(kStripRefs, span.n - base);
         const trace::PreparedSpan in{span.block + base, span.unit + base,
                                      span.typeFlags + base, n};
-        std::size_t kept = 0;
-        timed(seconds != nullptr ? &seconds->filter : nullptr,
-              [&] { kept = compact(in, n); });
+        const std::size_t kept = compact(in, n);
         const trace::PreparedSpan strip{_block.data(), _unit.data(),
                                         _typeFlags.data(), kept};
-        for (const std::size_t e : _filtered)
-            timed(slot(e), [&] {
-                _engines[e]->recordRepeatReads(n - kept);
-                if (kept != 0)
-                    _engines[e]->accessPrepared(strip);
-            });
+        for (const std::size_t e : _filtered) {
+            _engines[e]->recordRepeatReads(n - kept);
+            if (kept != 0)
+                _engines[e]->accessPrepared(strip);
+        }
     }
 }
 

@@ -46,16 +46,6 @@
 namespace dirsim::sim
 {
 
-/** Seconds of a timed dispatch (FusedReplayOptions::timeEngines). */
-struct DispatchSeconds
-{
-    /** Per engine, in engine order: its accessPrepared() and bulk
-     *  counts. */
-    std::vector<double> engines;
-    /** The compaction shared by the filtered engines. */
-    double filter = 0.0;
-};
-
 /** Hands the spans of one replay to a set of engines. */
 class RepeatReadFilter
 {
@@ -79,11 +69,8 @@ class RepeatReadFilter
      * Hand @p span, the stream's next references, to every engine:
      * whole to each engine that keeps every reference, compacted
      * strip by strip to each one that counts repeat reads in bulk.
-     * With @p seconds (sized to the engine count), the time of each
-     * engine and of the compaction is added to it.
      */
-    void dispatch(const trace::PreparedSpan &span,
-                  DispatchSeconds *seconds = nullptr);
+    void dispatch(const trace::PreparedSpan &span);
 
   private:
     /** Compact @p n references from @p in into the strip buffers,

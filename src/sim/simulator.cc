@@ -107,10 +107,42 @@ Simulator::run(trace::PreparedSpanSource &spans)
             "Simulator: trace uses more sharing units than engine '" +
             smallest->results().name + "' supports");
 
+    const std::vector<coherence::CoherenceEngine *> engines =
+        enginePointers();
+    const std::uint64_t instrRefs = spans.instrRefs();
+    std::uint64_t data = 0;
+    try {
+        const coherence::BlockNamesBinding names(engines,
+                                                 spans.blockNames());
+        RepeatReadFilter filter(engines);
+        filter.reserveBlocks(spans.numBlocks());
+        for (coherence::CoherenceEngine *engine : engines) {
+            engine->reserveBlocks(spans.numBlocks());
+            if (instrRefs != 0)
+                engine->recordInstrs(instrRefs);
+        }
+        spans.rewind();
+        trace::PreparedSpan span;
+        while (spans.nextSpan(span)) {
+            filter.dispatch(span);
+            data += span.n;
+        }
+        if (data != spans.dataRefs())
+            throw std::runtime_error(
+                "Simulator: prepared stream '" + spans.name() +
+                "' yielded " + std::to_string(data) +
+                " data references but its summary declares " +
+                std::to_string(spans.dataRefs()));
+    } catch (...) {
+        // A failed run leaves no partially-accumulated state behind.
+        for (auto &engine : _engines)
+            engine->reset();
+        throw;
+    }
+
     if (spans.numUnits() > _preparedUnits)
         _preparedUnits = spans.numUnits();
-
-    return FusedReplay().run(spans, enginePointers()).totalRefs();
+    return instrRefs + data;
 }
 
 std::vector<coherence::CoherenceEngine *>

@@ -5,7 +5,14 @@
  * Streams a reference source through any number of coherence engines
  * in one pass (the engines are independent state models, so a single
  * traversal serves every protocol — Section 4.1 of the paper makes the
- * same observation to get one simulation run per protocol).
+ * same observation to get one simulation run per protocol).  Every
+ * static replay goes through Simulator: it pulls each span of the
+ * stream once and hands it to every engine in turn, through the
+ * repeat-read filter (sim/repeat_filter.hh).  Engines are stateful
+ * across spans and span boundaries are invisible to the coherence
+ * model, so this is bit-identical to replaying each engine alone over
+ * the whole stream; the golden digest suite pins that for every
+ * scheme × workload.
  *
  * The sharing domain implements Section 4.4's choice: the paper
  * considers "sharing between processes (as opposed to sharing between
@@ -23,7 +30,6 @@
 #include <vector>
 
 #include "coherence/engine.hh"
-#include "sim/fused_replay.hh"
 #include "sim/unit_map.hh"
 #include "trace/lowering.hh"
 #include "trace/prepared.hh"
@@ -91,9 +97,8 @@ class Simulator
     std::uint64_t run(trace::RefSource &source);
 
     /**
-     * Replay an already-decoded trace through every engine: one bulk
-     * instruction count plus one fused pass that hands each span of
-     * the SoA columns to every engine (sim/fused_replay.hh), with no
+     * Replay an already-decoded trace through every engine: its SoA
+     * columns as one span through run(PreparedSpanSource&), with no
      * per-record decode at all.  Bit-identical to streaming the raw
      * trace through run(RefSource&) — the prepared decode froze the
      * same unit numbering and block numbering this simulator would
@@ -112,19 +117,29 @@ class Simulator
     std::uint64_t run(const trace::PreparedTrace &prepared);
 
     /**
-     * Replay a prepared stream span by span: same decode-free hot
-     * loop as run(const PreparedTrace&), but the columns arrive as a
-     * PreparedSpan sequence, so the backing storage never needs to be
-     * contiguous — or even resident.  This is the out-of-core replay
-     * path (trace::StoredTrace::spanCursor()); engines are stateful
-     * across spans, so the result is bit-identical to replaying one
-     * contiguous trace.  The source is rewound before use.
+     * Replay a prepared stream span by span: the static replay loop.
+     * Each engine is sized from the stream's numBlocks() and bound to
+     * its blockNames() for the replay, the instruction fetches go in
+     * up front as one bulk count (they change no coherence state),
+     * then each span goes through the repeat-read filter to every
+     * engine in turn.  The columns arrive as a PreparedSpan sequence,
+     * so the backing storage never needs to be contiguous — or even
+     * resident: a stored trace's spans are its chunk windows
+     * (trace::StoredTrace::spanCursor()), each read, and its digest
+     * checked, once for all engines.  The source is rewound before
+     * use.
      *
      * @return Number of references processed (instr + data).
-     * @throws std::invalid_argument / std::runtime_error exactly as
-     *         run(const PreparedTrace&); the geometry checks use the
-     *         source's stream summary, so a failed run mutates
-     *         nothing.
+     * @throws std::invalid_argument / std::runtime_error for the
+     *         geometry and unit-capacity errors of
+     *         run(const PreparedTrace&), checked from the stream's
+     *         summary before any engine sees a reference.
+     * @throws std::runtime_error if the source yields a different
+     *         number of data references than its summary declares.
+     *         On this error, and on any the source throws while
+     *         yielding spans (a stored trace's corrupted chunk),
+     *         every engine is reset(), so a failed run leaves no
+     *         partially-accumulated state behind.
      */
     std::uint64_t run(trace::PreparedSpanSource &spans);
 
@@ -147,7 +162,7 @@ class Simulator
     }
 
   private:
-    /** Non-owning engine list in registration order (FusedReplay). */
+    /** Non-owning engine list in registration order. */
     std::vector<coherence::CoherenceEngine *> enginePointers() const;
     /** The engine with the fewest units (null without engines): its
      *  unit count bounds the units a trace may use. */

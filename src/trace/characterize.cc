@@ -1,6 +1,8 @@
 #include "trace/characterize.hh"
 
-#include "util/flat_map.hh"
+#include <stdexcept>
+
+#include "trace/block_numbering.hh"
 
 namespace dirsim::trace
 {
@@ -30,8 +32,9 @@ characterize(RefSource &source, const std::string &name,
     TraceCharacteristics ch;
     ch.name = name;
 
-    // Per data block: the first process to touch it, or 0xffff once a
-    // second process has been seen (the block is then "shared").
+    // Per data block, indexed by its dense first-touch id: the first
+    // process to touch it, and whether a second one has (the block is
+    // then "shared").
     struct BlockInfo
     {
         std::uint16_t firstPid = 0;
@@ -39,7 +42,8 @@ characterize(RefSource &source, const std::string &name,
         std::uint64_t refs = 0;
         std::uint64_t writes = 0;
     };
-    util::FlatMap<std::uint64_t, BlockInfo> blocks;
+    BlockNumbering numbering;
+    std::vector<BlockInfo> blocks;
 
     TraceRecord rec;
     while (source.next(rec)) {
@@ -61,10 +65,18 @@ characterize(RefSource &source, const std::string &name,
         }
 
         const std::uint64_t block = rec.addr / blockBytes;
-        auto [info, inserted] = blocks.tryEmplace(block);
-        if (inserted)
-            info.firstPid = rec.pid;
-        else if (!info.shared && info.firstPid != rec.pid)
+        if (block > 0xffffffffULL)
+            throw std::invalid_argument(
+                "characterize: trace '" + name + "' has address " +
+                std::to_string(rec.addr) +
+                " past the 32-bit block index at block size " +
+                std::to_string(blockBytes));
+        const std::uint32_t id =
+            numbering.number(static_cast<std::uint32_t>(block));
+        if (id == blocks.size())
+            blocks.push_back(BlockInfo{rec.pid});
+        BlockInfo &info = blocks[id];
+        if (info.firstPid != rec.pid)
             info.shared = true;
         ++info.refs;
         if (rec.isWrite())
@@ -72,13 +84,13 @@ characterize(RefSource &source, const std::string &name,
     }
 
     ch.uniqueDataBlocks = blocks.size();
-    blocks.forEach([&ch](std::uint64_t, const BlockInfo &info) {
+    for (const BlockInfo &info : blocks) {
         if (info.shared) {
             ++ch.sharedDataBlocks;
             ch.refsToSharedBlocks += info.refs;
             ch.writesToSharedBlocks += info.writes;
         }
-    });
+    }
     return ch;
 }
 

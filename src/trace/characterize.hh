@@ -53,6 +53,9 @@ struct TraceCharacteristics
  * @param source Stream to characterise (left at end of stream).
  * @param name Label copied into the result.
  * @param blockBytes Coherence block size used for block statistics.
+ * @throws std::invalid_argument on a data address whose block index
+ *         exceeds 32 bits, the limit every prepared trace and
+ *         sim::Simulator enforce too.
  */
 TraceCharacteristics characterize(RefSource &source,
                                   const std::string &name,

@@ -48,7 +48,7 @@
 #include "trace/ref_source.hh"
 #include "trace/span.hh"
 #include "trace/trace.hh"
-#include "util/simd.hh"
+#include "util/aligned.hh"
 
 namespace dirsim::trace
 {
@@ -91,11 +91,6 @@ struct PreparedCpuStream
 // raw pointer arithmetic over them.
 static_assert(sizeof(std::uint32_t) == 4 && sizeof(std::uint8_t) == 1,
               "prepared SoA element widths are load-bearing");
-
-// util/simd.hh cannot include trace headers (layering), so it hard-
-// codes the packed byte's type field; pin the two constants together.
-static_assert(packedTypeMask == util::kTypeLaneMask,
-              "util::kTypeLaneMask must match the packed type field");
 
 class StoredTrace;
 

@@ -15,7 +15,7 @@
 #include "trace/block_numbering.hh"
 #include "trace/lowering.hh"
 #include "util/hash.hh"
-#include "util/simd.hh"
+#include "util/aligned.hh"
 
 // The reader hands engines pointers straight into the file mapping,
 // so the in-memory and on-disk column layouts must coincide.  Every
@@ -232,7 +232,7 @@ viewChunk(FileWindow &win, const StoredTrace &trace, std::uint64_t offset,
     const std::uint8_t *p = win.view(offset, payloadBytes(nRefs));
     // Alignment contract: a 64-aligned chunk offset must surface as a
     // cache-line-aligned pointer (mmap bases are page-aligned, the
-    // pread buffer is 64-aligned), so SIMD loads never split lines.
+    // pread buffer is 64-aligned), so no column load splits a line.
     // Legacy 8-aligned chunks are exempt — they predate the contract.
     assert(offset % util::kCacheLineBytes != 0 ||
            reinterpret_cast<std::uintptr_t>(p) %
@@ -344,7 +344,7 @@ PreparedTraceWriter::flushChunk(ChunkBuffer &buf,
     if (buf.block.empty())
         return;
     // Start every chunk on a cache-line boundary: mmap windows then
-    // hand SIMD replay 64-aligned column pointers for free.
+    // hand replay 64-aligned column pointers for free.
     padTo64();
     const std::uint64_t n = buf.block.size();
     ChunkEntry entry;

@@ -28,9 +28,9 @@
  *            block holds dense first-touch ids in [0, numBlocks);
  *            timed instruction entries carry 0.
  *            The 64-byte chunk alignment keeps mmap'd column windows
- *            on cache-line boundaries so SIMD replay loads take the
- *            aligned path; it is a pure padding change — chunk
- *            offsets are explicit in the table, so no version bump.
+ *            on cache-line boundaries, so no column load splits a
+ *            line; it is a pure padding change — chunk offsets are
+ *            explicit in the table, so no version bump.
  *   table    { u64 offset, u64 nRefs, u64 digest } per data chunk,
  *            then (timedStreams only) u64 cpuRefs[nCpus] followed by
  *            each CPU's chunk entries, then u64 numBlocks |

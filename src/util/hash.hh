@@ -1,6 +1,7 @@
 /**
  * @file
- * Streaming 64-bit content hash for on-disk integrity checks.
+ * Two hashes: mix64 for set indices, and a streaming 64-bit content
+ * hash for on-disk integrity checks.
  *
  * The stored-trace format (trace/store.hh) frames multi-megabyte
  * column segments and needs a digest that (a) streams — segments are
@@ -26,6 +27,22 @@
 
 namespace dirsim::util
 {
+
+/**
+ * splitmix64 finaliser.  Spreads raw block indices, which arrive
+ * sequential or power-of-two strided, across the sets of the finite
+ * tag stores and directory caches.
+ */
+constexpr std::uint64_t
+mix64(std::uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+}
 
 /** Incremental 64-bit hash over an arbitrary byte stream. */
 class StreamHash64

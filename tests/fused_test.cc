@@ -2,8 +2,8 @@
  * @file
  * Fused multi-scheme replay: differential equivalence suite.
  *
- * FusedReplay hands each span of the prepared columns to every engine
- * in turn.  The claim that this interleaving is invisible to the
+ * sim::Simulator hands each span of the prepared columns to every
+ * engine in turn.  The claim that this interleaving is invisible to the
  * coherence models is load-bearing for the whole sweep path, so this
  * suite pins it from every angle against the seed golden digests
  * (golden_data.hh): each scheme replayed alone, adversarial span
@@ -24,7 +24,6 @@
 #include "coherence/multi_limited_engine.hh"
 #include "gen/workload.hh"
 #include "gen/workloads.hh"
-#include "sim/fused_replay.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 #include "sim/trace_repo.hh"
@@ -72,9 +71,8 @@ TEST(FusedReplayEquivalence, SequentialWholeSpanMatchesGolden)
 
 /**
  * Span size must never be observable: spans of one reference (maximum
- * engine interleaving), a prime size whose boundaries never line up
- * with the 4K type-decode strips, and 1000 references all drive every
- * scheme fused onto its seed digest.
+ * engine interleaving), a prime size, and 1000 references all drive
+ * every scheme fused onto its seed digest.
  */
 TEST(FusedReplayEquivalence, AdversarialStripSizesMatchGolden)
 {
@@ -115,8 +113,7 @@ TEST(FusedReplayEquivalence, FusedParallelSweepMatchesGolden)
  * sim::runOrdered task per workload at 4 jobs fuses all 14 schemes
  * into one pass over windowed spans of a spilled store file, each
  * through its own cursor (64K-reference chunks force many span
- * boundaries inside every strip walk), and every scheme lands on its
- * golden digest.
+ * boundaries), and every scheme lands on its golden digest.
  */
 TEST(FusedReplayEquivalence, FusedStreamedSweepMatchesGolden)
 {
@@ -199,43 +196,6 @@ TEST(FusedReplayEquivalence, MultiConfigLanesMatchGolden)
     }
 }
 
-/**
- * Timing a fused pass changes nothing it computes: every scheme, those
- * that count repeat reads in bulk and those that refuse to
- * (wti-noalloc, inval+finite), lands on its golden digest timed and
- * untimed, and the timed pass reports one slot per engine plus the
- * repeat-read filter's own time.
- */
-TEST(FusedReplay, TimedPassTakesTheFilteredPath)
-{
-    const gen::WorkloadConfig cfg = gen::standardWorkloads()[0];
-    const std::shared_ptr<const trace::PreparedTrace> prepared =
-        sim::TraceRepository::global().get(cfg);
-    for (const bool timed : {false, true}) {
-        std::vector<std::unique_ptr<coherence::CoherenceEngine>> owned;
-        std::vector<coherence::CoherenceEngine *> engines;
-        for (const golden::Scheme &scheme : kSchemes) {
-            owned.push_back(scheme.make(cfg.space.nProcesses, nullptr));
-            engines.push_back(owned.back().get());
-        }
-        sim::FusedReplayOptions opts;
-        opts.timeEngines = timed;
-        trace::PreparedTraceSpans spans(*prepared);
-        const sim::FusedReplayRun run =
-            sim::FusedReplay(opts).run(spans, engines);
-        EXPECT_EQ(run.totalRefs(), prepared->totalRefs());
-        for (std::size_t s = 0; s < kNumSchemes; ++s)
-            EXPECT_EQ(digest(engines[s]->results()), kGolden[0][s])
-                << "scheme '" << kSchemes[s].label << "' diverged "
-                << (timed ? "timed" : "untimed");
-        EXPECT_EQ(run.engineSeconds.size(), timed ? kNumSchemes : 0u);
-        if (timed)
-            EXPECT_GT(run.filterSeconds, 0.0);
-        else
-            EXPECT_EQ(run.filterSeconds, 0.0);
-    }
-}
-
 /** An empty prepared stream fused across engines is a clean no-op. */
 TEST(FusedReplay, EmptyStream)
 {
@@ -247,14 +207,13 @@ TEST(FusedReplay, EmptyStream)
 
     coherence::InvalEngineConfig cfg;
     cfg.nUnits = 4;
-    coherence::InvalEngine a(cfg), b(cfg);
+    sim::Simulator simulator;
+    simulator.addEngine(std::make_unique<coherence::InvalEngine>(cfg));
+    simulator.addEngine(std::make_unique<coherence::InvalEngine>(cfg));
     trace::PreparedTraceSpans spans(prepared);
-    sim::FusedReplayOptions opts;
-    opts.timeEngines = true;
-    const sim::FusedReplayRun run =
-        sim::FusedReplay(opts).run(spans, {&a, &b});
-    EXPECT_EQ(run.totalRefs(), 0u);
-    ASSERT_EQ(run.engineSeconds.size(), 2u);
+    EXPECT_EQ(simulator.run(spans), 0u);
+    for (std::size_t e = 0; e < simulator.numEngines(); ++e)
+        EXPECT_EQ(simulator.engine(e).results().events.totalRefs(), 0u);
 }
 
 } // namespace

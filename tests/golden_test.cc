@@ -3,11 +3,12 @@
  * Golden equivalence suite for the flat-storage refactor.
  *
  * Every paper table and figure is a pure function of EngineResults, so
- * proving the hot-path container swap (PR 3: util::FlatMap/FlatSet and
- * the DirEntry arena) changed nothing reduces to proving EngineResults
- * is bit-identical for every scheme × workload point.  This suite
- * digests a canonical integer serialisation of each point's results
- * and compares against values recorded from the seed implementation
+ * proving that a change to the hot path's storage (the node-based maps
+ * and sets replaced by flat tables, the DirEntry arena) changed nothing
+ * reduces to proving EngineResults is bit-identical for every scheme ×
+ * workload point.  This suite digests a canonical integer
+ * serialisation of each point's results and compares against values
+ * recorded from the seed implementation
  * (std::unordered_map/set, unique_ptr-owned DirEntry) at the same
  * workload seeds.
  *

@@ -12,10 +12,12 @@
  * construction rather than by luck.
  *
  * Every sequence is replayed a second time through the entry point
- * behind the exhibits: sim::FusedReplay over the sequence as one
+ * behind the exhibits: sim::Simulator over the sequence as one
  * prepared span, so the repeat-read filter and accessPrepared() run
  * exactly as in static replay, and the results must equal what
- * access() gave.
+ * access() gave.  The Outcomes access() returns are summed per
+ * sequence too, and the sum must equal the costed fields of the
+ * engine's results(), which is what the timed bus prices.
  */
 
 #include <gtest/gtest.h>
@@ -23,8 +25,10 @@
 #include <algorithm>
 #include <array>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "coherence/dragon_engine.hh"
@@ -32,7 +36,7 @@
 #include "coherence/limited_engine.hh"
 #include "coherence/multi_limited_engine.hh"
 #include "gen/rng.hh"
-#include "sim/fused_replay.hh"
+#include "sim/simulator.hh"
 #include "trace/prepared.hh"
 
 namespace
@@ -235,27 +239,92 @@ class SequenceSpans final : public trace::PreparedSpanSource
     bool _done = false;
 };
 
-/** Replay @p seq through @p engine as static replay does: the
- *  repeat-read filter, then accessPrepared(). */
-void
-replayPrepared(coherence::CoherenceEngine &engine,
-               const std::vector<Symbol> &seq, unsigned units,
-               unsigned blocks)
+/** A sequence replayed through a fresh engine as static replay does:
+ *  one sim::Simulator, so the repeat-read filter, then
+ *  accessPrepared(). */
+template <typename Engine>
+class PreparedReplay
 {
-    SequenceSpans spans(seq, units, blocks);
-    sim::FusedReplay().run(spans, {&engine});
+  public:
+    PreparedReplay(Engine engine, const std::vector<Symbol> &seq,
+                   unsigned units, unsigned blocks)
+        : _engine(static_cast<Engine &>(_simulator.addEngine(
+              std::make_unique<Engine>(std::move(engine)))))
+    {
+        SequenceSpans spans(seq, units, blocks);
+        _simulator.run(spans);
+    }
+
+    const Engine &engine() const { return _engine; }
+
+  private:
+    sim::Simulator _simulator;
+    Engine &_engine;
+};
+
+/** Add @p o, one reference's Outcome, into @p sum. */
+void
+addOutcome(coherence::EngineResults &sum, const coherence::Outcome &o)
+{
+    sum.events.record(o.event());
+    if (o.sampled())
+        (coherence::isWriteHit(o.event()) ? sum.whClnFanout
+                                          : sum.wmClnFanout)
+            .sample(o.fanout());
+    sum.holderGrowth12 += o.holderGrowth12();
+    sum.displacementInvals += o.displacementInvals();
+    sum.replacementWriteBacks += o.replacementWriteBacks();
+    sum.dirCacheEvictionInvals += o.dirCacheEvictionInvals();
+    sum.dirCacheEvictionWriteBacks += o.dirCacheEvictionWriteBacks();
 }
 
-/** Capture the event an engine records for one access. */
+/** Whether @p sum, a sequence's summed Outcomes, equals the costed
+ *  fields of @p r: every event count, both fanout histograms, and
+ *  the growth, displacement, replacement and directory-cache
+ *  eviction counters. */
+::testing::AssertionResult
+outcomesSumToResults(const coherence::EngineResults &sum,
+                     const coherence::EngineResults &r)
+{
+    for (std::size_t e = 0; e < coherence::numEvents; ++e) {
+        const auto event = static_cast<Event>(e);
+        if (sum.events.count(event) != r.events.count(event))
+            return ::testing::AssertionFailure()
+                   << coherence::eventName(event) << ": outcomes sum to "
+                   << sum.events.count(event) << ", results() holds "
+                   << r.events.count(event);
+    }
+    const std::pair<const char *, bool> fields[] = {
+        {"whClnFanout", sum.whClnFanout == r.whClnFanout},
+        {"wmClnFanout", sum.wmClnFanout == r.wmClnFanout},
+        {"holderGrowth12", sum.holderGrowth12 == r.holderGrowth12},
+        {"displacementInvals",
+         sum.displacementInvals == r.displacementInvals},
+        {"replacementWriteBacks",
+         sum.replacementWriteBacks == r.replacementWriteBacks},
+        {"dirCacheEvictionInvals",
+         sum.dirCacheEvictionInvals == r.dirCacheEvictionInvals},
+        {"dirCacheEvictionWriteBacks",
+         sum.dirCacheEvictionWriteBacks == r.dirCacheEvictionWriteBacks},
+    };
+    for (const auto &[field, equal] : fields)
+        if (!equal)
+            return ::testing::AssertionFailure()
+                   << field << ": outcomes and results() differ";
+    return ::testing::AssertionSuccess();
+}
+
+/** Capture the event an engine records for one access, adding the
+ *  Outcome access() returns into @p sum. */
 template <typename Engine>
 Event
-observe(Engine &engine, const Symbol &sym)
+observe(Engine &engine, const Symbol &sym, coherence::EngineResults &sum)
 {
     std::array<std::uint64_t, coherence::numEvents> before;
     for (std::size_t e = 0; e < coherence::numEvents; ++e)
         before[e] =
             engine.results().events.count(static_cast<Event>(e));
-    engine.access(sym.unit, sym.type, sym.block);
+    addOutcome(sum, engine.access(sym.unit, sym.type, sym.block));
     for (std::size_t e = 0; e < coherence::numEvents; ++e) {
         if (engine.results().events.count(static_cast<Event>(e)) !=
             before[e])
@@ -282,6 +351,7 @@ TEST(ModelCheck, InvalEngineExhaustiveLength6)
         coherence::InvalEngine engine(cfg);
         SpecInval spec(units);
         syms.clear();
+        coherence::EngineResults sum;
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
@@ -291,15 +361,17 @@ TEST(ModelCheck, InvalEngineExhaustiveLength6)
             syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
-            const Event got = observe(engine, sym);
+            const Event got = observe(engine, sym, sum);
             ASSERT_EQ(got, expected)
                 << "sequence " << seq << " step " << step << ": spec "
                 << coherence::eventName(expected) << ", engine "
                 << coherence::eventName(got);
         }
-        coherence::InvalEngine prepared(cfg);
-        replayPrepared(prepared, syms, units, blocks);
-        ASSERT_TRUE(prepared.results() == engine.results())
+        ASSERT_TRUE(outcomesSumToResults(sum, engine.results()))
+            << "sequence " << seq;
+        const PreparedReplay prepared(
+            coherence::InvalEngine(cfg), syms, units, blocks);
+        ASSERT_TRUE(prepared.engine().results() == engine.results())
             << "sequence " << seq << ": prepared replay diverged";
     }
 }
@@ -319,6 +391,7 @@ TEST(ModelCheck, DragonEngineExhaustiveLength6)
         coherence::DragonEngine engine(units);
         SpecDragon spec;
         syms.clear();
+        coherence::EngineResults sum;
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
@@ -328,13 +401,15 @@ TEST(ModelCheck, DragonEngineExhaustiveLength6)
             syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
-            const Event got = observe(engine, sym);
+            const Event got = observe(engine, sym, sum);
             ASSERT_EQ(got, expected)
                 << "sequence " << seq << " step " << step;
         }
-        coherence::DragonEngine prepared(units);
-        replayPrepared(prepared, syms, units, blocks);
-        ASSERT_TRUE(prepared.results() == engine.results())
+        ASSERT_TRUE(outcomesSumToResults(sum, engine.results()))
+            << "sequence " << seq;
+        const PreparedReplay prepared(
+            coherence::DragonEngine(units), syms, units, blocks);
+        ASSERT_TRUE(prepared.engine().results() == engine.results())
             << "sequence " << seq << ": prepared replay diverged";
     }
 }
@@ -351,6 +426,7 @@ TEST(ModelCheck, InvalEngineRandomDeepSequencesThreeUnits)
         coherence::InvalEngine engine(cfg);
         SpecInval spec(units);
         syms.clear();
+        coherence::EngineResults sum;
         for (int step = 0; step < 40; ++step) {
             Symbol sym;
             sym.unit = static_cast<unsigned>(rng.nextBelow(units));
@@ -360,13 +436,15 @@ TEST(ModelCheck, InvalEngineRandomDeepSequencesThreeUnits)
             syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
-            const Event got = observe(engine, sym);
+            const Event got = observe(engine, sym, sum);
             ASSERT_EQ(got, expected) << "trial " << trial << " step "
                                      << step;
         }
-        coherence::InvalEngine prepared(cfg);
-        replayPrepared(prepared, syms, units, blocks);
-        ASSERT_TRUE(prepared.results() == engine.results())
+        ASSERT_TRUE(outcomesSumToResults(sum, engine.results()))
+            << "trial " << trial;
+        const PreparedReplay prepared(
+            coherence::InvalEngine(cfg), syms, units, blocks);
+        ASSERT_TRUE(prepared.engine().results() == engine.results())
             << "trial " << trial << ": prepared replay diverged";
     }
 }
@@ -381,6 +459,7 @@ TEST(ModelCheck, DragonEngineRandomDeepSequencesFourUnits)
         coherence::DragonEngine engine(units);
         SpecDragon spec;
         syms.clear();
+        coherence::EngineResults sum;
         for (int step = 0; step < 40; ++step) {
             Symbol sym;
             sym.unit = static_cast<unsigned>(rng.nextBelow(units));
@@ -390,13 +469,15 @@ TEST(ModelCheck, DragonEngineRandomDeepSequencesFourUnits)
             syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
-            const Event got = observe(engine, sym);
+            const Event got = observe(engine, sym, sum);
             ASSERT_EQ(got, expected) << "trial " << trial << " step "
                                      << step;
         }
-        coherence::DragonEngine prepared(units);
-        replayPrepared(prepared, syms, units, blocks);
-        ASSERT_TRUE(prepared.results() == engine.results())
+        ASSERT_TRUE(outcomesSumToResults(sum, engine.results()))
+            << "trial " << trial;
+        const PreparedReplay prepared(
+            coherence::DragonEngine(units), syms, units, blocks);
+        ASSERT_TRUE(prepared.engine().results() == engine.results())
             << "trial " << trial << ": prepared replay diverged";
     }
 }
@@ -421,6 +502,7 @@ TEST(ModelCheck, Dir1NbExhaustiveLength6)
         std::set<std::uint64_t> referenced;
 
         syms.clear();
+        coherence::EngineResults sum;
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
@@ -459,13 +541,15 @@ TEST(ModelCheck, Dir1NbExhaustiveLength6)
                 h = sym.unit;
                 dirty[sym.block] = true;
             }
-            const Event got = observe(engine, sym);
+            const Event got = observe(engine, sym, sum);
             ASSERT_EQ(got, expected)
                 << "sequence " << seq << " step " << step;
         }
-        coherence::LimitedEngine prepared(units, 1);
-        replayPrepared(prepared, syms, units, blocks);
-        ASSERT_TRUE(prepared.results() == engine.results())
+        ASSERT_TRUE(outcomesSumToResults(sum, engine.results()))
+            << "sequence " << seq;
+        const PreparedReplay prepared(
+            coherence::LimitedEngine(units, 1), syms, units, blocks);
+        ASSERT_TRUE(prepared.engine().results() == engine.results())
             << "sequence " << seq << ": prepared replay diverged";
     }
 }
@@ -558,9 +642,11 @@ class SpecDirINB
     std::set<std::uint64_t> _referenced;
 };
 
-/** One access through the shared table; the event each lane records. */
+/** One access through the shared table; the event each lane records.
+ *  The Outcome access() returns, lane 0's, goes into @p sum. */
 std::vector<Event>
-observeLanes(coherence::MultiLimitedEngine &multi, const Symbol &sym)
+observeLanes(coherence::MultiLimitedEngine &multi, const Symbol &sym,
+             coherence::EngineResults &sum)
 {
     const std::size_t k = multi.numLanes();
     std::vector<std::array<std::uint64_t, coherence::numEvents>>
@@ -569,7 +655,7 @@ observeLanes(coherence::MultiLimitedEngine &multi, const Symbol &sym)
         for (std::size_t e = 0; e < coherence::numEvents; ++e)
             before[l][e] = multi.laneResults(l).events.count(
                 static_cast<Event>(e));
-    multi.access(sym.unit, sym.type, sym.block);
+    addOutcome(sum, multi.access(sym.unit, sym.type, sym.block));
     std::vector<Event> events(k, Event::Instr);
     for (std::size_t l = 0; l < k; ++l) {
         bool found = false;
@@ -615,6 +701,7 @@ TEST(ModelCheckMultiConfig, LanesExhaustiveLength5)
         for (const unsigned p : lanes)
             specs.emplace_back(p);
         syms.clear();
+        coherence::EngineResults sum;
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
@@ -622,7 +709,7 @@ TEST(ModelCheckMultiConfig, LanesExhaustiveLength5)
                        blocks);
             code /= alphabet;
             syms.push_back(sym);
-            const std::vector<Event> got = observeLanes(multi, sym);
+            const std::vector<Event> got = observeLanes(multi, sym, sum);
             for (std::size_t l = 0; l < specs.size(); ++l) {
                 const Event expected =
                     specs[l].access(sym.unit, sym.type, sym.block);
@@ -643,10 +730,13 @@ TEST(ModelCheckMultiConfig, LanesExhaustiveLength5)
                 << "sequence " << seq << " lane dir" << lanes[l]
                 << "nb";
         }
-        coherence::MultiLimitedEngine prepared(units, lanes);
-        replayPrepared(prepared, syms, units, blocks);
+        ASSERT_TRUE(outcomesSumToResults(sum, multi.results()))
+            << "sequence " << seq;
+        const PreparedReplay prepared(
+            coherence::MultiLimitedEngine(units, lanes), syms, units, blocks);
         for (std::size_t l = 0; l < lanes.size(); ++l)
-            ASSERT_TRUE(prepared.laneResults(l) == multi.laneResults(l))
+            ASSERT_TRUE(prepared.engine().laneResults(l) ==
+                        multi.laneResults(l))
                 << "sequence " << seq << " lane dir" << lanes[l]
                 << "nb: prepared replay diverged";
     }
@@ -787,30 +877,35 @@ invalWithTinyDirCache(unsigned units)
 TEST(ModelCheckDirCache, NoStaleReadAfterEviction)
 {
     auto engine = invalWithTinyDirCache(2);
+    coherence::EngineResults sum;
     Symbol s0{0, RefType::Read, 0};
-    EXPECT_EQ(observe(engine, s0), Event::RmFirstRef);
-    EXPECT_EQ(observe(engine, s0), Event::RdHit);
+    EXPECT_EQ(observe(engine, s0, sum), Event::RmFirstRef);
+    EXPECT_EQ(observe(engine, s0, sum), Event::RdHit);
 
     Symbol s1{1, RefType::Read, 1};
-    EXPECT_EQ(observe(engine, s1), Event::RmFirstRef);
+    EXPECT_EQ(observe(engine, s1, sum), Event::RmFirstRef);
     Symbol s2{1, RefType::Read, 2}; // evicts block 0's entry
-    EXPECT_EQ(observe(engine, s2), Event::RmFirstRef);
+    EXPECT_EQ(observe(engine, s2, sum), Event::RmFirstRef);
     EXPECT_EQ(engine.results().dirCacheEvictions, 1u);
     EXPECT_EQ(engine.results().dirCacheEvictionInvals, 1u);
     EXPECT_EQ(engine.holders(0), 0u) << "stale copy survived eviction";
 
     // The re-read is a miss serviced from memory, not a stale RdHit.
-    EXPECT_EQ(observe(engine, s0), Event::RmMemory);
+    EXPECT_EQ(observe(engine, s0, sum), Event::RmMemory);
 
     // Dirty variant: a written block's eviction must write back.
     auto dirtyEngine = invalWithTinyDirCache(2);
+    coherence::EngineResults dirtySum;
     Symbol w0{0, RefType::Write, 0};
-    EXPECT_EQ(observe(dirtyEngine, w0), Event::WmFirstRef);
-    EXPECT_EQ(observe(dirtyEngine, s1), Event::RmFirstRef);
-    EXPECT_EQ(observe(dirtyEngine, s2), Event::RmFirstRef);
+    EXPECT_EQ(observe(dirtyEngine, w0, dirtySum), Event::WmFirstRef);
+    EXPECT_EQ(observe(dirtyEngine, s1, dirtySum), Event::RmFirstRef);
+    EXPECT_EQ(observe(dirtyEngine, s2, dirtySum), Event::RmFirstRef);
     EXPECT_EQ(dirtyEngine.results().dirCacheEvictionWriteBacks, 1u);
     EXPECT_EQ(dirtyEngine.dirtyOwner(0), -1);
-    EXPECT_EQ(observe(dirtyEngine, s0), Event::RmMemory);
+    EXPECT_EQ(observe(dirtyEngine, s0, dirtySum), Event::RmMemory);
+
+    EXPECT_TRUE(outcomesSumToResults(sum, engine.results()));
+    EXPECT_TRUE(outcomesSumToResults(dirtySum, dirtyEngine.results()));
 }
 
 /**
@@ -836,6 +931,7 @@ TEST(ModelCheckDirCache, InvalEngineExhaustiveLength5)
         auto engine = invalWithTinyDirCache(units);
         SpecInvalDirCache spec;
         syms.clear();
+        coherence::EngineResults sum;
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
@@ -845,7 +941,7 @@ TEST(ModelCheckDirCache, InvalEngineExhaustiveLength5)
             syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
-            const Event got = observe(engine, sym);
+            const Event got = observe(engine, sym, sum);
             ASSERT_EQ(got, expected)
                 << "sequence " << seq << " step " << step << ": spec "
                 << coherence::eventName(expected) << ", engine "
@@ -877,9 +973,11 @@ TEST(ModelCheckDirCache, InvalEngineExhaustiveLength5)
         ASSERT_EQ(r.dirCacheEvictionWriteBacks,
                   spec.evictionWriteBacks)
             << "sequence " << seq;
-        auto prepared = invalWithTinyDirCache(units);
-        replayPrepared(prepared, syms, units, blocks);
-        ASSERT_TRUE(prepared.results() == r)
+        ASSERT_TRUE(outcomesSumToResults(sum, engine.results()))
+            << "sequence " << seq;
+        const PreparedReplay prepared(
+            invalWithTinyDirCache(units), syms, units, blocks);
+        ASSERT_TRUE(prepared.engine().results() == r)
             << "sequence " << seq << ": prepared replay diverged";
     }
 }
@@ -896,6 +994,7 @@ TEST(ModelCheckDirCache, InvalEngineRandomDeepSequencesThreeUnits)
         auto engine = invalWithTinyDirCache(units);
         SpecInvalDirCache spec;
         syms.clear();
+        coherence::EngineResults sum;
         for (int step = 0; step < 60; ++step) {
             Symbol sym;
             sym.unit = static_cast<unsigned>(rng.nextBelow(units));
@@ -905,7 +1004,7 @@ TEST(ModelCheckDirCache, InvalEngineRandomDeepSequencesThreeUnits)
             syms.push_back(sym);
             const Event expected =
                 spec.access(sym.unit, sym.type, sym.block);
-            const Event got = observe(engine, sym);
+            const Event got = observe(engine, sym, sum);
             ASSERT_EQ(got, expected) << "trial " << trial << " step "
                                      << step;
         }
@@ -918,9 +1017,11 @@ TEST(ModelCheckDirCache, InvalEngineRandomDeepSequencesThreeUnits)
         ASSERT_EQ(r.dirCacheEvictionWriteBacks,
                   spec.evictionWriteBacks)
             << "trial " << trial;
-        auto prepared = invalWithTinyDirCache(units);
-        replayPrepared(prepared, syms, units, blocks);
-        ASSERT_TRUE(prepared.results() == r)
+        ASSERT_TRUE(outcomesSumToResults(sum, engine.results()))
+            << "trial " << trial;
+        const PreparedReplay prepared(
+            invalWithTinyDirCache(units), syms, units, blocks);
+        ASSERT_TRUE(prepared.engine().results() == r)
             << "trial " << trial << ": prepared replay diverged";
     }
 }
@@ -979,6 +1080,7 @@ TEST(ModelCheckDirCache, Dir1NbExhaustiveLength5)
         };
 
         syms.clear();
+        coherence::EngineResults sum;
         std::uint64_t code = seq;
         for (unsigned step = 0; step < length; ++step) {
             const Symbol sym =
@@ -1025,7 +1127,7 @@ TEST(ModelCheckDirCache, Dir1NbExhaustiveLength5)
                     dirty[sym.block] = true;
                 }
             }
-            const Event got = observe(engine, sym);
+            const Event got = observe(engine, sym, sum);
             ASSERT_EQ(got, expected)
                 << "sequence " << seq << " step " << step << ": spec "
                 << coherence::eventName(expected) << ", engine "
@@ -1037,9 +1139,11 @@ TEST(ModelCheckDirCache, Dir1NbExhaustiveLength5)
             << "sequence " << seq;
         ASSERT_EQ(r.dirCacheEvictionWriteBacks, writeBacks)
             << "sequence " << seq;
-        coherence::LimitedEngine prepared(units, 1, dc);
-        replayPrepared(prepared, syms, units, blocks);
-        ASSERT_TRUE(prepared.results() == r)
+        ASSERT_TRUE(outcomesSumToResults(sum, engine.results()))
+            << "sequence " << seq;
+        const PreparedReplay prepared(
+            coherence::LimitedEngine(units, 1, dc), syms, units, blocks);
+        ASSERT_TRUE(prepared.engine().results() == r)
             << "sequence " << seq << ": prepared replay diverged";
     }
 }

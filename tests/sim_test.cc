@@ -11,15 +11,20 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <stdexcept>
+#include <vector>
 
 #include "bus/bus_model.hh"
 #include "coherence/dragon_engine.hh"
 #include "coherence/inval_engine.hh"
 #include "coherence/limited_engine.hh"
+#include "coherence/wti_engine.hh"
 #include "gen/workloads.hh"
 #include "sim/cost_model.hh"
 #include "sim/simulator.hh"
+#include "trace/prepared.hh"
 #include "trace/trace.hh"
 
 namespace
@@ -128,6 +133,75 @@ TEST(Simulator, ThrowsWhenUnitsExceedEngineCapacity)
     trace::MemoryTrace trace = tinyTrace(); // two pids
     trace::MemoryTraceSource source(trace);
     EXPECT_THROW(simulator.run(source), std::runtime_error);
+}
+
+/** A prepared stream whose summary declares one more data reference
+ *  than its spans yield. */
+class OverdeclaredSpans final : public trace::PreparedSpanSource
+{
+  public:
+    explicit OverdeclaredSpans(const trace::PreparedTrace &prepared)
+        : _spans(prepared)
+    {
+    }
+
+    const std::string &name() const override { return _spans.name(); }
+    const trace::PrepareOptions &options() const override
+    {
+        return _spans.options();
+    }
+    std::uint64_t instrRefs() const override { return _spans.instrRefs(); }
+    std::uint64_t dataRefs() const override { return _spans.dataRefs() + 1; }
+    unsigned numUnits() const override { return _spans.numUnits(); }
+    unsigned numCpus() const override { return _spans.numCpus(); }
+    mem::BlockNames blockNames() const override
+    {
+        return _spans.blockNames();
+    }
+    bool
+    nextSpan(trace::PreparedSpan &span) override
+    {
+        return _spans.nextSpan(span);
+    }
+    void rewind() override { _spans.rewind(); }
+
+  private:
+    trace::PreparedTraceSpans _spans;
+};
+
+/**
+ * A span source that yields fewer data references than its summary
+ * declares fails the replay, and leaves no engine holding the partial
+ * replay: engines that count repeat reads in bulk and one that gets
+ * every reference (write-around WTI) alike equal fresh engines.
+ */
+TEST(Simulator, MiscountedSpanSourceThrowsAndResetsEngines)
+{
+    using Maker = std::function<std::unique_ptr<coherence::CoherenceEngine>()>;
+    const std::vector<Maker> makers = {
+        [] {
+            coherence::InvalEngineConfig cfg;
+            cfg.nUnits = 4;
+            return std::make_unique<coherence::InvalEngine>(cfg);
+        },
+        [] { return std::make_unique<coherence::LimitedEngine>(4, 1); },
+        [] { return std::make_unique<coherence::DragonEngine>(4); },
+        [] { return std::make_unique<coherence::WtiEngine>(4, false); },
+    };
+    sim::Simulator simulator;
+    for (const Maker &make : makers)
+        simulator.addEngine(make());
+    ASSERT_FALSE(simulator.engine(3).repeatReadsHit());
+
+    const trace::PreparedTrace prepared =
+        trace::PreparedTrace::build(tinyTrace());
+    ASSERT_GT(prepared.dataRefs(), 0u);
+    OverdeclaredSpans spans(prepared);
+    EXPECT_THROW(simulator.run(spans), std::runtime_error);
+    for (std::size_t e = 0; e < makers.size(); ++e)
+        EXPECT_TRUE(simulator.engine(e).results() == makers[e]()->results())
+            << "engine " << simulator.engine(e).results().name
+            << " kept the partial replay";
 }
 
 TEST(Simulator, BlockSizeGroupsAddresses)

@@ -27,7 +27,7 @@
 #include "trace/prepared.hh"
 #include "trace/store.hh"
 #include "trace/trace.hh"
-#include "util/simd.hh"
+#include "util/aligned.hh"
 
 namespace
 {
@@ -172,11 +172,25 @@ TEST(StoredTraceTest, SpanConcatenationEqualsColumns)
     checkOnePass(*spans);
 }
 
+/** util::AlignedVector, the columns' storage, starts on a cache line
+ *  whatever its element type. */
+TEST(StoredTraceTest, AlignedVectorIsCacheLineAligned)
+{
+    util::AlignedVector<std::uint8_t> v(100);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) %
+                  util::kCacheLineBytes,
+              0u);
+    util::AlignedVector<std::uint32_t> w(3);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w.data()) %
+                  util::kCacheLineBytes,
+              0u);
+}
+
 /**
- * The SIMD alignment contract: in-memory columns and every streamed
- * span must start on a cache line, so vector loads over the prepared
- * columns never split lines.  Chunk payload offsets are 64-aligned in
- * the file and the reader's mmap/pread windows preserve that.
+ * The alignment contract: in-memory columns and every streamed span
+ * must start on a cache line, so no load over the prepared columns
+ * splits a line.  Chunk payload offsets are 64-aligned in the file
+ * and the reader's mmap/pread windows preserve that.
  */
 TEST(StoredTraceTest, ColumnsAndSpansAreCacheLineAligned)
 {

@@ -1,14 +1,21 @@
 /**
  * @file
  * Unit tests for the trace substrate: records, containers, I/O,
- * filters and the characteriser.
+ * filters, the characteriser and the first-touch block numbering.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <unordered_map>
+#include <vector>
 
+#include "trace/block_numbering.hh"
 #include "trace/characterize.hh"
 #include "trace/filter.hh"
 #include "trace/io.hh"
@@ -392,6 +399,106 @@ TEST(Characterize, BlockSizeMatters)
         // 8-byte blocks: distinct blocks, no sharing.
         EXPECT_EQ(characterize(source, "t", 8).sharedDataBlocks, 0u);
     }
+}
+
+/** The largest 32-bit block index is counted; one past it is
+ *  rejected, naming the trace, as a prepared trace rejects it. */
+TEST(Characterize, RejectsBlockIndexPast32Bits)
+{
+    const std::uint64_t lastBlock = 0xffffffffULL * 16;
+    MemoryTrace trace;
+    trace.append(makeRecord(0, 1, RefType::Read, lastBlock));
+    trace.append(makeRecord(0, 2, RefType::Write, lastBlock + 15));
+    {
+        MemoryTraceSource source(trace);
+        const TraceCharacteristics ch = characterize(source, "t", 16);
+        EXPECT_EQ(ch.uniqueDataBlocks, 1u);
+        EXPECT_EQ(ch.sharedDataBlocks, 1u);
+    }
+    trace.append(makeRecord(0, 1, RefType::Read, lastBlock + 16));
+    MemoryTraceSource source(trace);
+    try {
+        characterize(source, "wide", 16);
+        FAIL() << "a block index past 32 bits was accepted";
+    } catch (const std::invalid_argument &err) {
+        EXPECT_NE(std::string(err.what()).find("'wide'"),
+                  std::string::npos)
+            << err.what();
+    }
+}
+
+/**
+ * Number @p keys in order (repeats allowed) and hold every id, the
+ * names and the size to a first-touch std::unordered_map reference;
+ * then number them again in reverse, where every key is a hit.
+ */
+void
+expectNumbersLikeReference(BlockNumbering &numbering,
+                           const std::vector<std::uint32_t> &keys)
+{
+    std::unordered_map<std::uint32_t, std::uint32_t> ref;
+    std::vector<std::uint32_t> names;
+    for (const std::uint32_t key : keys) {
+        const auto [it, fresh] =
+            ref.try_emplace(key, static_cast<std::uint32_t>(ref.size()));
+        if (fresh)
+            names.push_back(key);
+        ASSERT_EQ(numbering.number(key), it->second) << "key " << key;
+    }
+    ASSERT_EQ(numbering.size(), ref.size());
+    EXPECT_TRUE(std::ranges::equal(numbering.names(), names));
+    for (auto it = keys.rbegin(); it != keys.rend(); ++it)
+        ASSERT_EQ(numbering.number(*it), ref.at(*it)) << "key " << *it;
+    EXPECT_EQ(numbering.size(), ref.size());
+}
+
+/** @p count distinct keys 2^k apart: j << k while that fits 32 bits,
+ *  rotated round after (so they stay distinct); k = 0 is sequential.
+ *  0xFFFFFFFF comes first, so the all-ones key takes id 0 and key 0
+ *  id 1: both ends of the slot encoding. */
+std::vector<std::uint32_t>
+stridedKeys(unsigned k, std::uint32_t count)
+{
+    std::vector<std::uint32_t> keys{0xffffffffU};
+    for (std::uint32_t j = 0; j < count; ++j)
+        keys.push_back(std::rotl(j, static_cast<int>(k)));
+    return keys;
+}
+
+/** Every power-of-two stride, at counts either side of the 3/4-load
+ *  growth of a 4096-, 8192- and 16384-slot table. */
+TEST(BlockNumbering, MatchesReferenceOnStridedKeysAcrossGrowth)
+{
+    for (const std::uint32_t limit : {3072u, 6144u, 12288u}) {
+        for (const std::uint32_t count : {limit - 1, limit, limit + 1}) {
+            for (unsigned k = 0; k < 32; ++k) {
+                SCOPED_TRACE("count " + std::to_string(count) +
+                             " stride 2^" + std::to_string(k));
+                BlockNumbering numbering;
+                // count distinct keys, the all-ones key included.
+                expectNumbersLikeReference(numbering,
+                                           stridedKeys(k, count - 1));
+            }
+        }
+    }
+}
+
+/** A numbering restarts at id 0 after takeNames() and clear(), in the
+ *  table it has already grown. */
+TEST(BlockNumbering, ReuseAfterTakeNamesAndClear)
+{
+    BlockNumbering numbering;
+    const std::vector<std::uint32_t> first = stridedKeys(4, 6144);
+    expectNumbersLikeReference(numbering, first);
+    EXPECT_EQ(numbering.takeNames(), first);
+    EXPECT_EQ(numbering.size(), 0u);
+    EXPECT_TRUE(numbering.names().empty());
+
+    expectNumbersLikeReference(numbering, stridedKeys(17, 3072));
+    numbering.clear();
+    EXPECT_EQ(numbering.size(), 0u);
+    EXPECT_TRUE(numbering.names().empty());
+    expectNumbersLikeReference(numbering, first);
 }
 
 } // namespace
