@@ -1,23 +1,13 @@
 #include "coherence/berkeley_engine.hh"
 
 #include "coherence/prepared_loop.hh"
+#include "util/bits.hh"
 
 #include <cassert>
 #include <stdexcept>
 
 namespace dirsim::coherence
 {
-
-namespace
-{
-
-unsigned
-popcount(std::uint64_t mask)
-{
-    return static_cast<unsigned>(__builtin_popcountll(mask));
-}
-
-} // namespace
 
 BerkeleyEngine::BerkeleyEngine(unsigned nUnits) : _nUnits(nUnits)
 {
@@ -109,7 +99,7 @@ BerkeleyEngine::handleRead(unsigned unit, BlockState &st)
     } else {
         classify(_results, out, Event::RmMemory);
     }
-    if (popcount(st.holders) == 1) {
+    if (util::hasSingleBit(st.holders)) {
         ++_results.holderGrowth12;
         out.setHolderGrowth12(1);
     }
@@ -139,7 +129,7 @@ BerkeleyEngine::handleWrite(unsigned unit, BlockState &st)
         // as the invalidation state model classifies the same
         // reference, which keeps the event-frequency equivalence the
         // paper relies on testable.
-        const unsigned fanout = popcount(others);
+        const unsigned fanout = util::popcount(others);
         classify(_results, out,
                  fanout == 0 ? Event::WhBlkClnExcl
                              : Event::WhBlkClnShared);
@@ -153,7 +143,7 @@ BerkeleyEngine::handleWrite(unsigned unit, BlockState &st)
     } else if (st.holders != 0) {
         classify(_results, out, Event::WmBlkCln);
         sampleFanout(_results.wmClnFanout, out,
-                     popcount(st.holders));
+                     util::popcount(st.holders));
     } else {
         classify(_results, out, Event::WmMemory);
     }

@@ -1,6 +1,7 @@
 #include "coherence/dragon_engine.hh"
 
 #include "coherence/prepared_loop.hh"
+#include "util/bits.hh"
 
 #include <cassert>
 #include <stdexcept>
@@ -110,8 +111,7 @@ DragonEngine::handleWrite(unsigned unit, BlockState &st)
             // bus one broadcast reaches them all).
             classify(_results, out, Event::WhDistrib);
             sampleFanout(_results.whClnFanout, out,
-                         static_cast<unsigned>(__builtin_popcountll(
-                             st.holders & ~unit_bit)));
+                         util::popcount(st.holders & ~unit_bit));
         }
         st.owner = static_cast<std::int16_t>(unit);
         return out;
@@ -122,13 +122,11 @@ DragonEngine::handleWrite(unsigned unit, BlockState &st)
     } else if (st.owner >= 0) {
         classify(_results, out, Event::WmBlkDrty);
         sampleFanout(_results.wmClnFanout, out,
-                     static_cast<unsigned>(
-                         __builtin_popcountll(st.holders)));
+                     util::popcount(st.holders));
     } else if (st.holders != 0) {
         classify(_results, out, Event::WmBlkCln);
         sampleFanout(_results.wmClnFanout, out,
-                     static_cast<unsigned>(
-                         __builtin_popcountll(st.holders)));
+                     util::popcount(st.holders));
     } else {
         classify(_results, out, Event::WmMemory);
     }

@@ -1,23 +1,14 @@
 #include "coherence/inval_engine.hh"
 
 #include "coherence/prepared_loop.hh"
+#include "util/bits.hh"
 
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
 namespace dirsim::coherence
 {
-
-namespace
-{
-
-unsigned
-popcount(std::uint64_t mask)
-{
-    return static_cast<unsigned>(__builtin_popcountll(mask));
-}
-
-} // namespace
 
 InvalEngine::InvalEngine(const InvalEngineConfig &cfg)
     : _cfg(cfg), _dirArena(cfg.dirFactory, cfg.nUnits)
@@ -27,8 +18,7 @@ InvalEngine::InvalEngine(const InvalEngineConfig &cfg)
             "InvalEngine: unit count must be in [1, 64]");
     _results.name = "inval";
     if (_cfg.finiteCaches)
-        _caches.assign(_cfg.nUnits,
-                       mem::SetAssocTagStore(*_cfg.finiteCaches));
+        _caches.emplace(*_cfg.finiteCaches, _cfg.nUnits);
     if (_cfg.dirCache.enabled)
         _dirCache = std::make_unique<directory::DirectoryCache>(
             _cfg.dirCache);
@@ -41,8 +31,8 @@ InvalEngine::reset()
     _results.name = "inval";
     _blocks.clear();
     _dirArena.clear();
-    for (mem::SetAssocTagStore &cache : _caches)
-        cache.clear();
+    if (_caches)
+        _caches->clear();
     if (_dirCache)
         _dirCache->clear();
 }
@@ -60,8 +50,8 @@ void
 InvalEngine::bindBlockNames(mem::BlockNames names)
 {
     _names = names;
-    for (mem::SetAssocTagStore &cache : _caches)
-        cache.bindBlockNames(names);
+    if (_caches)
+        _caches->bindBlockNames(names);
     if (_dirCache)
         _dirCache->bindBlockNames(names);
 }
@@ -110,9 +100,9 @@ InvalEngine::dirtyOwner(mem::BlockId block) const
 bool
 InvalEngine::fillCache(unsigned unit, mem::BlockId block)
 {
-    if (_caches.empty())
+    if (!_caches)
         return false;
-    const mem::TouchResult touch = _caches[unit].touch(block);
+    const mem::TouchResult touch = _caches->touch(unit, block);
     if (!touch.evicted)
         return false;
     ++_results.replacementEvictions;
@@ -138,7 +128,7 @@ InvalEngine::touchDirCache(mem::BlockId block)
     Out out;
     if (!_dirCache)
         return out;
-    const directory::DirCacheTouch touch = _dirCache->touch(block);
+    const mem::TouchResult touch = _dirCache->touch(block);
     if (touch.hit) {
         ++_results.dirCacheHits;
         return out;
@@ -149,9 +139,9 @@ InvalEngine::touchDirCache(mem::BlockId block)
     ++_results.dirCacheEvictions;
     // Any block that ever got a directory entry is tracked, and the
     // entry's tag is its dense id.
-    BlockState *victim = &_blocks[touch.victim];
+    BlockState *victim = &_blocks[touch.evictedBlock];
     assert(victim->referenced && "dir-cache victim must be tracked");
-    const unsigned invals = popcount(victim->holders);
+    const unsigned invals = util::popcount(victim->holders);
     const bool writeBack = victim->owner >= 0;
     _results.dirCacheEvictionInvals += invals;
     out.setDirCacheEviction(invals, writeBack);
@@ -169,7 +159,7 @@ InvalEngine::touchDirCache(mem::BlockId block)
                 dir->removeSharer(u);
         }
     }
-    invalidateMask(touch.victim, *victim, victim->holders);
+    invalidateMask(touch.evictedBlock, *victim, victim->holders);
     return out;
 }
 
@@ -178,11 +168,10 @@ InvalEngine::invalidateMask(mem::BlockId block, BlockState &st,
                             std::uint64_t mask)
 {
     st.holders &= ~mask;
-    if (!_caches.empty()) {
-        for (unsigned u = 0; u < _cfg.nUnits; ++u) {
-            if (mask & (1ULL << u))
-                _caches[u].invalidate(block);
-        }
+    if (_caches) {
+        for (std::uint64_t m = mask; m != 0; m &= m - 1)
+            _caches->invalidate(static_cast<unsigned>(std::countr_zero(m)),
+                                block);
     }
 }
 
@@ -247,8 +236,8 @@ InvalEngine::handleRead(unsigned unit, mem::BlockId block,
 
     if (st.holders & unit_bit) {
         classify(_results, out, Event::RdHit);
-        if (!_caches.empty())
-            _caches[unit].touch(block); // Refresh LRU.
+        if (_caches)
+            _caches->touch(unit, block); // Refresh LRU.
         return out;
     }
 
@@ -272,7 +261,7 @@ InvalEngine::handleRead(unsigned unit, mem::BlockId block,
         classify(_results, out, Event::RmMemory);
     }
 
-    if (popcount(st.holders) == 1) {
+    if (util::hasSingleBit(st.holders)) {
         ++_results.holderGrowth12;
         out.setHolderGrowth12(1);
     }
@@ -298,7 +287,7 @@ InvalEngine::recordDirActivity(unsigned unit, bool unitHasCopy,
     }
     const std::uint64_t others = st.holders & ~(1ULL << unit);
     _results.dirDirectedInvals += targets.count();
-    _results.dirOvershoot += popcount(targets.mask & ~others);
+    _results.dirOvershoot += util::popcount(targets.mask & ~others);
     // A directory must reach every real copy: directed targets may
     // overshoot but never miss a holder.
     assert((others & ~targets.mask) == 0);
@@ -315,8 +304,8 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
 
     if (has_copy && st.owner == static_cast<int>(unit)) {
         classify(_results, out, Event::WhBlkDrty);
-        if (!_caches.empty())
-            _caches[unit].touch(block);
+        if (_caches)
+            _caches->touch(unit, block);
         return out;
     }
 
@@ -330,15 +319,15 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
         assert(st.owner < 0);
         recordHomeUse(unit, st, block);
         const std::uint64_t others = st.holders & ~unit_bit;
-        const unsigned fanout = popcount(others);
+        const unsigned fanout = util::popcount(others);
         classify(_results, out,
                  fanout == 0 ? Event::WhBlkClnExcl
                              : Event::WhBlkClnShared);
         sampleFanout(_results.whClnFanout, out, fanout);
         recordDirActivity(unit, true, st);
         invalidateMask(block, st, others);
-        if (!_caches.empty())
-            _caches[unit].touch(block);
+        if (_caches)
+            _caches->touch(unit, block);
     } else if (!st.referenced) {
         st.referenced = true;
         recordHomeUse(unit, st, block);
@@ -355,7 +344,7 @@ InvalEngine::handleWrite(unsigned unit, mem::BlockId block,
     } else if (st.holders != 0) {
         recordHomeUse(unit, st, block);
         classify(_results, out, Event::WmBlkCln);
-        sampleFanout(_results.wmClnFanout, out, popcount(st.holders));
+        sampleFanout(_results.wmClnFanout, out, util::popcount(st.holders));
         recordDirActivity(unit, false, st);
         invalidateMask(block, st, st.holders);
         out.setReplacementWriteBacks(fillCache(unit, block));

@@ -12,8 +12,8 @@
  * Optionally carries a real directory organisation (DirEntry) per
  * block, recording what that organisation would have done —
  * directed invalidations, broadcasts, and overshoot — and optionally
- * a finite set-associative tag store per cache for the finite-cache
- * extension.
+ * finite set-associative caches, one tag-store copy per unit, for the
+ * finite-cache extension.
  */
 
 #ifndef DIRSIM_COHERENCE_INVAL_ENGINE_HH
@@ -21,7 +21,6 @@
 
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "coherence/block_table.hh"
 #include "coherence/engine.hh"
@@ -155,8 +154,9 @@ class InvalEngine final : public CoherenceEngine
     BlockTable<BlockState> _blocks;
     mem::BlockNames _names;
     directory::DirEntryArena _dirArena;
-    /** One finite cache per unit; empty with infinite caches. */
-    std::vector<mem::SetAssocTagStore> _caches;
+    /** The finite caches, one copy per unit; empty with infinite
+     *  caches. */
+    std::optional<mem::SetAssocTagStore> _caches;
     std::unique_ptr<directory::DirectoryCache> _dirCache;
 };
 

@@ -1,9 +1,9 @@
 #include "coherence/limited_engine.hh"
 
 #include "coherence/prepared_loop.hh"
+#include "util/bits.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 
@@ -97,7 +97,7 @@ LimitedEngine::touchDirCache(mem::BlockId block)
     Out out;
     if (!_dirCache)
         return out;
-    const directory::DirCacheTouch touch = _dirCache->touch(block);
+    const mem::TouchResult touch = _dirCache->touch(block);
     if (touch.hit) {
         ++_results.dirCacheHits;
         return out;
@@ -108,9 +108,9 @@ LimitedEngine::touchDirCache(mem::BlockId block)
     ++_results.dirCacheEvictions;
     // The victim's tag is its dense id, and any block that ever got a
     // directory entry has been referenced.
-    BlockState *victim = &_blocks[touch.victim];
+    BlockState *victim = &_blocks[touch.evictedBlock];
     assert(victim->referenced && "dir-cache victim must be tracked");
-    const unsigned invals = std::popcount(victim->mask);
+    const unsigned invals = util::popcount(victim->mask);
     const bool writeBack = victim->owner >= 0;
     _results.dirCacheEvictionInvals += invals;
     if (writeBack) {

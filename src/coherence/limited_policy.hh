@@ -38,12 +38,12 @@
 #ifndef DIRSIM_COHERENCE_LIMITED_POLICY_HH
 #define DIRSIM_COHERENCE_LIMITED_POLICY_HH
 
-#include <bit>
 #include <cassert>
 #include <cstdint>
 
 #include "coherence/outcome.hh"
 #include "coherence/results.hh"
+#include "util/bits.hh"
 
 namespace dirsim::coherence
 {
@@ -140,7 +140,7 @@ laneReadMiss(LimitedLane &st, unsigned unit, unsigned nPointers,
         classify(r, out, Event::RmMemory);
     }
 
-    unsigned nHolders = std::popcount(st.mask);
+    unsigned nHolders = util::popcount(st.mask);
     if (nHolders == 1) {
         ++r.holderGrowth12;
         out.setHolderGrowth12(1);
@@ -171,7 +171,7 @@ laneWrite(LimitedLane &st, unsigned unit, EngineResults &r, Out &out)
         // Hit to a clean copy (a dirty hit never reaches here).
         assert(st.owner < 0);
         const unsigned fanout =
-            static_cast<unsigned>(std::popcount(st.mask)) - 1u;
+            util::popcount(st.mask) - 1u;
         classify(r, out,
                  fanout == 0 ? Event::WhBlkClnExcl
                              : Event::WhBlkClnShared);
@@ -184,7 +184,7 @@ laneWrite(LimitedLane &st, unsigned unit, EngineResults &r, Out &out)
     } else if (st.mask != 0) {
         classify(r, out, Event::WmBlkCln);
         sampleFanout(r.wmClnFanout, out,
-                     static_cast<unsigned>(std::popcount(st.mask)));
+                     util::popcount(st.mask));
     } else {
         classify(r, out, Event::WmMemory);
     }

@@ -1,23 +1,13 @@
 #include "coherence/wti_engine.hh"
 
 #include "coherence/prepared_loop.hh"
+#include "util/bits.hh"
 
 #include <cassert>
 #include <stdexcept>
 
 namespace dirsim::coherence
 {
-
-namespace
-{
-
-unsigned
-popcount(std::uint64_t mask)
-{
-    return static_cast<unsigned>(__builtin_popcountll(mask));
-}
-
-} // namespace
 
 WtiEngine::WtiEngine(unsigned nUnits, bool allocateOnWriteMiss)
     : _nUnits(nUnits), _allocate(allocateOnWriteMiss)
@@ -101,7 +91,7 @@ WtiEngine::handleRead(unsigned unit, BlockState &st)
     } else {
         classify(_results, out, Event::RmMemory);
     }
-    if (popcount(st.holders) == 1) {
+    if (util::hasSingleBit(st.holders)) {
         ++_results.holderGrowth12;
         out.setHolderGrowth12(1);
     }
@@ -120,7 +110,7 @@ WtiEngine::handleWrite(unsigned unit, BlockState &st)
 
     if (has_copy) {
         // The write-through is snooped; other copies invalidate.
-        const unsigned fanout = popcount(others);
+        const unsigned fanout = util::popcount(others);
         classify(_results, out,
                  fanout == 0 ? Event::WhBlkClnExcl
                              : Event::WhBlkClnShared);
@@ -135,7 +125,7 @@ WtiEngine::handleWrite(unsigned unit, BlockState &st)
     } else if (st.holders != 0) {
         classify(_results, out, Event::WmBlkCln);
         sampleFanout(_results.wmClnFanout, out,
-                     popcount(st.holders));
+                     util::popcount(st.holders));
     } else {
         classify(_results, out, Event::WmMemory);
     }

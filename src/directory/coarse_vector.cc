@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "mem/block.hh"
+#include "util/bits.hh"
 
 namespace dirsim::directory
 {
@@ -86,7 +87,7 @@ CoarseVectorEntry::denotedMask() const
 unsigned
 CoarseVectorEntry::bothDigits() const
 {
-    return static_cast<unsigned>(__builtin_popcountll(_both));
+    return util::popcount(_both);
 }
 
 InvalTargets

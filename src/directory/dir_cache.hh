@@ -12,15 +12,16 @@
  * class decides which blocks currently have a resident directory
  * entry and which resident entry each new entry displaces.
  *
- * Geometry follows SetAssocTagStore (true LRU, ways kept MRU-first),
- * with one deliberate difference: raw block indices are sequential
- * within each region, so indexing sets by low bits would alias
- * strided footprints systematically.  The set index is therefore
- * derived from util::mix64 of the raw block index (configurable).
- * Entries are tagged with the engines' dense block ids, and the raw
- * index of each comes from the bound names (bindBlockNames()), so a
- * victim indexes engine state directly.  LRU order never depends on
- * id values, so the results are those of raw-id tags.
+ * The finite mode is a one-copy mem::SetAssocTagStore (true LRU,
+ * 32-bit tags kept MRU-first), with one deliberate difference in its
+ * default: raw block indices are sequential within each region, so
+ * indexing sets by low bits would alias strided footprints
+ * systematically.  The set index is therefore derived from
+ * util::mix64 of the raw block index (configurable).  Entries are
+ * tagged with the engines' dense block ids, and the raw index of each
+ * comes from the bound names (bindBlockNames()), so a victim indexes
+ * engine state directly.  LRU order never depends on id values, so
+ * the results are those of raw-id tags.
  *
  * entries == 0 selects the unbounded mode: the cache records presence
  * (so hit/miss statistics stay meaningful) but never evicts, which by
@@ -31,9 +32,11 @@
 #define DIRSIM_DIRECTORY_DIR_CACHE_HH
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "mem/block.hh"
+#include "mem/set_assoc.hh"
 
 namespace dirsim::directory
 {
@@ -55,17 +58,6 @@ struct DirCacheConfig
     bool mixSetIndex = true;
 };
 
-/** Outcome of one directory-cache lookup-and-fill. */
-struct DirCacheTouch
-{
-    bool hit = false;
-    /** A resident entry was replaced to make room. */
-    bool evicted = false;
-    /** Dense id of the block whose entry was replaced (valid when
-     *  evicted). */
-    mem::BlockId victim = 0;
-};
-
 /** Set-associative, true-LRU cache of directory entries. */
 class DirectoryCache
 {
@@ -79,23 +71,29 @@ class DirectoryCache
 
     /**
      * Look up @p block's entry, allocating one on a miss; the caller
-     * must invalidate all copies of DirCacheTouch::victim when the
-     * fill replaced a resident entry.
+     * must invalidate all copies of TouchResult::evictedBlock when
+     * the fill replaced a resident entry.
      */
-    DirCacheTouch touch(mem::BlockId block);
+    mem::TouchResult
+    touch(mem::BlockId block)
+    {
+        if (!_store)
+            return touchPresence(block);
+        const mem::TouchResult result = _store->touch(0, block);
+        // Added on hits too: branching on the search's outcome here
+        // measured slower.
+        _setReplacements[result.set] += result.evicted;
+        return result;
+    }
 
     bool contains(mem::BlockId block) const;
 
     /** Resident entries. */
     std::uint64_t size() const;
     /** True in the unbounded (never-evicting) mode. */
-    bool unbounded() const { return _cfg.entries == 0; }
+    bool unbounded() const { return !_store; }
     /** Set count (0 in unbounded mode). */
-    std::uint64_t numSets() const { return _numSets; }
-
-    std::uint64_t hits() const { return _hits; }
-    std::uint64_t misses() const { return _misses; }
-    std::uint64_t evictions() const { return _evictions; }
+    std::uint64_t numSets() const { return _setReplacements.size(); }
 
     /**
      * Replacements performed per set (empty in unbounded mode); a
@@ -106,36 +104,29 @@ class DirectoryCache
         return _setReplacements;
     }
 
-    /** Drop every entry and counter; keeps the storage. */
+    /** Drop every entry and replacement count; keeps the storage. */
     void clear();
     /** Pre-size the unbounded store for dense ids [0, @p blocks). */
     void reserveBlocks(std::uint64_t blocks);
     /** Bind the raw block index of each dense id (mem::BlockNames);
      *  unbound, ids are raw indices. */
-    void bindBlockNames(mem::BlockNames names) { _names = names; }
+    void
+    bindBlockNames(mem::BlockNames names)
+    {
+        if (_store)
+            _store->bindBlockNames(names);
+    }
 
   private:
-    struct Way
-    {
-        mem::BlockId block = 0;
-        bool valid = false;
-    };
+    /** Unbounded mode: record presence, never evict. */
+    mem::TouchResult touchPresence(mem::BlockId block);
 
-    std::uint64_t setIndexOf(mem::BlockId block) const;
-
-    DirCacheConfig _cfg;
-    std::uint64_t _numSets = 0;
-    std::uint64_t _setMask = 0;
-    /** Finite mode: _numSets * associativity ways, MRU-first per set. */
-    std::vector<Way> _ways;
+    /** Finite mode: one copy of the configured geometry. */
+    std::optional<mem::SetAssocTagStore> _store;
     std::vector<std::uint64_t> _setReplacements;
     /** Unbounded mode: presence only, indexed by dense id. */
     std::vector<std::uint8_t> _present;
-    mem::BlockNames _names;
-    std::uint64_t _resident = 0;
-    std::uint64_t _hits = 0;
-    std::uint64_t _misses = 0;
-    std::uint64_t _evictions = 0;
+    std::uint64_t _presentCount = 0;
 };
 
 } // namespace dirsim::directory

@@ -21,6 +21,8 @@
 #include <memory>
 #include <new>
 
+#include "util/bits.hh"
+
 namespace dirsim::directory
 {
 
@@ -36,7 +38,7 @@ struct InvalTargets
     std::uint64_t mask = 0;
 
     /** Number of directed messages (meaningless when broadcasting). */
-    unsigned count() const { return __builtin_popcountll(mask); }
+    unsigned count() const { return util::popcount(mask); }
 };
 
 /** One block's directory state under some organisation. */

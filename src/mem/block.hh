@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <span>
 
+#include "util/bits.hh"
+
 namespace dirsim::mem
 {
 
@@ -43,7 +45,7 @@ rawBlock(BlockNames names, BlockId block)
 constexpr bool
 isPow2(std::uint64_t v)
 {
-    return v != 0 && (v & (v - 1)) == 0;
+    return util::hasSingleBit(v);
 }
 
 /** log2 of a power of two. */

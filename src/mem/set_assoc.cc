@@ -1,49 +1,32 @@
 #include "mem/set_assoc.hh"
 
-#include <cassert>
 #include <stdexcept>
 
 namespace dirsim::mem
 {
 
-SetAssocTagStore::SetAssocTagStore(const CacheGeometry &geometry)
-    : _geometry(geometry)
+SetAssocTagStore::SetAssocTagStore(const CacheGeometry &geometry,
+                                   unsigned copies)
+    : _geometry(geometry), _ways(geometry.ways), _copies(copies)
 {
     const std::uint64_t sets = geometry.numSets();
     if (sets == 0 || !isPow2(sets))
         throw std::invalid_argument(
             "SetAssocTagStore: set count must be a nonzero power of 2");
-    if (_geometry.ways == 0)
+    if (_copies == 0)
         throw std::invalid_argument(
-            "SetAssocTagStore: at least one way required");
+            "SetAssocTagStore: at least one copy required");
+    _setWays = std::uint64_t{_copies} * _ways;
     _setMask = sets - 1;
-    _tags.assign(sets * _geometry.ways, kEmpty);
-}
-
-void
-SetAssocTagStore::invalidate(BlockId block)
-{
-    assert(block != kEmpty);
-    BlockId *ways = setBase(setIndex(block));
-    const unsigned n = _geometry.ways;
-    for (unsigned w = 0; w < n; ++w) {
-        if (ways[w] == block) {
-            // Compact the remaining ways towards the front; the freed
-            // way becomes the LRU slot.
-            for (unsigned v = w; v + 1 < n; ++v)
-                ways[v] = ways[v + 1];
-            ways[n - 1] = kEmpty;
-            --_resident;
-            return;
-        }
-    }
+    _tags.assign(sets * _setWays, kEmpty);
 }
 
 bool
-SetAssocTagStore::contains(BlockId block) const
+SetAssocTagStore::contains(unsigned copy, BlockId block) const
 {
-    const BlockId *ways = setBase(setIndex(block));
-    for (unsigned w = 0; w < _geometry.ways; ++w) {
+    assert(copy < _copies && block < kEmpty);
+    const std::uint32_t *ways = waysOf(copy, setIndex(block));
+    for (unsigned w = 0; w < _ways; ++w) {
         if (ways[w] == block)
             return true;
     }

@@ -36,7 +36,6 @@ namespace
 
 using namespace dirsim;
 using directory::DirCacheConfig;
-using directory::DirCacheTouch;
 using directory::DirectoryCache;
 
 DirCacheConfig
@@ -51,6 +50,23 @@ finiteConfig(std::uint64_t entries, unsigned assoc, bool mix = false)
 }
 
 // --- The container ---------------------------------------------------
+
+/** Hits, misses and evictions, counted from the touch results. */
+struct TouchCounts
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+    mem::TouchResult
+    touch(DirectoryCache &cache, mem::BlockId block)
+    {
+        const mem::TouchResult t = cache.touch(block);
+        ++(t.hit ? hits : misses);
+        evictions += t.evicted ? 1 : 0;
+        return t;
+    }
+};
 
 TEST(DirCache, GeometryValidation)
 {
@@ -73,45 +89,48 @@ TEST(DirCache, TrueLruWithinOneSet)
 {
     // 4 entries, 4 ways: one set, fully associative, fixed index.
     DirectoryCache cache(finiteConfig(4, 4));
+    TouchCounts n;
 
     for (mem::BlockId b = 0; b < 4; ++b) {
-        const DirCacheTouch t = cache.touch(b);
+        const mem::TouchResult t = n.touch(cache, b);
         EXPECT_FALSE(t.hit);
         EXPECT_FALSE(t.evicted);
     }
     EXPECT_EQ(cache.size(), 4u);
-    EXPECT_EQ(cache.misses(), 4u);
+    EXPECT_EQ(n.misses, 4u);
 
     // Refresh block 0: block 1 becomes LRU.
-    EXPECT_TRUE(cache.touch(0).hit);
-    DirCacheTouch t = cache.touch(4);
+    EXPECT_TRUE(n.touch(cache, 0).hit);
+    mem::TouchResult t = n.touch(cache, 4);
     EXPECT_FALSE(t.hit);
     ASSERT_TRUE(t.evicted);
-    EXPECT_EQ(t.victim, 1u);
+    EXPECT_EQ(t.evictedBlock, 1u);
     EXPECT_FALSE(cache.contains(1));
     EXPECT_TRUE(cache.contains(0));
 
     // Next victim is block 2, the new LRU.
-    t = cache.touch(5);
+    t = n.touch(cache, 5);
     ASSERT_TRUE(t.evicted);
-    EXPECT_EQ(t.victim, 2u);
+    EXPECT_EQ(t.evictedBlock, 2u);
 
-    EXPECT_EQ(cache.evictions(), 2u);
+    EXPECT_EQ(n.evictions, 2u);
+    EXPECT_EQ(cache.setReplacements(),
+              std::vector<std::uint64_t>{2u});
     EXPECT_EQ(cache.size(), 4u); // replacement keeps occupancy
 }
 
 TEST(DirCache, SetReplacementsSumToEvictions)
 {
     DirectoryCache cache(finiteConfig(8, 2)); // 4 sets x 2 ways
+    TouchCounts n;
     for (mem::BlockId b = 0; b < 200; ++b)
-        cache.touch(b);
-    std::uint64_t total = 0;
-    ASSERT_EQ(cache.setReplacements().size(), 4u);
-    for (const std::uint64_t n : cache.setReplacements())
-        total += n;
-    EXPECT_EQ(total, cache.evictions());
-    EXPECT_GT(cache.evictions(), 0u);
-    EXPECT_EQ(cache.hits() + cache.misses(), 200u);
+        n.touch(cache, b);
+    // 200 distinct blocks, 50 per set under the low-bits index: all
+    // miss, and each set evicts all but the 2 it keeps.
+    EXPECT_EQ(n.misses, 200u);
+    EXPECT_EQ(n.evictions, 192u);
+    EXPECT_EQ(cache.setReplacements(),
+              std::vector<std::uint64_t>(4, 48u));
 }
 
 TEST(DirCache, MixedIndexSpreadsStridedBlocks)
@@ -122,14 +141,15 @@ TEST(DirCache, MixedIndexSpreadsStridedBlocks)
     const unsigned footprint = 128;
     DirectoryCache plain(finiteConfig(256, 4, false));
     DirectoryCache mixed(finiteConfig(256, 4, true));
+    TouchCounts plainN, mixedN;
     for (unsigned i = 0; i < footprint; ++i) {
-        plain.touch(static_cast<mem::BlockId>(i) * 64);
-        mixed.touch(static_cast<mem::BlockId>(i) * 64);
+        plainN.touch(plain, static_cast<mem::BlockId>(i) * 64);
+        mixedN.touch(mixed, static_cast<mem::BlockId>(i) * 64);
     }
-    EXPECT_EQ(plain.evictions(), footprint - 4); // collapsed
+    EXPECT_EQ(plainN.evictions, footprint - 4); // collapsed
     // mix64 is deterministic; the strided footprint lands across sets
     // and most of it stays resident.
-    EXPECT_LT(mixed.evictions(), 16u);
+    EXPECT_LT(mixedN.evictions, 16u);
     EXPECT_GT(mixed.size(), 100u);
 }
 
@@ -142,29 +162,38 @@ TEST(DirCache, UnboundedNeverEvicts)
     EXPECT_TRUE(cache.unbounded());
     EXPECT_EQ(cache.numSets(), 0u);
 
+    TouchCounts n;
     for (mem::BlockId b = 0; b < 10'000; ++b)
-        EXPECT_FALSE(cache.touch(b).evicted);
+        EXPECT_FALSE(n.touch(cache, b).evicted);
     EXPECT_EQ(cache.size(), 10'000u);
-    EXPECT_EQ(cache.misses(), 10'000u);
-    EXPECT_TRUE(cache.touch(42).hit);
-    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(n.misses, 10'000u);
+    EXPECT_TRUE(n.touch(cache, 42).hit);
+    EXPECT_EQ(n.hits, 1u);
     EXPECT_TRUE(cache.setReplacements().empty());
 }
 
 TEST(DirCache, ClearResetsStateAndCounters)
 {
     DirectoryCache cache(finiteConfig(4, 2));
+    std::vector<mem::TouchResult> first;
     for (mem::BlockId b = 0; b < 50; ++b)
-        cache.touch(b);
+        first.push_back(cache.touch(b % 7));
+    const std::vector<std::uint64_t> replacements =
+        cache.setReplacements();
     cache.clear();
     EXPECT_EQ(cache.size(), 0u);
-    EXPECT_EQ(cache.hits(), 0u);
-    EXPECT_EQ(cache.misses(), 0u);
-    EXPECT_EQ(cache.evictions(), 0u);
     for (const std::uint64_t n : cache.setReplacements())
         EXPECT_EQ(n, 0u);
     EXPECT_FALSE(cache.contains(0));
-    EXPECT_FALSE(cache.touch(0).hit);
+
+    // A cleared cache replays like a new one, touch for touch.
+    for (mem::BlockId b = 0; b < 50; ++b) {
+        const mem::TouchResult t = cache.touch(b % 7);
+        EXPECT_EQ(t.hit, first[b].hit) << b;
+        EXPECT_EQ(t.evicted, first[b].evicted) << b;
+        EXPECT_EQ(t.evictedBlock, first[b].evictedBlock) << b;
+    }
+    EXPECT_EQ(cache.setReplacements(), replacements);
 }
 
 // --- Engine integration ----------------------------------------------
@@ -232,16 +261,19 @@ TEST(DirCacheEngine, LargeEnoughCacheIsInvisible)
         static_cast<const coherence::InvalEngine &>(cachedInval)
             .dirCache();
     ASSERT_NE(cache, nullptr);
-    EXPECT_EQ(cache->evictions(), 0u);
-    EXPECT_GT(cache->misses(), 0u);
+    EXPECT_EQ(cache->setReplacements(), std::vector<std::uint64_t>{0u});
+    // Nothing was evicted, so every miss left its entry resident.
+    EXPECT_EQ(cache->size(), cachedInval.results().dirCacheMisses);
     EXPECT_LE(cache->size(), 4096u);
 }
 
 /**
  * A small cache must evict, and its counters must be mutually
- * consistent: results mirror the cache's own statistics, per-set
- * replacements sum to evictions, and the eviction-invalidation count
- * is bounded by evictions × sharers-per-entry.
+ * consistent: every reference that reaches the directory is one hit
+ * or one miss, every miss not undone by an eviction left an entry
+ * resident, per-set replacements sum to evictions, and the
+ * eviction-invalidation count is bounded by evictions ×
+ * sharers-per-entry.
  */
 TEST(DirCacheEngine, SmallCacheEvictsCoherently)
 {
@@ -268,19 +300,24 @@ TEST(DirCacheEngine, SmallCacheEvictsCoherently)
             << r.name;
         EXPECT_LE(r.dirCacheEvictionWriteBacks, r.dirCacheEvictions)
             << r.name;
+        // Only read hits and dirty write hits bypass the directory.
+        const coherence::EventCounts &e = r.events;
+        EXPECT_EQ(r.dirCacheHits + r.dirCacheMisses,
+                  e.totalRefs() - e.count(coherence::Event::Instr) -
+                      e.count(coherence::Event::RdHit) -
+                      e.count(coherence::Event::WhBlkDrty))
+            << r.name;
     }
 
     const auto *cache =
         static_cast<const coherence::InvalEngine &>(inval).dirCache();
     ASSERT_NE(cache, nullptr);
     const coherence::EngineResults &r = inval.results();
-    EXPECT_EQ(cache->hits(), r.dirCacheHits);
-    EXPECT_EQ(cache->misses(), r.dirCacheMisses);
-    EXPECT_EQ(cache->evictions(), r.dirCacheEvictions);
     std::uint64_t perSet = 0;
     for (const std::uint64_t n : cache->setReplacements())
         perSet += n;
-    EXPECT_EQ(perSet, cache->evictions());
+    EXPECT_EQ(perSet, r.dirCacheEvictions);
+    EXPECT_EQ(cache->size(), r.dirCacheMisses - r.dirCacheEvictions);
     // Finite residency respected.
     EXPECT_LE(cache->size(), 64u);
 }

@@ -1148,4 +1148,288 @@ TEST(ModelCheckDirCache, Dir1NbExhaustiveLength5)
     }
 }
 
+// --- Finite caches ------------------------------------------------------
+
+/**
+ * Reference specification of the inval engine with a finite LRU cache
+ * per unit: SpecInval's state model plus, for each unit and set, a
+ * literal MRU-first list of the blocks that unit's cache holds.  A
+ * unit holds a copy exactly when its list does.  A fill into a full
+ * set drops the list's last block, and with it that unit's copy, and
+ * writes it back when the copy was the dirty one.  An invalidation
+ * erases the block from the list; a hit moves it to the front.
+ */
+class SpecInvalFinite
+{
+  public:
+    SpecInvalFinite(unsigned sets, unsigned ways)
+        : _sets(sets), _ways(ways)
+    {
+    }
+
+    Event
+    access(unsigned unit, RefType type, std::uint64_t block)
+    {
+        auto &holders = _holders[block];
+        auto &dirty = _dirty[block];
+        const bool seen = _referenced.count(block) > 0;
+        _referenced.insert(block);
+
+        if (type == RefType::Read) {
+            if (holders.count(unit)) {
+                moveToFront(unit, block);
+                return Event::RdHit;
+            }
+            Event event;
+            if (!seen) {
+                event = Event::RmFirstRef;
+            } else if (dirty.has_value()) {
+                event = Event::RmBlkDrty;
+                dirty.reset(); // flushed; ex-owner keeps a clean copy
+            } else if (!holders.empty()) {
+                event = Event::RmBlkCln;
+            } else {
+                event = Event::RmMemory;
+            }
+            holders.insert(unit);
+            fill(unit, block);
+            return event;
+        }
+
+        if (holders.count(unit) && dirty == unit) {
+            moveToFront(unit, block);
+            return Event::WhBlkDrty;
+        }
+        Event event;
+        const bool hit = holders.count(unit) > 0;
+        if (hit) {
+            event = holders.size() == 1 ? Event::WhBlkClnExcl
+                                        : Event::WhBlkClnShared;
+        } else if (!seen) {
+            event = Event::WmFirstRef;
+        } else if (dirty.has_value()) {
+            event = Event::WmBlkDrty;
+        } else if (!holders.empty()) {
+            event = Event::WmBlkCln;
+        } else {
+            event = Event::WmMemory;
+        }
+        for (const unsigned other : holders) {
+            if (other != unit)
+                erase(other, block);
+        }
+        if (hit)
+            moveToFront(unit, block);
+        else
+            fill(unit, block);
+        holders = {unit};
+        dirty = unit;
+        return event;
+    }
+
+    const std::set<unsigned> &holders(std::uint64_t block)
+    {
+        return _holders[block];
+    }
+    const std::optional<unsigned> &dirtyOwner(std::uint64_t block)
+    {
+        return _dirty[block];
+    }
+
+    std::uint64_t evictions = 0;
+    std::uint64_t writeBacks = 0;
+
+  private:
+    std::vector<std::uint64_t> &
+    lru(unsigned unit, std::uint64_t block)
+    {
+        return _lru[{unit, block % _sets}];
+    }
+
+    void
+    erase(unsigned unit, std::uint64_t block)
+    {
+        auto &list = lru(unit, block);
+        list.erase(std::find(list.begin(), list.end(), block));
+    }
+
+    void
+    moveToFront(unsigned unit, std::uint64_t block)
+    {
+        erase(unit, block);
+        auto &list = lru(unit, block);
+        list.insert(list.begin(), block);
+    }
+
+    void
+    fill(unsigned unit, std::uint64_t block)
+    {
+        auto &list = lru(unit, block);
+        if (list.size() == _ways) { // full: the LRU block leaves
+            const std::uint64_t victim = list.back();
+            list.pop_back();
+            ++evictions;
+            _holders[victim].erase(unit);
+            if (_dirty[victim] == unit) {
+                ++writeBacks;
+                _dirty[victim].reset();
+            }
+        }
+        list.insert(list.begin(), block);
+    }
+
+    unsigned _sets;
+    unsigned _ways;
+    /** MRU first, per (unit, set). */
+    std::map<std::pair<unsigned, std::uint64_t>, std::vector<std::uint64_t>>
+        _lru;
+    std::map<std::uint64_t, std::set<unsigned>> _holders;
+    std::map<std::uint64_t, std::optional<unsigned>> _dirty;
+    std::set<std::uint64_t> _referenced;
+};
+
+/** An inval engine whose per-unit caches have @p sets sets of
+ *  @p ways 16-byte blocks, indexed by the block's low bits. */
+coherence::InvalEngine
+invalWithFiniteCaches(unsigned units, unsigned sets, unsigned ways)
+{
+    coherence::InvalEngineConfig cfg;
+    cfg.nUnits = units;
+    cfg.finiteCaches = mem::CacheGeometry{sets * ways * 16, 16, ways};
+    return coherence::InvalEngine(cfg);
+}
+
+/** Whether @p engine's holder mask and dirty owner of every block in
+ *  [0, @p blocks) equal @p spec's. */
+::testing::AssertionResult
+sameSharingState(const coherence::InvalEngine &engine,
+                 SpecInvalFinite &spec, unsigned blocks)
+{
+    for (std::uint64_t b = 0; b < blocks; ++b) {
+        std::uint64_t mask = 0;
+        for (const unsigned u : spec.holders(b))
+            mask |= 1ULL << u;
+        if (engine.holders(b) != mask)
+            return ::testing::AssertionFailure()
+                   << "block " << b << ": holders " << engine.holders(b)
+                   << ", spec " << mask;
+        const int owner = spec.dirtyOwner(b).has_value()
+                              ? static_cast<int>(*spec.dirtyOwner(b))
+                              : -1;
+        if (engine.dirtyOwner(b) != owner)
+            return ::testing::AssertionFailure()
+                   << "block " << b << ": dirty owner "
+                   << engine.dirtyOwner(b) << ", spec " << owner;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+/**
+ * Exhaustive check of the inval engine with a 1-set, 2-way cache per
+ * unit: 2 units × 3 blocks, so the third block in one cache forces a
+ * replacement, over every length-5 sequence (12^5 = 248,832).  Each
+ * step compares the event, the holder masks and the dirty owners;
+ * each sequence ends comparing the replacement counters, then the
+ * prepared replay.
+ */
+TEST(ModelCheckFiniteCache, InvalEngineExhaustiveLength5)
+{
+    constexpr unsigned units = 2;
+    constexpr unsigned blocks = 3;
+    constexpr unsigned sets = 1;
+    constexpr unsigned ways = 2;
+    constexpr unsigned alphabet = units * 2 * blocks; // 12
+    constexpr unsigned length = 5;
+    std::uint64_t total = 1;
+    for (unsigned i = 0; i < length; ++i)
+        total *= alphabet;
+
+    std::vector<Symbol> syms;
+    std::uint64_t evictions = 0;
+    for (std::uint64_t seq = 0; seq < total; ++seq) {
+        auto engine = invalWithFiniteCaches(units, sets, ways);
+        SpecInvalFinite spec(sets, ways);
+        syms.clear();
+        coherence::EngineResults sum;
+        std::uint64_t code = seq;
+        for (unsigned step = 0; step < length; ++step) {
+            const Symbol sym =
+                decode(static_cast<unsigned>(code % alphabet), units,
+                       blocks);
+            code /= alphabet;
+            syms.push_back(sym);
+            const Event expected =
+                spec.access(sym.unit, sym.type, sym.block);
+            const Event got = observe(engine, sym, sum);
+            ASSERT_EQ(got, expected)
+                << "sequence " << seq << " step " << step << ": spec "
+                << coherence::eventName(expected) << ", engine "
+                << coherence::eventName(got);
+            ASSERT_TRUE(sameSharingState(engine, spec, blocks))
+                << "sequence " << seq << " step " << step;
+        }
+        const coherence::EngineResults &r = engine.results();
+        ASSERT_EQ(r.replacementEvictions, spec.evictions)
+            << "sequence " << seq;
+        ASSERT_EQ(r.replacementWriteBacks, spec.writeBacks)
+            << "sequence " << seq;
+        evictions += spec.evictions;
+        ASSERT_TRUE(outcomesSumToResults(sum, r)) << "sequence " << seq;
+        const PreparedReplay prepared(
+            invalWithFiniteCaches(units, sets, ways), syms, units,
+            blocks);
+        ASSERT_TRUE(prepared.engine().results() == r)
+            << "sequence " << seq << ": prepared replay diverged";
+    }
+    EXPECT_GT(evictions, 0u);
+}
+
+/** Seeded deep walks on 3 and 4 units with 2 sets × 2 ways and 6
+ *  blocks: every set of every cache overflows, so fills, refreshes,
+ *  invalidations and dirty replacements interleave. */
+TEST(ModelCheckFiniteCache, InvalEngineRandomDeepSequences)
+{
+    constexpr unsigned blocks = 6;
+    constexpr unsigned sets = 2;
+    constexpr unsigned ways = 2;
+    gen::Rng rng(0xF1A17E);
+    std::vector<Symbol> syms;
+    for (const unsigned units : {3u, 4u}) {
+        for (int trial = 0; trial < 1'000; ++trial) {
+            auto engine = invalWithFiniteCaches(units, sets, ways);
+            SpecInvalFinite spec(sets, ways);
+            syms.clear();
+            coherence::EngineResults sum;
+            for (int step = 0; step < 80; ++step) {
+                Symbol sym;
+                sym.unit = static_cast<unsigned>(rng.nextBelow(units));
+                sym.type =
+                    rng.chance(0.3) ? RefType::Write : RefType::Read;
+                sym.block = rng.nextBelow(blocks);
+                syms.push_back(sym);
+                const Event expected =
+                    spec.access(sym.unit, sym.type, sym.block);
+                const Event got = observe(engine, sym, sum);
+                ASSERT_EQ(got, expected) << units << " units, trial "
+                                         << trial << " step " << step;
+                ASSERT_TRUE(sameSharingState(engine, spec, blocks))
+                    << units << " units, trial " << trial << " step "
+                    << step;
+            }
+            const coherence::EngineResults &r = engine.results();
+            ASSERT_GT(r.replacementEvictions, 0u) << "trial " << trial;
+            ASSERT_EQ(r.replacementEvictions, spec.evictions)
+                << "trial " << trial;
+            ASSERT_EQ(r.replacementWriteBacks, spec.writeBacks)
+                << "trial " << trial;
+            ASSERT_TRUE(outcomesSumToResults(sum, r)) << "trial " << trial;
+            const PreparedReplay prepared(
+                invalWithFiniteCaches(units, sets, ways), syms, units,
+                blocks);
+            ASSERT_TRUE(prepared.engine().results() == r)
+                << "trial " << trial << ": prepared replay diverged";
+        }
+    }
+}
+
 } // namespace
